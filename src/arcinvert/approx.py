@@ -1,8 +1,9 @@
 """Approximation for the minimum number of (<=p)-inversions.
 
 Pipeline: (1) an optimal family of pair inversions is computed exactly
-(branch and bound; pair flips reach every orientation of the underlying
-multigraph, so 2k-edge-connectivity makes this feasible), (2) the
+(branch and bound; without parallel arcs, pair flips reach every
+orientation of the simple arcs, so 2k-edge-connectivity makes this
+feasible, see min_k2_inversion_set), (2) the
 resulting k-arc-strong digraph is thinned to a minimal one D', (3) the
 pairs are greedily packed into groups of floor(p/2) that are pairwise
 independent in UG(D') and each group is replaced by the union of its
@@ -23,6 +24,8 @@ from math import comb
 
 from . import _kernels
 from .core import (
+    _check_k,
+    _check_p,
     InversionFamily,
     MultiDigraph,
     Multigraph,
@@ -33,25 +36,46 @@ from .core import (
 from .errors import InvalidArgumentError, PreconditionViolatedError
 
 
+def _check_connected(D, k, what):
+    if not isinstance(D, MultiDigraph):
+        raise InvalidArgumentError(f"{what} expects a MultiDigraph")
+    _check_k(k)
+    if edge_connectivity(D.underlying()) < 2 * k:
+        raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
+
+
 def min_k2_inversion_set(D, k, support=None):
     """Minimum family of pair inversions making D k-arc-strong.
 
     Exact iterative-deepening branch and bound: each chosen pair must
     cross the currently violated dicut with asymmetric arc counts.
     Requires the underlying multigraph 2k-edge-connected.  Returns None
-    when no pair family works, which can happen only for n < 2k + 2 or
-    when ``support`` restricts the pairs to a vertex subset."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("min_k2_inversion_set expects a MultiDigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if edge_connectivity(D.underlying()) < 2 * k:
-        raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
-    n = D.n
-    sup = set(range(n)) if support is None else set(support)
+    when no pair family works, which can happen only when D has
+    parallel arcs (a pair flip swaps a bundle, it cannot split it) or
+    when ``support`` restricts the pairs to a vertex subset.
+
+    On a digraph a family always exists.  Flipping a pair {u, v}
+    reverses the simple arc between u and v, if any, and changes
+    nothing else, so pair families reach every orientation of the
+    simple arcs with the digons held fixed.  A vertex set X crossed by
+    d digons then needs at least k - d simple arcs out, and
+    2k-edge-connectivity of UG(D) puts at least 2(k - d) simple arcs
+    across X.  The orientation theorem of Nash-Williams (Canad. J.
+    Math. 12, 1960), in Frank's form for crossing supermodular demands
+    such as k - d, orients the simple arcs to meet every such demand
+    at once."""
+    _check_connected(D, k, "min_k2_inversion_set")
+    sup = range(D.n) if support is None else set(support)
     for v in sup:
-        if not 0 <= v < n:
+        if not 0 <= v < D.n:
             raise InvalidArgumentError(f"support vertex {v} out of range")
+    return _min_pairs(D, k, sup)
+
+
+def _min_pairs(D, k, sup=None):
+    """min_k2_inversion_set on checked inputs; pairs lie within sup."""
+    n = D.n
+    sup = range(n) if sup is None else sup
     caps = D.caps_flat()
     allowed = {
         (u, v)
@@ -59,12 +83,6 @@ def min_k2_inversion_set(D, k, support=None):
         for v in sup
         if u < v and caps[u * n + v] != caps[v * n + u]
     }
-    if support is None and D.is_digraph():
-        # complete reachability pre-check, avoids a futile deep search
-        from .oracles import gf2_reachable
-
-        if gf2_reachable(D, k, 2, mode="exact-size") is None:
-            return None
 
     def flip(u, v):
         caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
@@ -129,12 +147,12 @@ def greedy_k2_inversion_set(D, k):
     raises the violated cut most, each pair at most once.  When the
     greedy pass gets stuck it falls back to the exact search.  No
     optimality guarantee either way."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("greedy_k2_inversion_set expects a MultiDigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if edge_connectivity(D.underlying()) < 2 * k:
-        raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
+    _check_connected(D, k, "greedy_k2_inversion_set")
+    return _greedy_pairs(D, k)
+
+
+def _greedy_pairs(D, k):
+    """greedy_k2_inversion_set on checked inputs."""
     n = D.n
     caps = D.caps_flat()
     flipped = set()
@@ -160,7 +178,7 @@ def greedy_k2_inversion_set(D, k):
         _g, (u, v) = best
         caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
         flipped.add((u, v))
-    result = min_k2_inversion_set(D, k)
+    result = _min_pairs(D, k)
     if result is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")
     return result
@@ -174,8 +192,7 @@ def minimally_k_arc_strong(D, k):
     2k(n-1) arcs."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("minimally_k_arc_strong expects a MultiDigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     if not is_k_arc_strong(D, k):
         raise PreconditionViolatedError("input digraph is not k-arc-strong")
     n = D.n
@@ -224,8 +241,7 @@ def pack_independent_pairs(pairs, G, p):
     group is extracted until none is left."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("pack_independent_pairs expects a Multigraph")
-    if not isinstance(p, int) or p < 3:
-        raise InvalidArgumentError(f"p must be an int >= 3, got {p!r}")
+    _check_p(p, 3)
     remaining = sorted({frozenset(e) for e in pairs}, key=sorted)
     if any(len(e) != 2 for e in remaining):
         raise InvalidArgumentError("pairs must have exactly 2 vertices")
@@ -252,10 +268,8 @@ def pack_independent_pairs(pairs, G, p):
 
 def eta(p, k):
     """Approximation factor min(C(p,2), (2k-1)(p-1)) / floor(p/2)."""
-    if not isinstance(p, int) or p < 3:
-        raise InvalidArgumentError(f"p must be an int >= 3, got {p!r}")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_p(p, 3)
+    _check_k(k)
     return Fraction(min(comb(p, 2), (2 * k - 1) * (p - 1)), p // 2)
 
 
@@ -289,13 +303,11 @@ def approx_kp(D, k, p, heuristic=False):
     trace).  The returned family is verified before being returned."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("approx_kp expects a MultiDigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if not isinstance(p, int) or p < 3:
-        raise InvalidArgumentError(f"p must be an int >= 3, got {p!r}")
+    _check_k(k)
+    _check_p(p, 3)
     if edge_connectivity(D.underlying()) < 2 * k:
         raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
-    base = greedy_k2_inversion_set(D, k) if heuristic else min_k2_inversion_set(D, k)
+    base = _greedy_pairs(D, k) if heuristic else _min_pairs(D, k)
     if base is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")
     strong = apply_inversions(D, base)

@@ -328,7 +328,11 @@ def _bench_row(row):
 
 def _cmd_bench(args):
     rows = _parse_manifest(args.manifest)
-    threads = int(os.environ.get("ARCINVERT_THREADS", "1"))
+    raw = os.environ.get("ARCINVERT_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise InvalidArgumentError(f"ARCINVERT_THREADS must be an integer, got {raw!r}") from None
     if threads < 1:
         raise InvalidArgumentError(f"ARCINVERT_THREADS must be >= 1, got {threads}")
     if threads == 1 or len(rows) <= 1:

@@ -27,6 +27,16 @@ def _check_vertex(v, n, what="vertex"):
         raise InvalidArgumentError(f"{what} id {v!r} out of range 0..{n - 1}")
 
 
+def _check_k(k):
+    if not isinstance(k, int) or k < 1:
+        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+
+
+def _check_p(p, least=2):
+    if not isinstance(p, int) or p < least:
+        raise InvalidArgumentError(f"p must be an int >= {least}, got {p!r}")
+
+
 class MultiDigraph:
     """Directed graph with parallel arcs allowed, no loops."""
 
@@ -377,8 +387,7 @@ def violating_dicut(D, k, core=None):
     """
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("violating_dicut expects a MultiDigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     n = D.n
     if n <= 1:
         return None
@@ -588,8 +597,7 @@ def frames(G, k):
     smaller side recurses first, making the run deterministic."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("frames expects a Multigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     blocks = []
 
     def split(ids):

@@ -15,8 +15,10 @@ because inversion effects add up over GF(2).
 
 from dataclasses import dataclass
 
-from .approx import min_k2_inversion_set
+from .approx import _min_pairs
 from .core import (
+    _check_k,
+    _check_p,
     InversionFamily,
     MultiDigraph,
     apply_inversions,
@@ -24,7 +26,7 @@ from .core import (
     is_k_arc_strong,
 )
 from .errors import InvalidArgumentError, PreconditionViolatedError, UnsupportedError
-from .obstruction import ObstructionCertificate, is_k_obstruction
+from .obstruction import ObstructionCertificate, _obstruction_scan
 from .oracles import gf2_reachable
 from .simulation import simulate_pair, simulate_triple
 
@@ -37,10 +39,8 @@ REASON_KERNEL = "kernel-exhaustive"
 
 def threshold(k, p):
     """Smallest n from which feasibility is purely structural."""
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if not isinstance(p, int) or p < 2:
-        raise InvalidArgumentError(f"p must be an int >= 2, got {p!r}")
+    _check_k(k)
+    _check_p(p)
     if p % 2 == 0:
         return max(p + 2, 2 * k + 2)
     return max(p + 2, 4 * k + 2)
@@ -61,106 +61,76 @@ class FeasibilityVerdict:
     witness: InversionFamily | None = None
 
 
-def _validate(D, k, p):
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("expected a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("feasibility analysis expects a digraph without parallel arcs")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if not isinstance(p, int) or p < 2:
-        raise InvalidArgumentError(f"p must be an int >= 2, got {p!r}")
-
-
 def is_kp_invertible(D, k, p, witness=False):
     """Can some family of exact-size-p inversions make D k-arc-strong?
 
     Returns a FeasibilityVerdict.  With witness=True a verified family
     is attached to feasible verdicts."""
-    _validate(D, k, p)
-    if edge_connectivity(D.underlying()) < 2 * k:
+    if not isinstance(D, MultiDigraph):
+        raise InvalidArgumentError("expected a MultiDigraph")
+    if not D.is_digraph():
+        raise InvalidArgumentError("feasibility analysis expects a digraph without parallel arcs")
+    _check_k(k)
+    _check_p(p)
+    G = D.underlying()
+    if edge_connectivity(G) < 2 * k:
         return FeasibilityVerdict(False, REASON_NOT_CONNECTED)
-    if D.n >= threshold(k, p):
-        if p % 2 == 0:
-            verdict = FeasibilityVerdict(True, REASON_THEOREM_EVEN)
-        else:
-            cert = is_k_obstruction(D, k)
-            if cert is not None:
-                return FeasibilityVerdict(False, REASON_OBSTRUCTION, certificate=cert)
-            verdict = FeasibilityVerdict(True, REASON_THEOREM_ODD)
-        if witness:
-            verdict = FeasibilityVerdict(
-                True, verdict.reason, witness=construct_witness(D, k, p)
-            )
-        return verdict
-    fam = gf2_reachable(D, k, p, mode="exact-size")
-    if fam is None:
-        return FeasibilityVerdict(False, REASON_KERNEL)
-    return FeasibilityVerdict(True, REASON_KERNEL, witness=fam if witness else None)
-
-
-def _merge_plans(base, plans):
-    """Symmetric difference of the base family with each (target, plan)
-    replacement: every target drops out and its plan takes its place."""
-    if any(p.companion is not None for p in plans):
-        raise RuntimeError("internal error: companion plans cannot be merged into a witness")
-    replaced = InversionFamily([p.target for p in plans])
-    return InversionFamily.symmetric_difference(
-        base, replaced, *(p.family() for p in plans)
-    )
+    if D.n < threshold(k, p):
+        fam = gf2_reachable(D, k, p, mode="exact-size")
+        if fam is None:
+            return FeasibilityVerdict(False, REASON_KERNEL)
+        return FeasibilityVerdict(True, REASON_KERNEL, witness=fam if witness else None)
+    if p % 2 == 0:
+        reason = REASON_THEOREM_EVEN
+    else:
+        cert = _obstruction_scan(D, G, k)
+        if cert is not None:
+            return FeasibilityVerdict(False, REASON_OBSTRUCTION, certificate=cert)
+        reason = REASON_THEOREM_ODD
+    return FeasibilityVerdict(True, reason, witness=_witness(D, k, p) if witness else None)
 
 
 def construct_witness(D, k, p):
     """Verified family of exact-size-p inversions making D k-arc-strong.
 
-    Raises PreconditionViolatedError when the instance is infeasible.
+    This is the witness of is_kp_invertible(D, k, p, witness=True);
+    raises PreconditionViolatedError when the instance is infeasible."""
+    verdict = is_kp_invertible(D, k, p, witness=True)
+    if not verdict.feasible:
+        raise PreconditionViolatedError(f"instance is not ({k},{p})-invertible: {verdict.reason}")
+    return verdict.witness
+
+
+def _witness(D, k, p):
+    """Witness for a feasible digraph D with n at or above the threshold.
+
     Even p goes through an optimal pair family, odd p through a triple
     family; each small set is rewritten by a simulation plan and the
     plans are merged by symmetric difference.  Inputs where the
     rewriting rules do not apply (digon-free tournaments for even p,
     independence number below 3 for p = 1 mod 4) fall back to the
-    exhaustive search, as do instances below the threshold."""
-    _validate(D, k, p)
-    verdict = is_kp_invertible(D, k, p)
-    if not verdict.feasible:
-        raise PreconditionViolatedError(f"instance is not ({k},{p})-invertible: {verdict.reason}")
-    if verdict.witness is not None:
-        return verdict.witness
+    exhaustive search."""
     if is_k_arc_strong(D, k):
         return InversionFamily([])
-    if D.n < threshold(k, p):
-        fam = gf2_reachable(D, k, p, mode="exact-size")
-        if fam is None:
-            raise RuntimeError("internal error: verdict feasible but search found nothing")
-        return _finish(D, k, p, fam)
     if p % 2 == 0:
-        base = min_k2_inversion_set(D, k)
-        if base is None:
-            raise RuntimeError("internal error: no pair family above the threshold")
-        if p == 2:
-            return _finish(D, k, p, base)
-        try:
-            plans = [simulate_pair(D, sorted(s), p) for s in base.sets]
-        except UnsupportedError:
-            return _fallback(D, k, p)
-        return _finish(D, k, p, _merge_plans(base, plans))
-    base = gf2_reachable(D, k, 3, mode="exact-size")
+        base, simulate = _min_pairs(D, k), simulate_pair
+    else:
+        base, simulate = gf2_reachable(D, k, 3, mode="exact-size"), simulate_triple
     if base is None:
-        raise RuntimeError("internal error: no triple family for a non-obstruction")
-    if p == 3:
+        raise RuntimeError(f"internal error: no family of {2 + p % 2}-sets above the threshold")
+    if p <= 3:
         return _finish(D, k, p, base)
     try:
-        plans = [simulate_triple(D, sorted(s), p) for s in base.sets]
+        plans = [simulate(D, sorted(s), p) for s in base.sets]
     except UnsupportedError:
-        return _fallback(D, k, p)
-    return _finish(D, k, p, _merge_plans(base, plans))
-
-
-def _fallback(D, k, p):
-    fam = gf2_reachable(D, k, p, mode="exact-size")
-    if fam is None:
-        raise RuntimeError("internal error: feasible instance rejected by exhaustive search")
-    return _finish(D, k, p, fam)
+        fam = gf2_reachable(D, k, p, mode="exact-size")
+        if fam is None:
+            raise RuntimeError("internal error: feasible instance rejected by exhaustive search")
+        return _finish(D, k, p, fam)
+    # every target drops out of the base family and its plan takes its place
+    targets = InversionFamily([plan.target for plan in plans])
+    merged = InversionFamily.symmetric_difference(base, targets, *(plan.family() for plan in plans))
+    return _finish(D, k, p, merged)
 
 
 def _finish(D, k, p, fam):

@@ -19,10 +19,10 @@ checker over all partitions backs it up at n <= 9.
 from dataclasses import dataclass
 
 from .core import (
+    _check_k,
     Multigraph,
     MultiDigraph,
     edge_connectivity,
-    max_flow,
     min_cut,
 )
 from .errors import InvalidArgumentError, PreconditionViolatedError
@@ -100,8 +100,7 @@ def k_regular_partition(G, k, X):
     again, which is checked explicitly."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("k_regular_partition expects a Multigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     xs = sorted(set(X))
     for v in xs:
         if not 0 <= v < G.n:
@@ -112,41 +111,47 @@ def k_regular_partition(G, k, X):
         raise InvalidArgumentError("X must be a proper subset of the vertices")
     if edge_connectivity(G) < k:
         raise PreconditionViolatedError(f"graph is not {k}-edge-connected")
-    rest = [v for v in range(G.n) if v not in set(xs)]
-    groups = [[x] for x in xs] + [rest]
-    Gc = G.contract(groups)
+    return _k_regular_partition(G, k, xs)
+
+
+def _k_regular_partition(G, k, xs):
+    """k_regular_partition of a sorted, nonempty, proper vertex subset
+    xs of a k-edge-connected G; the arguments are not checked again."""
+    x_set = set(xs)
+    rest = [v for v in range(G.n) if v not in x_set]
+    Gc = G.contract([[x] for x in xs] + [rest])
     y = len(xs)
     sides = []
-    for i, x in enumerate(xs):
-        flow = max_flow(Gc, i, y)
-        if flow > k:
-            return None
+    for i in range(len(xs)):
         cut = min_cut(Gc, i, y)
-        side = frozenset(xs[j] for j in cut.side)
-        sides.append(side)
-    # merge intersecting sides; invariant: every side cuts exactly k edges
-    merged = list(dict.fromkeys(sides))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                a, b = merged[i], merged[j]
-                if a & b:
-                    if not (a <= b or b <= a):
-                        inter, union = a & b, a | b
-                        if G.cut_size(inter) != k or G.cut_size(union) != k:
-                            raise RuntimeError(
-                                "uncrossing invariant failed: intersection/union of "
-                                "two crossing k-cuts is not a k-cut"
-                            )
-                    merged[i] = a | b
-                    del merged[j]
-                    changed = True
-                    break
-            if changed:
-                break
+        if cut.undirected_size > k:
+            return None
+        sides.append(frozenset(xs[j] for j in cut.side))
+    # merge intersecting sides; by submodularity the intersection and the
+    # union of two crossing k-cuts are k-cuts again, which is checked
+    merged = []
+    for side in dict.fromkeys(sides):
+        for other in [m for m in merged if m & side]:
+            crossing = not (other <= side or side <= other)
+            if crossing and (G.cut_size(other & side) != k or G.cut_size(other | side) != k):
+                raise RuntimeError(
+                    "uncrossing invariant failed: intersection/union of "
+                    "two crossing k-cuts is not a k-cut"
+                )
+            merged.remove(other)
+            side |= other
+        merged.append(side)
     return sorted((tuple(sorted(s)) for s in merged), key=lambda p: p[0])
+
+
+def _check_obstruction_input(D, k, what):
+    if not isinstance(D, MultiDigraph):
+        raise InvalidArgumentError(f"{what} expects a MultiDigraph")
+    if not D.is_digraph():
+        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+    _check_k(k)
+    if D.n < 4 * k + 2:
+        raise PreconditionViolatedError(f"need n >= 4k+2 = {4 * k + 2}, got n = {D.n}")
 
 
 def extend_to_certificate(D, k, Y):
@@ -155,14 +160,7 @@ def extend_to_certificate(D, k, Y):
     Requires a digraph (no parallel arcs), 2k-edge-connected underlying
     multigraph and n >= 4k+2; these are the hypotheses under which the
     singleton/high-degree scan in is_k_obstruction is complete."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("extend_to_certificate expects a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if D.n < 4 * k + 2:
-        raise PreconditionViolatedError(f"need n >= 4k+2 = {4 * k + 2}, got n = {D.n}")
+    _check_obstruction_input(D, k, "extend_to_certificate")
     G = D.underlying()
     if edge_connectivity(G) < 2 * k:
         raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
@@ -170,26 +168,31 @@ def extend_to_certificate(D, k, Y):
     for v in y_set:
         if not 0 <= v < D.n:
             raise InvalidArgumentError(f"vertex {v} out of range")
+    return _extend(D, G, k, y_set)
+
+
+def _extend(D, G, k, y_set):
+    """extend_to_certificate with G the 2k-edge-connected UG(D) and y_set
+    a set of vertices; conditions (ii) and (iii) are tested before any flow."""
     if not y_set or len(y_set) == D.n:
         return None
     x_set = set(range(D.n)) - y_set
-    for x in x_set:
-        for y in y_set:
-            if G.mult(x, y) != 1:
-                return None
     cross = len(x_set) * len(y_set)
     if cross % 2 == 1:
         return None
-    if (_out_across(D, x_set) - cross // 2) % 2 != 1:
+    if any(G.mult(x, y) != 1 for y in y_set for x in x_set):
         return None
-    parts = k_regular_partition(G, 2 * k, x_set)
+    out_across = _out_across(D, x_set)
+    if (out_across - cross // 2) % 2 != 1:
+        return None
+    parts = _k_regular_partition(G, 2 * k, sorted(x_set))
     if parts is None:
         return None
     cert = ObstructionCertificate(
         k=k,
         x_parts=tuple(parts),
         y=tuple(sorted(y_set)),
-        out_across=_out_across(D, x_set),
+        out_across=out_across,
     )
     if not verify_certificate(D, cert):
         raise RuntimeError("internal error: assembled certificate failed verification")
@@ -203,23 +206,22 @@ def is_k_obstruction(D, k):
     vertices of degree >= 2k+1; the first completion wins.  For
     n >= 4k+2 these candidates are exhaustive: in any obstruction either
     |Y| = 1, or Y is exactly the high-degree set."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("is_k_obstruction expects a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if D.n < 4 * k + 2:
-        raise PreconditionViolatedError(f"need n >= 4k+2 = {4 * k + 2}, got n = {D.n}")
+    _check_obstruction_input(D, k, "is_k_obstruction")
     G = D.underlying()
     if edge_connectivity(G) < 2 * k:
         return None
+    return _obstruction_scan(D, G, k)
+
+
+def _obstruction_scan(D, G, k):
+    """is_k_obstruction for a digraph D on n >= 4k+2 vertices whose
+    underlying multigraph G is 2k-edge-connected."""
     candidates = [{v} for v in range(D.n)]
     high = {v for v in range(D.n) if G.degree(v) >= 2 * k + 1}
-    if len(high) >= 2 and len(high) < D.n:
+    if 2 <= len(high) < D.n:
         candidates.append(high)
     for y in candidates:
-        cert = extend_to_certificate(D, k, y)
+        cert = _extend(D, G, k, y)
         if cert is not None:
             return cert
     return None
@@ -251,8 +253,7 @@ def exhaustive_obstruction_search(D, k):
         raise InvalidArgumentError("input has parallel arcs; a digraph is required")
     if D.n > 9:
         raise InvalidArgumentError("exhaustive search is limited to n <= 9")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     n = D.n
     G = D.underlying()
     for y_mask in range(1, 1 << n):
@@ -366,6 +367,13 @@ def certificate_to_text(cert):
     return "\n".join(lines) + "\n"
 
 
+def _vertex_tokens(line, body):
+    try:
+        return tuple(int(t) for t in body.split())
+    except ValueError:
+        raise InvalidArgumentError(f"non-integer vertex in certificate line {line!r}") from None
+
+
 def certificate_from_text(text):
     k = None
     y = None
@@ -380,9 +388,9 @@ def certificate_from_text(text):
             except (IndexError, ValueError):
                 raise InvalidArgumentError(f"bad header line {line!r}") from None
         elif line.startswith("Y:"):
-            y = tuple(int(t) for t in line[2:].split())
+            y = _vertex_tokens(line, line[2:])
         elif line.startswith("X") and ":" in line:
-            parts.append(tuple(int(t) for t in line.split(":", 1)[1].split()))
+            parts.append(_vertex_tokens(line, line.split(":", 1)[1]))
         else:
             raise InvalidArgumentError(f"unrecognised certificate line {line!r}")
     if k is None or y is None or not parts:

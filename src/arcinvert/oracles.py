@@ -18,6 +18,8 @@ from itertools import combinations
 
 from . import _kernels
 from .core import (
+    _check_k,
+    _check_p,
     INFINITY,
     InversionFamily,
     MultiDigraph,
@@ -114,10 +116,8 @@ def _candidate_sets(n, p, mode, indicator):
 
 
 def _validate_kp(k, p, mode):
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
-    if not isinstance(p, int) or p < 2:
-        raise InvalidArgumentError(f"p must be an int >= 2, got {p!r}")
+    _check_k(k)
+    _check_p(p)
     if mode not in ("exact-size", "at-most"):
         raise InvalidArgumentError(f"mode must be 'exact-size' or 'at-most', got {mode!r}")
 
@@ -383,8 +383,7 @@ def exists_k_arc_strong_orientation(G, k):
     degree pruning.  Intended for n <= 12."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("exists_k_arc_strong_orientation expects a Multigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     n = G.n
     if n <= 1:
         return MultiDigraph(n)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import (
+    _check_k,
     InversionFamily,
     MultiDigraph,
     Multigraph,
@@ -114,8 +115,7 @@ def gen_p3p(G, k):
     maximum packing."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("gen_p3p expects a Multigraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     if G.n < 2:
         raise InvalidArgumentError("source graph needs at least 2 vertices")
     color = _bipartition(G)
@@ -180,8 +180,7 @@ def gen_hm(H, k):
     ceil((n - x) / (s - 1))."""
     if not isinstance(H, Hypergraph):
         raise InvalidArgumentError("gen_hm expects a Hypergraph")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     s = H.uniformity()
     if s is None or s < 3:
         raise InvalidArgumentError("a uniform hypergraph with edges of size >= 3 is required")

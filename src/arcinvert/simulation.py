@@ -24,7 +24,7 @@ Size recipes (n >= p+2 throughout):
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InversionFamily, MultiDigraph, apply_inversions
+from .core import InversionFamily, MultiDigraph, _check_p, apply_inversions
 from .errors import (
     InvalidArgumentError,
     PreconditionViolatedError,
@@ -62,8 +62,7 @@ def _validate_common(D, S, size, p, p_residues):
     for v in s:
         if not 0 <= v < D.n:
             raise InvalidArgumentError(f"vertex {v} out of range")
-    if not isinstance(p, int) or p < 2:
-        raise InvalidArgumentError(f"p must be an int >= 2, got {p!r}")
+    _check_p(p)
     if p % 2 == 0 and 1 in p_residues:
         raise InvalidArgumentError(f"p must be odd, got {p}")
     if p % 4 not in p_residues:

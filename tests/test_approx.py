@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from arcinvert import oracles
 from arcinvert.approx import (
     approx_kp,
     eta,
@@ -20,7 +21,7 @@ from arcinvert.core import (
     is_k_arc_strong,
 )
 from arcinvert.errors import PreconditionViolatedError
-from arcinvert.oracles import exact_inv_kp
+from arcinvert.oracles import exact_inv_kp, gf2_reachable
 
 from conftest import rand_2kec_digraph
 
@@ -161,3 +162,27 @@ def test_approx_heuristic_flags_the_void_guarantee(fig2):
 def test_fig2_needs_exactly_two_pair_inversions(fig2):
     fam = min_k2_inversion_set(fig2, 2)
     assert len(fam.sets) == 2
+
+
+def test_min_k2_never_calls_the_reachability_oracle(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("min_k2_inversion_set consulted gf2_reachable")
+
+    monkeypatch.setattr(oracles, "gf2_reachable", refuse)
+    rng = random.Random(507)
+    for _ in range(10):
+        D = rand_2kec_digraph(rng, 1, rng.randint(4, 8))
+        fam = min_k2_inversion_set(D, 1)
+        assert is_k_arc_strong(apply_inversions(D, fam.sets), 1)
+
+
+def test_pair_families_exist_on_every_2k_edge_connected_digraph():
+    # the theorem in min_k2_inversion_set's docstring: with digons held
+    # fixed, pair flips reach a k-arc-strong orientation whenever the
+    # underlying multigraph is 2k-edge-connected
+    rng = random.Random(508)
+    for k in (1, 2):
+        for _ in range(30):
+            D = rand_2kec_digraph(rng, k, rng.randint(2 * k + 1, 8))
+            assert gf2_reachable(D, k, 2, mode="exact-size") is not None
+            assert min_k2_inversion_set(D, k) is not None

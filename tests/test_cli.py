@@ -166,6 +166,16 @@ def test_bench_csv_order_and_threads(tmp_path, capsys):
     assert [r[:-1] for r in rows] == [r[:-1] for r in rows2]
 
 
+def test_bench_rejects_a_non_integer_thread_count(tmp_path, capsys, monkeypatch):
+    _write_triangle(tmp_path / "tri.mdg")
+    manifest = tmp_path / "man.txt"
+    manifest.write_text("tri.mdg 1 2 exact\n")
+    monkeypatch.setenv("ARCINVERT_THREADS", "two")
+    code, _out, err = run(capsys, "bench", str(manifest))
+    assert code == 2
+    assert "ARCINVERT_THREADS" in err
+
+
 def test_bench_rejects_malformed_manifests(tmp_path, capsys):
     manifest = tmp_path / "man.txt"
     manifest.write_text("tri.mdg 1 2 exact\ntri.mdg one 3 exact\n")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arcinvert import approx, feasibility, obstruction
 from arcinvert.core import (
     MultiDigraph,
     apply_inversions,
@@ -128,3 +129,37 @@ def test_tournament_even_witness_falls_back_cleanly():
     assert verdict.feasible
     assert all(len(s) == 4 for s in verdict.witness.sets)
     assert is_k_arc_strong(apply_inversions(flipped, verdict.witness.sets), 1)
+
+
+def _count_calls(monkeypatch, module, name, counter):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] = counter.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_odd_witness_decides_once(monkeypatch):
+    # one connectivity check and one obstruction scan per decision, also
+    # when a witness is built (gf2_reachable, the independent oracle,
+    # checks connectivity on its own and is not counted)
+    rng = random.Random(605)
+    built = 0
+    while built < 6:
+        p = rng.choice([3, 5])
+        D = rand_2kec_digraph(rng, 1, rng.randint(threshold(1, p), 9))
+        if is_k_arc_strong(D, 1):
+            continue  # the witness would be empty
+        counts = {}
+        with monkeypatch.context() as m:
+            for module in (feasibility, obstruction, approx):
+                _count_calls(m, module, "edge_connectivity", counts)
+            _count_calls(m, feasibility, "_obstruction_scan", counts)
+            verdict = is_kp_invertible(D, 1, p, witness=True)
+        assert counts == {"edge_connectivity": 1, "_obstruction_scan": 1}
+        if verdict.feasible:
+            built += 1
+            assert all(len(s) == p for s in verdict.witness.sets)
+            assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)

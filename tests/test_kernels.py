@@ -1,4 +1,9 @@
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +12,31 @@ from arcinvert._kernels import _pyimpl
 
 from conftest import rand_multidigraph, rand_multigraph
 
-cimpl = pytest.importorskip(
-    "arcinvert._kernels._cimpl", reason="compiled backend not built"
-)
+
+@pytest.fixture(scope="module")
+def cimpl(tmp_path_factory):
+    """The compiled backend: the installed extension when there is one,
+    else the checked-in _cimpl.c built with gcc into a temporary
+    directory (never into the source tree) and loaded from there."""
+    try:
+        return importlib.import_module("arcinvert._kernels._cimpl")
+    except ImportError:
+        pass
+    gcc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if gcc is None or not Path(include, "Python.h").exists():
+        pytest.skip("compiled backend not built, and no gcc and Python.h to build it")
+    source = Path(_kernels.__file__).with_name("_cimpl.c")
+    target = tmp_path_factory.mktemp("cimpl") / ("_cimpl" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        [gcc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        check=True,
+        capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("arcinvert._kernels._cimpl", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _mask_side(mask, n):
@@ -22,7 +49,7 @@ def _cut_out(caps, n, side):
     )
 
 
-def test_st_max_flow_backends_agree():
+def test_st_max_flow_backends_agree(cimpl):
     rng = random.Random(101)
     for _ in range(120):
         D = rand_multidigraph(rng, n_max=8, mult_max=3)
@@ -40,7 +67,7 @@ def test_st_max_flow_backends_agree():
                 assert _cut_out(caps, D.n, side) == fp
 
 
-def test_global_min_cut_backends_agree():
+def test_global_min_cut_backends_agree(cimpl):
     rng = random.Random(102)
     for _ in range(100):
         G = rand_multigraph(rng, n_max=8)
@@ -54,7 +81,7 @@ def test_global_min_cut_backends_agree():
             assert G.cut_size(side) == vp
 
 
-def test_karc_deficient_cut_backends_agree():
+def test_karc_deficient_cut_backends_agree(cimpl):
     rng = random.Random(103)
     for _ in range(120):
         D = rand_multidigraph(rng, n_max=8)
@@ -71,7 +98,9 @@ def test_karc_deficient_cut_backends_agree():
                 assert _cut_out(caps, D.n, side) < k
 
 
-def test_dispatch_routes_large_instances_to_python():
+def test_dispatch_routes_large_instances_to_python(cimpl, monkeypatch):
+    monkeypatch.setattr(_kernels, "_cimpl", cimpl)
+    assert _kernels._impl_for(cimpl.MAX_N) is cimpl
     n = cimpl.MAX_N + 2
     caps = [0] * (n * n)
     for i in range(n):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arcinvert import obstruction
 from arcinvert.core import MultiDigraph, apply_inversions, is_k_arc_strong
 from arcinvert.errors import InvalidArgumentError, PreconditionViolatedError
 from arcinvert.obstruction import (
@@ -16,7 +17,7 @@ from arcinvert.obstruction import (
     verify_certificate,
 )
 
-from conftest import rand_digraph
+from conftest import rand_2kec_digraph, rand_digraph
 
 
 def test_star_matching_fixture_is_recognized():
@@ -108,6 +109,13 @@ def test_certificate_text_round_trip():
     assert again.y == cert.y
 
 
+def test_certificate_text_rejects_non_integer_vertices():
+    with pytest.raises(InvalidArgumentError):
+        certificate_from_text("obstruction k=1\nY: x\nX1: 1 2")
+    with pytest.raises(InvalidArgumentError):
+        certificate_from_text("obstruction k=1\nY: 0\nX1: 1 b")
+
+
 def test_verify_rejects_malformed_partitions():
     D, cert = star_matching_obstruction(3)
     bad = ObstructionCertificate(k=cert.k, x_parts=cert.x_parts[:-1], y=cert.y)
@@ -116,3 +124,25 @@ def test_verify_rejects_malformed_partitions():
         k=cert.k, x_parts=cert.x_parts, y=cert.x_parts[0]
     )
     assert not verify_certificate(D, overlapping)
+
+
+def test_is_k_obstruction_computes_connectivity_once(monkeypatch):
+    calls = []
+    original = obstruction.edge_connectivity
+
+    def counted(G):
+        calls.append(G.n)
+        return original(G)
+
+    monkeypatch.setattr(obstruction, "edge_connectivity", counted)
+    rng = random.Random(406)
+    for m in (3, 5, 8):
+        D, _cert = star_matching_obstruction(m)
+        calls.clear()
+        assert is_k_obstruction(D, 1) is not None
+        assert calls == [D.n]
+    for n in (6, 9, 14):
+        D = rand_2kec_digraph(rng, 1, n)
+        calls.clear()
+        is_k_obstruction(D, 1)
+        assert calls == [n]
