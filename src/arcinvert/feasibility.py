@@ -3,14 +3,19 @@
 Above a vertex threshold the answer is structural: for even p it is
 exactly 2k-edge-connectivity of the underlying graph, for odd p
 additionally the digraph must not carry a k-obstruction partition.
-Below the threshold the exhaustive parity-space search decides.  The
-threshold is max(p + 2, 2k + 2) for even p and max(p + 2, 4k + 2) for
-odd p.
+Below the threshold the exhaustive parity-space search of
+oracles.gf2_reachable decides, with its forced-parity refutation for
+n <= 16.  The threshold is max(p + 2, 2k + 2) for even p and
+max(p + 2, 4k + 2) for odd p.
 
 Witnesses are built from a pair or triple family (small sets are easy
 to find) whose members are then rewritten into exact-size-p families by
 the simulation plans; symmetric differences of the plans compose
-because inversion effects add up over GF(2).
+because inversion effects add up over GF(2).  The triple family, and
+the exhaustive fallback where the rewriting rules do not apply, come
+from the same parity-space search without the refutation: the decision
+has already proved that the family exists, so the 2^n cut scan could
+only confirm it.
 """
 
 from dataclasses import dataclass
@@ -27,7 +32,7 @@ from .core import (
 )
 from .errors import InvalidArgumentError, PreconditionViolatedError, UnsupportedError
 from .obstruction import ObstructionCertificate, _obstruction_scan
-from .oracles import gf2_reachable
+from .oracles import _gf2_search
 from .simulation import simulate_pair, simulate_triple
 
 REASON_NOT_CONNECTED = "not-2k-edge-connected"
@@ -76,9 +81,10 @@ def is_kp_invertible(D, k, p, witness=False):
     if edge_connectivity(G) < 2 * k:
         return FeasibilityVerdict(False, REASON_NOT_CONNECTED)
     if D.n < threshold(k, p):
-        fam = gf2_reachable(D, k, p, mode="exact-size")
+        fam = _gf2_search(D, k, p, "exact-size", G)
         if fam is None:
             return FeasibilityVerdict(False, REASON_KERNEL)
+        fam = _finish(D, k, p, fam)
         return FeasibilityVerdict(True, REASON_KERNEL, witness=fam if witness else None)
     if p % 2 == 0:
         reason = REASON_THEOREM_EVEN
@@ -115,7 +121,7 @@ def _witness(D, k, p):
     if p % 2 == 0:
         base, simulate = _min_pairs(D, k), simulate_pair
     else:
-        base, simulate = gf2_reachable(D, k, 3, mode="exact-size"), simulate_triple
+        base, simulate = _gf2_search(D, k, 3, "exact-size"), simulate_triple
     if base is None:
         raise RuntimeError(f"internal error: no family of {2 + p % 2}-sets above the threshold")
     if p <= 3:
@@ -123,7 +129,7 @@ def _witness(D, k, p):
     try:
         plans = [simulate(D, sorted(s), p) for s in base.sets]
     except UnsupportedError:
-        fam = gf2_reachable(D, k, p, mode="exact-size")
+        fam = _gf2_search(D, k, p, "exact-size")
         if fam is None:
             raise RuntimeError("internal error: feasible instance rejected by exhaustive search")
         return _finish(D, k, p, fam)

@@ -13,6 +13,7 @@ orientation-state oracle decides reachability without the GF(2) span.
 """
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -42,12 +43,18 @@ class Gf2Basis:
 
     def __init__(self):
         self.rows = []  # list of (vector, combo), echelon by leading bit
+        self._pivot = {}  # leading bit -> its row
 
     def _reduce(self, vec, combo=0):
-        for v, c in self.rows:
-            if vec ^ v < vec:  # leading bit of v is set in vec
-                vec ^= v
-                combo ^= c
+        # XOR in the row of every pivot set in vec, highest first
+        rest = vec
+        while rest:
+            top = rest.bit_length() - 1
+            row = self._pivot.get(top)
+            if row is not None:
+                vec ^= row[0]
+                combo ^= row[1]
+            rest = vec & ((1 << top) - 1)
         return vec, combo
 
     def add(self, vec, combo):
@@ -55,8 +62,9 @@ class Gf2Basis:
         vec, combo = self._reduce(vec, combo)
         if vec == 0:
             return False
-        self.rows.append((vec, combo))
-        self.rows.sort(key=lambda rc: -rc[0])
+        row = (vec, combo)
+        self._pivot[vec.bit_length() - 1] = row
+        insort(self.rows, row, key=lambda rc: -rc[0])
         return True
 
     def solve(self, target):
@@ -132,35 +140,45 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     indicators of its sets, so the reachable orientations form a coset
     of the indicator span.  The search walks exactly that coset: the
     orthogonal complement of the span is echelonized so that each of
-    its constraints forces one bit during the DFS, and a cheap
+    its constraints forces one bit during the DFS.  For n <= 16 a
     refutation over forced-parity cuts (every cut of underlying size 2k
-    must end up with exactly k arcs out) proves most "no" instances,
-    k-obstructions included, without search."""
+    must end up with exactly k arcs out) first proves most "no"
+    instances, k-obstructions included, without search.  The same
+    search runs with the refutation for sub-threshold decisions in
+    feasibility, and without it for witnesses above the threshold,
+    whose existence the decision has already proved."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("gf2_reachable expects a MultiDigraph")
     if not D.is_digraph():
         raise InvalidArgumentError("input has parallel arcs; a digraph is required")
     _validate_kp(k, p, mode)
-    n = D.n
     G = D.underlying()
     if edge_connectivity(G) < 2 * k:
         return None  # inversions keep the underlying multigraph
+    fam = _gf2_search(D, k, p, mode, G)
+    if fam is not None and not is_k_arc_strong(apply_inversions(D, fam), k):
+        raise RuntimeError("internal error: reconstructed family does not verify")
+    return fam
+
+
+def _gf2_search(D, k, p, mode, G=None):
+    """The coset search of gf2_reachable on a checked digraph D whose
+    underlying graph is 2k-edge-connected; the family it returns is not
+    verified.  G, the underlying graph, is given when the answer can be
+    "no", and turns on the forced-parity refutation for n <= 16."""
     if is_k_arc_strong(D, k):
         return InversionFamily([])
-
+    n = D.n
     simple = D.simple_arcs()
     m = len(simple)
-    pos = {}
+    bit = [0] * (n * n)  # flip bit of the simple arc on each vertex pair
     for i, (t, h) in enumerate(simple):
-        pos[(t, h)] = i
-        pos[(h, t)] = i
+        bit[t * n + h] = bit[h * n + t] = 1 << i
 
     def indicator(xs):
         ind = 0
-        s = set(xs)
-        for i, (t, h) in enumerate(simple):
-            if t in s and h in s:
-                ind |= 1 << i
+        for a, b in combinations(xs, 2):
+            ind |= bit[a * n + b]
         return ind
 
     cands = _candidate_sets(n, p, mode, indicator)
@@ -168,7 +186,7 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     for i, (_xs, ind) in enumerate(cands):
         span.add(ind, 1 << i)
 
-    if n <= 16 and _forced_parity_refuted(D, k, simple, span):
+    if G is not None and n <= 16 and _forced_parity_refuted(D, G, k, simple, span):
         return None
 
     # complement constraints, echelonized by highest bit so that during
@@ -184,7 +202,7 @@ def gf2_reachable(D, k, p, mode="exact-size"):
 
     caps = [0] * (n * n)
     for (t, h), mm in D._m.items():
-        if (t, h) not in pos:  # digon arcs are fixed
+        if not bit[t * n + h]:  # digon arcs are fixed
             caps[t * n + h] = mm
     out_need = [k] * n  # still-needed out-degree, capped at 0
     in_need = [k] * n
@@ -193,70 +211,78 @@ def gf2_reachable(D, k, p, mode="exact-size"):
         base = sum(caps[v * n + u] for u in range(n))
         out_need[v] = max(0, k - base)
         in_need[v] = max(0, k - sum(caps[u * n + v] for u in range(n)))
-        remaining[v] = sum(1 for (t, h) in simple if t == v or h == v)
+    for t, h in simple:
+        remaining[t] += 1
+        remaining[h] += 1
 
-    solution = []
-
-    def place(i, flipped):
-        t, h = simple[i]
-        if flipped:
-            t, h = h, t
-        caps[t * n + h] += 1
-        out_need[t] = max(0, out_need[t] - 1)
-        in_need[h] = max(0, in_need[h] - 1)
-        remaining[simple[i][0]] -= 1
-        remaining[simple[i][1]] -= 1
+    def choices(i, diff):
+        """Bits to try for arc i, the first one last."""
+        w = forced_by.get(i)
+        if w is None:
+            return [1, 0]
+        return [bin(diff & w).count("1") & 1]
 
     def unplace(i, flipped, saved):
         t, h = simple[i]
+        remaining[t] += 1
+        remaining[h] += 1
         if flipped:
             t, h = h, t
         caps[t * n + h] -= 1
         out_need[t], in_need[h] = saved
-        remaining[simple[i][0]] += 1
-        remaining[simple[i][1]] += 1
 
-    def dfs(i, diff):
-        if i == m:
-            if _kernels.karc_deficient_cut(n, caps, k) == -1:
-                combo = span.solve(diff)
-                if combo is None:
-                    raise RuntimeError("internal error: parity-feasible leaf outside span")
-                solution.append(combo)
-                return True
-            return False
-        w = forced_by.get(i)
-        choices = (0, 1)
-        if w is not None:
-            forced = bin(diff & w).count("1") & 1
-            choices = (forced,)
+    if m == 0:
+        return None  # D is not k-arc-strong and no arc can flip
+    # depth-first over the arcs in index order with an explicit stack:
+    # path holds (bit, saved needs) of every placed arc, pending the
+    # untried bits of every arc up to the one being placed
+    path = []
+    pending = [choices(0, 0)]
+    diff = 0
+    while pending:
+        i = len(path)
+        if not pending[-1]:
+            pending.pop()
+            if path:
+                b, saved = path.pop()
+                unplace(i - 1, b, saved)
+                diff ^= b << (i - 1)
+            continue
+        b = pending[-1].pop()
         t0, h0 = simple[i]
-        for bit in choices:
-            t, h = (h0, t0) if bit else (t0, h0)
-            saved = (out_need[t], in_need[h])
-            place(i, bit)
-            ok = (
-                out_need[simple[i][0]] <= remaining[simple[i][0]]
-                and in_need[simple[i][0]] <= remaining[simple[i][0]]
-                and out_need[simple[i][1]] <= remaining[simple[i][1]]
-                and in_need[simple[i][1]] <= remaining[simple[i][1]]
-            )
-            if ok and dfs(i + 1, diff | (bit << i)):
-                return True
-            unplace(i, bit, saved)
-        return False
+        t, h = (h0, t0) if b else (t0, h0)
+        saved = (out_need[t], in_need[h])
+        caps[t * n + h] += 1
+        if saved[0]:
+            out_need[t] -= 1
+        if saved[1]:
+            in_need[h] -= 1
+        remaining[t0] -= 1
+        remaining[h0] -= 1
+        if not (
+            out_need[t0] <= remaining[t0]
+            and in_need[t0] <= remaining[t0]
+            and out_need[h0] <= remaining[h0]
+            and in_need[h0] <= remaining[h0]
+        ):
+            unplace(i, b, saved)
+            continue
+        diff |= b << i
+        if i + 1 < m:
+            path.append((b, saved))
+            pending.append(choices(i + 1, diff))
+        elif _kernels.karc_deficient_cut(n, caps, k) == -1:
+            combo = span.solve(diff)
+            if combo is None:
+                raise RuntimeError("internal error: parity-feasible leaf outside span")
+            return InversionFamily([cands[c][0] for c in range(len(cands)) if (combo >> c) & 1])
+        else:
+            unplace(i, b, saved)
+            diff ^= b << i
+    return None
 
-    if not dfs(0, 0):
-        return None
-    combo = solution[0]
-    fam = InversionFamily([cands[i][0] for i in range(len(cands)) if (combo >> i) & 1])
-    result = apply_inversions(D, fam)
-    if not is_k_arc_strong(result, k):
-        raise RuntimeError("internal error: reconstructed family does not verify")
-    return fam
 
-
-def _forced_parity_refuted(D, k, simple, span):
+def _forced_parity_refuted(D, G, k, simple, span):
     """Provable-'no' check: find tight cuts whose forced flip parities
     are GF(2)-inconsistent with the candidate span.
 
@@ -266,7 +292,6 @@ def _forced_parity_refuted(D, k, simple, span):
     orthogonal to the whole span while its parities XOR to 1, no family
     can work."""
     n = D.n
-    G = D.underlying()
     deg = [G.degree(v) for v in range(n)]
     # internal edge weight per mask, DP over lowest bit
     internal = [0] * (1 << n)

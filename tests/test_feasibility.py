@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from arcinvert import approx, feasibility, obstruction
+from arcinvert import approx, feasibility, obstruction, oracles
 from arcinvert.core import (
     MultiDigraph,
     apply_inversions,
@@ -163,3 +164,72 @@ def test_odd_witness_decides_once(monkeypatch):
             built += 1
             assert all(len(s) == p for s in verdict.witness.sets)
             assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)
+
+
+def test_sub_threshold_decision_checks_once(monkeypatch):
+    # one connectivity check per decision below the threshold too; the
+    # parity search behind it still runs its forced-parity refutation
+    rng = random.Random(606)
+    built = 0
+    while built < 6:
+        n = rng.randint(6, threshold(2, 3) - 1)
+        D = rand_2kec_digraph(rng, 2, n)
+        if is_k_arc_strong(D, 2):
+            continue  # decided before any search
+        counts = {}
+        with monkeypatch.context() as m:
+            for module in (feasibility, obstruction, approx, oracles):
+                _count_calls(m, module, "edge_connectivity", counts)
+            _count_calls(m, oracles, "_forced_parity_refuted", counts)
+            verdict = is_kp_invertible(D, 2, 3, witness=True)
+        assert counts == {"edge_connectivity": 1, "_forced_parity_refuted": 1}
+        assert verdict.reason == "kernel-exhaustive"
+        if verdict.feasible:
+            built += 1
+            assert all(len(s) == 3 for s in verdict.witness.sets)
+            assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 2)
+
+
+def test_odd_witness_skips_the_parity_refutation(monkeypatch):
+    # above the threshold the decision has proved that a triple family
+    # exists, so the witness search runs without the 2^n cut scan
+    def refuse(*_args):
+        raise AssertionError("the witness route ran the forced-parity refutation")
+
+    monkeypatch.setattr(oracles, "_forced_parity_refuted", refuse)
+    rng = random.Random(607)
+    for p in (3, 5):
+        built = 0
+        while built < 2:
+            D = rand_digraph(rng, n_max=16, n_min=16, oriented=True)
+            v = rng.randrange(16)
+            into_v = [u for u in range(16) if D.has_arc(u, v)]
+            if not into_v:
+                continue
+            D = apply_inversions(D, [[v, *into_v]])  # v becomes a source
+            verdict = is_kp_invertible(D, 1, p, witness=True)
+            if not verdict.feasible:
+                continue
+            built += 1
+            assert verdict.reason == "theorem-odd"
+            assert all(len(s) == p for s in verdict.witness.sets)
+            assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)
+
+
+def test_odd_witness_search_needs_no_deep_recursion():
+    # the coset search places one simple arc per step; 435 of them must
+    # not need 435 stack frames
+    T = rotative_tournament(30)
+    into_zero = [u for u in range(30) if T.has_arc(u, 0)]
+    D = apply_inversions(T, [[0, *into_zero]])  # vertex 0 becomes a source
+    assert len(D.simple_arcs()) == 435 and not is_k_arc_strong(D, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        verdict = is_kp_invertible(D, 1, 3, witness=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.feasible and verdict.reason == "theorem-odd"
+    assert verdict.witness.sets
+    assert all(len(s) == 3 for s in verdict.witness.sets)
+    assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)

@@ -2,7 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arcinvert import oracles
 from arcinvert.core import (
     INFINITY,
     MultiDigraph,
@@ -13,6 +16,7 @@ from arcinvert.core import (
 )
 from arcinvert.errors import InvalidArgumentError
 from arcinvert.oracles import (
+    Gf2Basis,
     Hypergraph,
     exact_inv_kp,
     exists_k_arc_strong_orientation,
@@ -174,6 +178,99 @@ def test_gf2_exact_size_blocked_by_parity_on_an_obstruction():
     fam = gf2_reachable(D, 1, 4, mode="exact-size")
     assert fam is not None
     assert is_k_arc_strong(apply_inversions(D, fam.sets), 1)
+
+
+def test_public_gf2_reachable_runs_the_parity_refutation(monkeypatch):
+    # the public oracle refutes by forced-parity cuts for n <= 16, also
+    # when the answer turns out to be "yes"
+    from arcinvert.obstruction import star_matching_obstruction
+
+    calls = []
+    original = oracles._forced_parity_refuted
+
+    def counted(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(oracles, "_forced_parity_refuted", counted)
+    D, _cert = star_matching_obstruction(3)
+    assert gf2_reachable(D, 1, 3, mode="exact-size") is None
+    assert gf2_reachable(D, 1, 4, mode="exact-size") is not None
+    assert calls == [True, False]
+
+
+class _NaiveGf2Basis:
+    """The plain elimination: reduce against every row, re-sort after
+    every insertion."""
+
+    def __init__(self):
+        self.rows = []
+
+    def _reduce(self, vec, combo=0):
+        for v, c in self.rows:
+            if vec ^ v < vec:
+                vec ^= v
+                combo ^= c
+        return vec, combo
+
+    def add(self, vec, combo):
+        vec, combo = self._reduce(vec, combo)
+        if vec == 0:
+            return False
+        self.rows.append((vec, combo))
+        self.rows.sort(key=lambda rc: -rc[0])
+        return True
+
+    def solve(self, target):
+        vec, combo = self._reduce(target)
+        return combo if vec == 0 else None
+
+
+@st.composite
+def _gf2_vectors(draw):
+    """Width and a mix of sparse (<= 3 bits), dense, zero and repeated
+    vectors of that width."""
+    width = draw(st.sampled_from([1, 5, 20, 70, 140]))
+    dense = st.integers(0, (1 << width) - 1)
+    sparse = st.lists(st.integers(0, width - 1), max_size=3).map(
+        lambda bits: sum({1 << b for b in bits})
+    )
+    vecs = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["sparse", "dense", "zero", "repeat"]))
+        if kind == "repeat" and vecs:
+            vecs.append(draw(st.sampled_from(vecs)))
+        elif kind == "dense":
+            vecs.append(draw(dense))
+        elif kind == "zero":
+            vecs.append(0)
+        else:
+            vecs.append(draw(sparse))
+    targets = draw(st.lists(st.one_of(dense, sparse), max_size=8))
+    return vecs, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gf2_vectors())
+def test_gf2_basis_matches_the_naive_elimination(case):
+    vecs, targets = case
+    basis, naive = Gf2Basis(), _NaiveGf2Basis()
+    for i, v in enumerate(vecs):
+        assert basis.add(v, 1 << i) == naive.add(v, 1 << i)
+        assert basis.dim == len(naive.rows)
+        assert basis.rows == naive.rows
+    # XORs of inserted vectors are in the span, the targets may be not
+    for i in range(len(vecs)):
+        targets.append(vecs[i] ^ vecs[i // 2])
+    for target in targets:
+        combo = basis.solve(target)
+        assert combo == naive.solve(target)
+        if combo is not None:
+            got = 0
+            for i, v in enumerate(vecs):
+                if (combo >> i) & 1:
+                    got ^= v
+            assert got == target
 
 
 def test_exact_inv_kp_gives_up_on_an_obstruction():
