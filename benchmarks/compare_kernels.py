@@ -2,7 +2,10 @@
 
 Runs the same randomly generated capacity matrices through both
 backends, asserts they agree call by call, and reports per-operation
-timings.  Usage:
+timings.  The compiled backend is the installed extension when there is
+one; otherwise, when gcc and Python.h are present, the checked-in
+_cimpl.c is built into a temporary directory and loaded from there.
+Usage:
 
     python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60]
                                           [--samples 40] [--seed 7]
@@ -11,16 +14,44 @@ timings.  Usage:
 
 import argparse
 import csv
+import importlib
+import importlib.util
 import random
+import shutil
+import subprocess
 import sys
+import sysconfig
+import tempfile
 import time
+from pathlib import Path
 
+from arcinvert import _kernels
 from arcinvert._kernels import _pyimpl
 
-try:
-    from arcinvert._kernels import _cimpl
-except ImportError:
-    _cimpl = None
+
+def load_cimpl(build_dir):
+    """The compiled backend: the installed extension when there is one,
+    else the checked-in _cimpl.c built with gcc into ``build_dir`` and
+    loaded from there; None without gcc and Python.h."""
+    try:
+        return importlib.import_module("arcinvert._kernels._cimpl")
+    except ImportError:
+        pass
+    gcc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if gcc is None or not Path(include, "Python.h").exists():
+        return None
+    source = Path(_kernels.__file__).with_name("_cimpl.c")
+    target = Path(build_dir) / ("_cimpl" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        [gcc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        check=True,
+        capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("arcinvert._kernels._cimpl", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_caps(rng, n, density=0.35, mult_max=2):
@@ -32,11 +63,11 @@ def rand_caps(rng, n, density=0.35, mult_max=2):
     return caps
 
 
-def bench_op(name, call, instances):
+def bench_op(name, call, instances, cimpl):
     """Times one backend-agnostic closure over prebuilt instances and
     checks both backends return identical answers."""
     rows = []
-    for impl in (_pyimpl, _cimpl):
+    for impl in (_pyimpl, cimpl):
         if impl is None:
             rows.append(None)
             continue
@@ -48,37 +79,32 @@ def bench_op(name, call, instances):
     return rows[0][0], None if rows[1] is None else rows[1][0]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="10,20,40,60")
-    parser.add_argument("--samples", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--csv", default=None)
-    args = parser.parse_args(argv)
-
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if _cimpl is None:
-        print("compiled kernel not built; timing the pure backend only")
-    else:
-        bad = [n for n in sizes if n > _cimpl.MAX_N]
-        if bad:
-            print(f"skipping sizes {bad}: compiled masks stop at n={_cimpl.MAX_N}")
-            sizes = [n for n in sizes if n <= _cimpl.MAX_N]
-
-    rng = random.Random(args.seed)
+def run_table(sizes, samples, seed, cimpl):
+    rng = random.Random(seed)
     table = []
     for n in sizes:
-        caps_list = [rand_caps(rng, n) for _ in range(args.samples)]
-        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(args.samples)]
+        caps_list = [rand_caps(rng, n) for _ in range(samples)]
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(samples)]
+        flows = list(zip(caps_list, pairs))
         ops = [
             (
                 "st_max_flow",
                 lambda impl, inst: impl.st_max_flow(n, inst[0], *inst[1], -1),
-                list(zip(caps_list, pairs)),
+                flows,
+            ),
+            (
+                "st_max_flow limit=2",
+                lambda impl, inst: impl.st_max_flow(n, inst[0], *inst[1], 2),
+                flows,
             ),
             (
                 "global_min_cut",
                 lambda impl, caps: impl.global_min_cut(n, caps),
+                caps_list,
+            ),
+            (
+                "karc_deficient_cut k=1",
+                lambda impl, caps: impl.karc_deficient_cut(n, caps, 1),
                 caps_list,
             ),
             (
@@ -88,16 +114,38 @@ def main(argv=None):
             ),
         ]
         for name, call, instances in ops:
-            py_s, c_s = bench_op(name, call, instances)
-            table.append((name, n, args.samples, py_s * 1000, c_s and c_s * 1000))
+            py_s, c_s = bench_op(name, call, instances, cimpl)
+            table.append((name, n, samples, py_s * 1000, c_s and c_s * 1000))
+    return table
 
-    header = f"{'op':<20} {'n':>4} {'samples':>7} {'py ms':>9} {'c ms':>9} {'speedup':>8}"
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="10,20,40,60")
+    parser.add_argument("--samples", type=int, default=40)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--csv", default=None)
+    args = parser.parse_args(argv)
+
+    sizes = [int(s) for s in args.sizes.split(",") if s]
+    with tempfile.TemporaryDirectory() as build_dir:
+        cimpl = load_cimpl(build_dir)
+        if cimpl is None:
+            print("compiled kernel not built and no gcc to build it; timing the pure backend only")
+        else:
+            bad = [n for n in sizes if n > cimpl.MAX_N]
+            if bad:
+                print(f"skipping sizes {bad}: compiled masks stop at n={cimpl.MAX_N}")
+                sizes = [n for n in sizes if n <= cimpl.MAX_N]
+        table = run_table(sizes, args.samples, args.seed, cimpl)
+
+    header = f"{'op':<24} {'n':>4} {'samples':>7} {'py ms':>9} {'c ms':>9} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for name, n, samples, py_ms, c_ms in table:
         c_txt = "-" if c_ms is None else f"{c_ms:9.2f}"
         ratio = "-" if c_ms is None else f"{py_ms / c_ms:7.1f}x"
-        print(f"{name:<20} {n:>4} {samples:>7} {py_ms:9.2f} {c_txt:>9} {ratio:>8}")
+        print(f"{name:<24} {n:>4} {samples:>7} {py_ms:9.2f} {c_txt:>9} {ratio:>8}")
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

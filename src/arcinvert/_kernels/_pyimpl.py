@@ -3,46 +3,61 @@
 All functions take a flat capacity matrix ``caps`` (row-major, length
 n*n, caps[u*n+v] = number of parallel u->v arcs) and return vertex sets
 as bitmasks.  The Cython twin (_cimpl.pyx) implements the same
-signatures with identical semantics and identical tie-breaking, so the
-two backends are interchangeable; tests assert bit-for-bit agreement.
+signatures and returns the same results with the same tie-breaking, so
+the two backends are interchangeable; tests assert bit-for-bit
+agreement.
 
-Masks are plain Python ints, so this backend has no vertex-count limit.
+The loops differ: the flows here walk, for each vertex, the ascending
+list of the vertices it shares an arc with (in either direction)
+instead of scanning all n vertices.  A list is built when a search
+first reaches its vertex and is shared by all flows of one kernel
+call.  A residual arc u->v can only exist between such neighbours, and
+the lists keep the ascending order of the dense scan, so every
+breadth-first search visits the same vertices in the same order and
+finds the same augmenting paths.  Masks are plain Python ints, so this
+backend has no vertex-count limit.
 """
 
-from collections import deque
+from itertools import compress
+from operator import or_
 
 BACKEND = "py"
 
 
-def st_max_flow(n, caps, s, t, limit=-1):
-    """Max s->t flow by BFS augmentation.
-
-    Stops early once ``limit`` augmenting units are found (limit < 0
-    means unbounded).  Returns (flow, side_mask) where side_mask is the
-    set of vertices reachable from s in the final residual graph; it is
-    a minimum cut side only when the search exhausted (flow < limit or
-    limit < 0).
-    """
-    res = list(caps)
+def _flow(n, caps, res, nbrs, s, t, limit, reach=True):
+    """Max s->t flow by BFS augmentation over the residual matrix
+    ``res``, which must equal ``caps`` on entry and equals it again on
+    return.  ``nbrs[u]`` is the ascending list of the vertices that
+    share an arc with u, in either direction, or None until a search
+    first reaches u.  Returns (flow, mask of the residual reach from
+    s); with reach=False the mask is 0 when the flow stops at its
+    limit, which saves the search for callers that then ignore it."""
+    verts = range(n)
     flow = 0
-    parent = [-1] * n
-    while limit < 0 or flow < limit:
-        for i in range(n):
-            parent[i] = -1
+    mask = 0
+    touched = []
+    while reach or flow != limit:
+        parent = [-1] * n
         parent[s] = s
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if u == t:
-                break
+        queue = [s]
+        for u in queue:
             base = u * n
-            for v in range(n):
+            nb = nbrs[u]
+            if nb is None:
+                nb = nbrs[u] = list(compress(verts, map(or_, caps[base:base + n], caps[u::n])))
+            for v in nb:
                 if parent[v] < 0 and res[base + v] > 0:
                     parent[v] = u
-                    q.append(v)
-        if parent[t] < 0:
+                    queue.append(v)
+            # parents are final once set: stopping at t keeps its path
+            if parent[t] >= 0 and flow != limit:
+                break
+        else:
+            # t is unreachable or the flow is at its limit: the search
+            # has visited the whole residual reach from s
+            for v in queue:
+                mask |= 1 << v
             break
-        # bottleneck along the parent chain
         bott = -1
         v = t
         while v != s:
@@ -58,19 +73,25 @@ def st_max_flow(n, caps, s, t, limit=-1):
             u = parent[v]
             res[u * n + v] -= bott
             res[v * n + u] += bott
+            touched.append(u * n + v)
+            touched.append(v * n + u)
             v = u
         flow += bott
-    # residual reach from s
-    mask = 1 << s
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        base = u * n
-        for v in range(n):
-            if not (mask >> v) & 1 and res[base + v] > 0:
-                mask |= 1 << v
-                q.append(v)
+    for i in touched:
+        res[i] = caps[i]
     return flow, mask
+
+
+def st_max_flow(n, caps, s, t, limit=-1):
+    """Max s->t flow by BFS augmentation.
+
+    Stops early once ``limit`` augmenting units are found (limit < 0
+    means unbounded).  Returns (flow, side_mask) where side_mask is the
+    set of vertices reachable from s in the final residual graph; it is
+    a minimum cut side only when the search exhausted (flow < limit or
+    limit < 0).
+    """
+    return _flow(n, caps, list(caps), [None] * n, s, t, limit)
 
 
 def strong_deficient_cut(n, caps):
@@ -113,11 +134,13 @@ def karc_deficient_cut(n, caps, k):
         return -1
     if k == 1:
         return strong_deficient_cut(n, caps)
+    res = list(caps)
+    nbrs = [None] * n
     for v in range(1, n):
-        flow, mask = st_max_flow(n, caps, 0, v, k)
+        flow, mask = _flow(n, caps, res, nbrs, 0, v, k, reach=False)
         if flow < k:
             return mask
-        flow, mask = st_max_flow(n, caps, v, 0, k)
+        flow, mask = _flow(n, caps, res, nbrs, v, 0, k, reach=False)
         if flow < k:
             return mask
     return -1
@@ -129,10 +152,12 @@ def global_min_cut(n, caps):
     Fixed-root scan: min over v>0 of maxflow(0, v).  Deterministic: the
     first v attaining the running minimum supplies the side.
     """
+    res = list(caps)
+    nbrs = [None] * n
     best = -1
     best_mask = 0
     for v in range(1, n):
-        flow, mask = st_max_flow(n, caps, 0, v, best if best >= 0 else -1)
+        flow, mask = _flow(n, caps, res, nbrs, 0, v, best if best >= 0 else -1, reach=False)
         if best < 0 or flow < best:
             best = flow
             best_mask = mask

@@ -84,17 +84,19 @@ def _min_pairs(D, k, sup=None):
         if u < v and caps[u * n + v] != caps[v * n + u]
     }
 
+    outdeg = [sum(caps[v * n:v * n + n]) for v in range(n)]
+    indeg = [sum(caps[v::n]) for v in range(n)]
+
     def flip(u, v):
-        caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
+        uv, vu = caps[u * n + v], caps[v * n + u]
+        caps[u * n + v], caps[v * n + u] = vu, uv
+        outdeg[u] += vu - uv
+        indeg[v] += vu - uv
+        outdeg[v] += uv - vu
+        indeg[u] += uv - vu
 
     def deficient():
-        cnt = 0
-        for v in range(n):
-            if sum(caps[v * n + u] for u in range(n)) < k:
-                cnt += 1
-            elif sum(caps[u * n + v] for u in range(n)) < k:
-                cnt += 1
-        return cnt
+        return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
 
     chain = []
     found = []
@@ -189,7 +191,13 @@ def minimally_k_arc_strong(D, k):
 
     Arcs are scanned once in sorted order; each unit is dropped when the
     digraph stays k-arc-strong without it.  The result has at most
-    2k(n-1) arcs."""
+    2k(n-1) arcs.
+
+    One flow decides each unit t->h: if D is k-arc-strong, then D - th
+    is k-arc-strong exactly when it still has k arc-disjoint t->h
+    paths.  A cut S with fewer than k arcs out in D - th has at least k
+    in D, so th leaves it: t is in S and h is not, and S caps the t->h
+    flow below k.  Conversely a t->h flow below k gives such a cut."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("minimally_k_arc_strong expects a MultiDigraph")
     _check_k(k)
@@ -200,7 +208,7 @@ def minimally_k_arc_strong(D, k):
     for (t, h, m) in D.arcs():
         for _unit in range(m):
             caps[t * n + h] -= 1
-            if _kernels.karc_deficient_cut(n, caps, k) == -1:
+            if _kernels.st_max_flow(n, caps, t, h, k)[0] == k:
                 continue
             caps[t * n + h] += 1
             break

@@ -574,18 +574,20 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
         adj[h] |= 1 << t
     sizes = [p] if mode == "exact-size" else list(range(2, p + 1))
 
+    outdeg = [sum(caps[v * n:v * n + n]) for v in range(n)]
+    indeg = [sum(caps[v::n]) for v in range(n)]
+
     def apply_set(xs):
         for a, b in combinations(xs, 2):
-            caps[a * n + b], caps[b * n + a] = caps[b * n + a], caps[a * n + b]
+            ab, ba = caps[a * n + b], caps[b * n + a]
+            caps[a * n + b], caps[b * n + a] = ba, ab
+            outdeg[a] += ba - ab
+            indeg[b] += ba - ab
+            outdeg[b] += ab - ba
+            indeg[a] += ab - ba
 
     def deficient_count():
-        cnt = 0
-        for v in range(n):
-            if sum(caps[v * n + u] for u in range(n)) < k:
-                cnt += 1
-            elif sum(caps[u * n + v] for u in range(n)) < k:
-                cnt += 1
-        return cnt
+        return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
 
     def candidates_for(side_mask):
         pairs = []

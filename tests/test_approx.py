@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from arcinvert import oracles
+from arcinvert import _kernels, approx, oracles
 from arcinvert.approx import (
     approx_kp,
     eta,
@@ -95,6 +96,65 @@ def test_minimally_k_arc_strong_is_minimal_and_small():
                 ]
                 thinner = MultiDigraph(core.n, [(a, b, mm) for (a, b, mm) in dropped if mm])
                 assert not is_k_arc_strong(thinner, k)
+
+
+def _rand_k_arc_strong(rng, k):
+    """Random k-arc-strong multidigraph with parallel arcs and digons."""
+    while True:
+        n = rng.randint(2, 8)
+        density = rng.uniform(0.5, 0.95)
+        arcs = [
+            (t, h, rng.randint(1, 3))
+            for t in range(n)
+            for h in range(n)
+            if t != h and rng.random() < density
+        ]
+        D = MultiDigraph(n, arcs)
+        if is_k_arc_strong(D, k):
+            return D
+
+
+def _naive_minimal(D, k):
+    """Drop each arc unit in sorted order exactly when the rest stays
+    k-arc-strong."""
+    units = Counter({(t, h): m for (t, h, m) in D.arcs()})
+    for (t, h, m) in D.arcs():
+        for _unit in range(m):
+            units[(t, h)] -= 1
+            if not is_k_arc_strong(MultiDigraph(D.n, [(a, b, c) for (a, b), c in units.items() if c]), k):
+                units[(t, h)] += 1
+    return MultiDigraph(D.n, [(a, b, c) for (a, b), c in units.items() if c])
+
+
+def test_minimally_k_arc_strong_matches_the_naive_deletion():
+    rng = random.Random(509)
+    for k in (1, 2, 3):
+        for _ in range(12):
+            D = _rand_k_arc_strong(rng, k)
+            assert minimally_k_arc_strong(D, k) == _naive_minimal(D, k)
+
+
+def test_minimally_k_arc_strong_runs_one_flow_per_unit(monkeypatch):
+    calls = Counter()
+    for name in ("st_max_flow", "karc_deficient_cut"):
+        def counted(*args, _name=name, _fn=getattr(_kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    # the inputs are k-arc-strong; skip the precondition's own cut scan
+    monkeypatch.setattr(approx, "is_k_arc_strong", lambda D, k: True)
+    rng = random.Random(510)
+    for k in (1, 2, 3):
+        for _ in range(8):
+            D = _rand_k_arc_strong(rng, k)
+            calls.clear()
+            core = minimally_k_arc_strong(D, k)
+            kept = {(t, h): m for (t, h, m) in core.arcs()}
+            # units of an arc are tried until the first one that must stay
+            tried = sum(m - kept.get((t, h), 0) + ((t, h) in kept) for (t, h, m) in D.arcs())
+            assert calls["karc_deficient_cut"] == 0
+            assert calls["st_max_flow"] == tried
 
 
 def test_pairs_independent_cases():

@@ -1,8 +1,6 @@
 import importlib.util
 import random
-import shutil
-import subprocess
-import sysconfig
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,41 +10,22 @@ from arcinvert._kernels import _pyimpl
 
 from conftest import rand_multidigraph, rand_multigraph
 
+COMPARE_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "compare_kernels.py"
+
 
 @pytest.fixture(scope="module")
 def cimpl(tmp_path_factory):
-    """The compiled backend: the installed extension when there is one,
-    else the checked-in _cimpl.c built with gcc into a temporary
-    directory (never into the source tree) and loaded from there."""
-    try:
-        return importlib.import_module("arcinvert._kernels._cimpl")
-    except ImportError:
-        pass
-    gcc = shutil.which("gcc")
-    include = sysconfig.get_paths()["include"]
-    if gcc is None or not Path(include, "Python.h").exists():
+    """The compiled backend, as the kernel comparison script loads it:
+    the installed extension when there is one, else the checked-in
+    _cimpl.c built with gcc into a temporary directory (never into the
+    source tree)."""
+    spec = importlib.util.spec_from_file_location("compare_kernels", COMPARE_KERNELS)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    module = compare.load_cimpl(tmp_path_factory.mktemp("cimpl"))
+    if module is None:
         pytest.skip("compiled backend not built, and no gcc and Python.h to build it")
-    source = Path(_kernels.__file__).with_name("_cimpl.c")
-    target = tmp_path_factory.mktemp("cimpl") / ("_cimpl" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(
-        [gcc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
-        check=True,
-        capture_output=True,
-    )
-    spec = importlib.util.spec_from_file_location("arcinvert._kernels._cimpl", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     return module
-
-
-def _mask_side(mask, n):
-    return {i for i in range(n) if (mask >> i) & 1}
-
-
-def _cut_out(caps, n, side):
-    return sum(
-        caps[t * n + h] for t in side for h in range(n) if h not in side
-    )
 
 
 def test_st_max_flow_backends_agree(cimpl):
@@ -54,17 +33,11 @@ def test_st_max_flow_backends_agree(cimpl):
     for _ in range(120):
         D = rand_multidigraph(rng, n_max=8, mult_max=3)
         caps = D.caps_flat()
-        s, t = rng.sample(range(D.n), 2) if D.n >= 2 else (0, 0)
-        limit = rng.choice([-1, 1, 2, 3])
-        fp, mp = _pyimpl.st_max_flow(D.n, caps, s, t, limit)
-        fc, mc = cimpl.st_max_flow(D.n, caps, s, t, limit)
-        assert fp == fc
-        # min cut sides may differ; both must certify the same value
-        if limit == -1 or fp < limit:
-            for mask in (mp, mc):
-                side = _mask_side(mask, D.n)
-                assert s in side and t not in side
-                assert _cut_out(caps, D.n, side) == fp
+        s, t = rng.sample(range(D.n), 2)
+        for limit in (-1, 1, 2, 3):
+            assert _pyimpl.st_max_flow(D.n, caps, s, t, limit) == cimpl.st_max_flow(
+                D.n, caps, s, t, limit
+            )
 
 
 def test_global_min_cut_backends_agree(cimpl):
@@ -72,13 +45,7 @@ def test_global_min_cut_backends_agree(cimpl):
     for _ in range(100):
         G = rand_multigraph(rng, n_max=8)
         caps = G.caps_flat()
-        vp, mp = _pyimpl.global_min_cut(G.n, caps)
-        vc, mc = cimpl.global_min_cut(G.n, caps)
-        assert vp == vc
-        for mask in (mp, mc):
-            side = _mask_side(mask, G.n)
-            assert 0 < len(side) < G.n
-            assert G.cut_size(side) == vp
+        assert _pyimpl.global_min_cut(G.n, caps) == cimpl.global_min_cut(G.n, caps)
 
 
 def test_karc_deficient_cut_backends_agree(cimpl):
@@ -87,15 +54,145 @@ def test_karc_deficient_cut_backends_agree(cimpl):
         D = rand_multidigraph(rng, n_max=8)
         caps = D.caps_flat()
         for k in (1, 2, 3):
-            mp = _pyimpl.karc_deficient_cut(D.n, caps, k)
-            mc = cimpl.karc_deficient_cut(D.n, caps, k)
-            assert (mp == -1) == (mc == -1)
-            for mask in (mp, mc):
-                if mask == -1:
-                    continue
-                side = _mask_side(mask, D.n)
-                assert 0 < len(side) < D.n
-                assert _cut_out(caps, D.n, side) < k
+            assert _pyimpl.karc_deficient_cut(D.n, caps, k) == cimpl.karc_deficient_cut(
+                D.n, caps, k
+            )
+
+
+# -- dense reference: the pure backend's former loops, which scan every
+# vertex at every step; the current kernels must return the same values
+
+
+def _dense_st_max_flow(n, caps, s, t, limit=-1):
+    res = list(caps)
+    flow = 0
+    parent = [-1] * n
+    while limit < 0 or flow < limit:
+        for i in range(n):
+            parent[i] = -1
+        parent[s] = s
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            if u == t:
+                break
+            base = u * n
+            for v in range(n):
+                if parent[v] < 0 and res[base + v] > 0:
+                    parent[v] = u
+                    q.append(v)
+        if parent[t] < 0:
+            break
+        bott = -1
+        v = t
+        while v != s:
+            u = parent[v]
+            c = res[u * n + v]
+            if bott < 0 or c < bott:
+                bott = c
+            v = u
+        if limit >= 0 and flow + bott > limit:
+            bott = limit - flow
+        v = t
+        while v != s:
+            u = parent[v]
+            res[u * n + v] -= bott
+            res[v * n + u] += bott
+            v = u
+        flow += bott
+    mask = 1 << s
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        base = u * n
+        for v in range(n):
+            if not (mask >> v) & 1 and res[base + v] > 0:
+                mask |= 1 << v
+                q.append(v)
+    return flow, mask
+
+
+def _dense_strong_deficient_cut(n, caps):
+    full = (1 << n) - 1
+    mask = 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in range(n):
+            if not (mask >> v) & 1 and caps[u * n + v] > 0:
+                mask |= 1 << v
+                stack.append(v)
+    if mask != full:
+        return mask
+    rmask = 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in range(n):
+            if not (rmask >> v) & 1 and caps[v * n + u] > 0:
+                rmask |= 1 << v
+                stack.append(v)
+    if rmask != full:
+        return full & ~rmask
+    return -1
+
+
+def _dense_karc_deficient_cut(n, caps, k):
+    if n <= 1:
+        return -1
+    if k == 1:
+        return _dense_strong_deficient_cut(n, caps)
+    for v in range(1, n):
+        flow, mask = _dense_st_max_flow(n, caps, 0, v, k)
+        if flow < k:
+            return mask
+        flow, mask = _dense_st_max_flow(n, caps, v, 0, k)
+        if flow < k:
+            return mask
+    return -1
+
+
+def _dense_global_min_cut(n, caps):
+    best = -1
+    best_mask = 0
+    for v in range(1, n):
+        flow, mask = _dense_st_max_flow(n, caps, 0, v, best if best >= 0 else -1)
+        if best < 0 or flow < best:
+            best = flow
+            best_mask = mask
+            if best == 0:
+                break
+    return best, best_mask
+
+
+def _rand_caps(rng, n, density, mult_max):
+    return [
+        rng.randint(1, mult_max) if u != v and rng.random() < density else 0
+        for u in range(n)
+        for v in range(n)
+    ]
+
+
+def test_pure_kernels_match_the_dense_reference():
+    # sizes past the compiled masks' 62-vertex cap, sparse to dense
+    rng = random.Random(104)
+    densities = (0.05, 0.15, 0.3, 0.5, 0.7, 0.9)
+    sizes = [*range(1, 24), *range(24, 70, 6), 70]
+    for i, n in enumerate(sizes):
+        caps = _rand_caps(rng, n, densities[i % len(densities)], 1 + i % 3)
+        assert _pyimpl.strong_deficient_cut(n, caps) == _dense_strong_deficient_cut(n, caps)
+        for k in (1, 2, 3):
+            assert _pyimpl.karc_deficient_cut(n, caps, k) == _dense_karc_deficient_cut(n, caps, k)
+        if n < 2:
+            continue
+        for _ in range(3):
+            s, t = rng.sample(range(n), 2)
+            for limit in (-1, 1, 2, 3):
+                assert _pyimpl.st_max_flow(n, caps, s, t, limit) == _dense_st_max_flow(
+                    n, caps, s, t, limit
+                )
+        sym = [caps[u * n + v] + caps[v * n + u] for u in range(n) for v in range(n)]
+        assert _pyimpl.global_min_cut(n, sym) == _dense_global_min_cut(n, sym)
 
 
 def test_dispatch_routes_large_instances_to_python(cimpl, monkeypatch):
