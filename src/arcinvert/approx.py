@@ -102,13 +102,15 @@ def _min_pairs(D, k, sup=None):
     found = []
 
     def dfs(budget, failed):
+        # a pair flip touches two vertices; a k-arc-strong digraph has no
+        # deficient vertex, so this bound goes before the flows
+        if deficient() > 2 * budget:
+            return False
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
             found.append(list(chain))
             return True
         if budget == 0:
-            return False
-        if deficient() > 2 * budget:  # a pair flip touches two vertices
             return False
         key = frozenset(chain)
         if failed.get(key, -1) >= budget:

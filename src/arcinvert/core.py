@@ -120,10 +120,11 @@ class MultiDigraph:
     def underlying(self):
         """Underlying multigraph: each arc becomes an edge (digons give
         two parallel edges)."""
-        edges = []
+        edges = {}
         for (t, h), m in self._m.items():
-            edges.append((min(t, h), max(t, h), m))
-        return Multigraph(self.n, edges)
+            key = (t, h) if t < h else (h, t)
+            edges[key] = edges.get(key, 0) + m
+        return Multigraph._trusted(self.n, edges)
 
     def reverse(self):
         return MultiDigraph(self.n, [(h, t, m) for (t, h), m in self._m.items()])
@@ -194,6 +195,16 @@ class Multigraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, n, m):
+        """Multigraph on n vertices with the edge dict m, keys (u, v)
+        with u < v, whose entries are known to be valid."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "_m", m)
+        object.__setattr__(G, "_hash", None)
+        return G
 
     def __setattr__(self, *a):
         raise AttributeError("Multigraph is immutable")

@@ -140,7 +140,11 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     indicators of its sets, so the reachable orientations form a coset
     of the indicator span.  The search walks exactly that coset: the
     orthogonal complement of the span is echelonized so that each of
-    its constraints forces one bit during the DFS.  For n <= 16 a
+    its constraints forces one bit during the DFS.  The DFS prunes a
+    branch once a vertex can no longer reach k arcs out or in; where
+    every family flips an even number of a vertex's simple arcs (its
+    star lies in the complement), its degrees keep their parity, and it
+    must reach the least value >= k of that parity.  For n <= 16 a
     refutation over forced-parity cuts (every cut of underlying size 2k
     must end up with exactly k arcs out) first proves most "no"
     instances, k-obstructions included, without search.  The same
@@ -204,13 +208,9 @@ def _gf2_search(D, k, p, mode, G=None):
     for (t, h), mm in D._m.items():
         if not bit[t * n + h]:  # digon arcs are fixed
             caps[t * n + h] = mm
-    out_need = [k] * n  # still-needed out-degree, capped at 0
-    in_need = [k] * n
+    # still-needed out- and in-degree, capped at 0
+    out_need, in_need = _degree_needs(n, k, caps, simple, cbasis)
     remaining = [0] * n
-    for v in range(n):
-        base = sum(caps[v * n + u] for u in range(n))
-        out_need[v] = max(0, k - base)
-        in_need[v] = max(0, k - sum(caps[u * n + v] for u in range(n)))
     for t, h in simple:
         remaining[t] += 1
         remaining[h] += 1
@@ -282,6 +282,72 @@ def _gf2_search(D, k, p, mode, G=None):
     return None
 
 
+def _degree_needs(n, k, caps, simple, cbasis):
+    """Out- and in-degree each vertex needs from its simple arcs in a
+    k-arc-strong leaf of the coset search, given the fixed digon arcs
+    in caps and the basis cbasis of the orthogonal complement of the
+    candidate span; values below 0 are 0.
+
+    A vertex whose simple-arc star lies in that complement, i.e. is
+    orthogonal to every candidate indicator, has an even number of its
+    simple arcs flipped by every family.  Each flip moves its
+    out-degree by one, so its out-degree keeps its parity, and so does
+    its in-degree: it needs the least value >= k of that parity, k or
+    k + 1.  Tournaments under odd-size inversions are the common case
+    (a set of odd size spans an even number of arcs at each member).
+    The bound cuts only subtrees without a k-arc-strong leaf and leaves
+    the DFS order alone, so the first family found stays the same."""
+    out_have = [sum(caps[v * n:v * n + n]) for v in range(n)]
+    in_have = [sum(caps[v::n]) for v in range(n)]
+    star = [0] * n
+    simple_out = [0] * n
+    simple_in = [0] * n
+    for i, (t, h) in enumerate(simple):
+        star[t] |= 1 << i
+        star[h] |= 1 << i
+        simple_out[t] += 1
+        simple_in[h] += 1
+    out_need = [0] * n
+    in_need = [0] * n
+    for v in range(n):
+        out_want = in_want = k
+        if cbasis.solve(star[v]) is not None:
+            out_want += (out_have[v] + simple_out[v] - k) % 2
+            in_want += (in_have[v] + simple_in[v] - k) % 2
+        out_need[v] = max(0, out_want - out_have[v])
+        in_need[v] = max(0, in_want - in_have[v])
+    return out_need, in_need
+
+
+def _cut_sizes(G):
+    """Edges of G leaving each vertex set, indexed by its bitmask.
+
+    cut[mask] = cut[rest] + deg(low) - 2 w(low, rest), with low the
+    lowest vertex of mask and rest = mask without it.  The masks whose
+    lowest vertex is low are low | (r << low + 1), and the weight from
+    low into r is that into r without its lowest vertex plus one edge
+    weight, so each mask costs O(1)."""
+    n = G.n
+    edge_w = [[0] * n for _ in range(n)]
+    for (u, v), mm in G._m.items():
+        edge_w[u][v] += mm
+        edge_w[v][u] += mm
+    cut = [0] * (1 << n)
+    for low in range(n - 1, -1, -1):  # rest has higher vertices only
+        shift = low + 1
+        w_low = edge_w[low]
+        deg = sum(w_low)
+        bit = 1 << low
+        w = [0] * (1 << (n - shift))
+        cut[bit] = deg
+        for r in range(1, 1 << (n - shift)):
+            lb = r & -r
+            w[r] = w[r ^ lb] + w_low[low + lb.bit_length()]
+            rest = r << shift
+            cut[rest | bit] = cut[rest] + deg - 2 * w[r]
+    return cut
+
+
 def _forced_parity_refuted(D, G, k, simple, span):
     """Provable-'no' check: find tight cuts whose forced flip parities
     are GF(2)-inconsistent with the candidate span.
@@ -292,24 +358,11 @@ def _forced_parity_refuted(D, G, k, simple, span):
     orthogonal to the whole span while its parities XOR to 1, no family
     can work."""
     n = D.n
-    deg = [G.degree(v) for v in range(n)]
-    # internal edge weight per mask, DP over lowest bit
-    internal = [0] * (1 << n)
-    edge_w = [[0] * n for _ in range(n)]
-    for (u, v), mm in G._m.items():
-        edge_w[u][v] += mm
-        edge_w[v][u] += mm
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        internal[mask] = internal[rest] + sum(
-            edge_w[low][v] for v in range(n) if (rest >> v) & 1
-        )
+    cut = _cut_sizes(G)
     span_vecs = [v for v, _ in span.rows]
     rows = []
     for mask in range(1, (1 << n) - 1):
-        dsum = sum(deg[v] for v in range(n) if (mask >> v) & 1)
-        if dsum - 2 * internal[mask] != 2 * k:
+        if cut[mask] != 2 * k:
             continue
         delta = 0
         for i, (t, h) in enumerate(simple):
@@ -405,7 +458,10 @@ def exists_k_arc_strong_orientation(G, k):
     completable iff the graph is 2k-edge-connected), orient the
     leftover simple edges by an Eulerian circuit when all their degrees
     are even, else seeded sampling followed by exhaustive DFS with
-    degree pruning.  Intended for n <= 12."""
+    degree pruning.  A sample is tested by a flow only when its bits
+    give every vertex at least k arcs out and in, which a k-arc-strong
+    orientation needs; the others are rejected in O(n) word operations
+    and the random draws stay the same.  Intended for n <= 12."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("exists_k_arc_strong_orientation expects a Multigraph")
     _check_k(k)
@@ -448,23 +504,38 @@ def exists_k_arc_strong_orientation(G, k):
     caps = [0] * (n * n)
     for t, h, mm in arcs:
         caps[t * n + h] = mm
+    out_have = [sum(caps[v * n:v * n + n]) for v in range(n)]
+    in_have = [sum(caps[v::n]) for v in range(n)]
+    # bit i of a sample turns free edge i = (u, v) round to v -> u, so
+    # v's free arcs out are its edges listed first with the bit clear
+    # and those listed second with the bit set
+    first = [0] * n
+    second = [0] * n
+    for i, (u, v) in enumerate(free):
+        first[u] |= 1 << i
+        second[v] |= 1 << i
+    stars = list(zip(out_have, in_have, fdeg, first, second))
 
     rng = random.Random(0xA5C1)
     mf = len(free)
     for _ in range(400):
         bits = rng.getrandbits(mf) if mf else 0
-        trial = list(caps)
-        for i, (u, v) in enumerate(free):
-            if (bits >> i) & 1:
-                trial[v * n + u] += 1
-            else:
-                trial[u * n + v] += 1
-        if _kernels.karc_deficient_cut(n, trial, k) == -1:
-            return finish(bits)
+        kept = ~bits
+        for out0, in0, d, a, b in stars:
+            out_free = (a & kept).bit_count() + (b & bits).bit_count()
+            if out0 + out_free < k or in0 + d - out_free < k:
+                break  # fewer than k arcs out or in: no flow needed
+        else:
+            trial = list(caps)
+            for i, (u, v) in enumerate(free):
+                if (bits >> i) & 1:
+                    trial[v * n + u] += 1
+                else:
+                    trial[u * n + v] += 1
+            if _kernels.karc_deficient_cut(n, trial, k) == -1:
+                return finish(bits)
 
     # exhaustive DFS over free-edge orientations with degree pruning
-    out_have = [sum(caps[v * n + u] for u in range(n)) for v in range(n)]
-    in_have = [sum(caps[u * n + v] for u in range(n)) for v in range(n)]
     rem = list(fdeg)
     work = list(caps)
 
@@ -635,13 +706,15 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     found = []
 
     def dfs(budget):
+        # a k-arc-strong digraph has no deficient vertex, so this bound
+        # goes first and saves the flows of the nodes it rejects
+        if deficient_count() > budget * p:
+            return False
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
             found.append(list(chain))
             return True
         if budget == 0:
-            return False
-        if deficient_count() > budget * p:
             return False
         for xs in candidates_for(side):
             if xs in chain:

@@ -226,3 +226,16 @@ def test_reverse_is_involution_and_flips_cuts():
         assert reverse(R) == D
         side = set(rng.sample(range(D.n), rng.randint(1, D.n - 1)))
         assert dicut(D, side).out_size == dicut(R, side).in_size
+
+
+@settings(max_examples=120, deadline=None)
+@given(multidigraphs())
+def test_underlying_matches_the_checked_construction(D):
+    # underlying() builds its edge dict without the per-edge checks of
+    # Multigraph(); keys, their order, multiplicities and hash match
+    G = D.underlying()
+    ref = Multigraph(D.n, [(min(t, h), max(t, h), m) for (t, h), m in D._m.items()])
+    assert list(G._m.items()) == list(ref._m.items())
+    assert G == ref and hash(G) == hash(ref)
+    with pytest.raises(AttributeError):
+        G.n = 0

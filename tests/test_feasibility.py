@@ -1,4 +1,5 @@
 import random
+import signal
 import sys
 
 import pytest
@@ -231,5 +232,45 @@ def test_odd_witness_search_needs_no_deep_recursion():
         sys.setrecursionlimit(limit)
     assert verdict.feasible and verdict.reason == "theorem-odd"
     assert verdict.witness.sets
+    assert all(len(s) == 3 for s in verdict.witness.sets)
+    assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)
+
+
+def _break_by_triples(rng, D, k, triples):
+    """Invert random triples of the k-arc-strong tournament D, then
+    triples {v, a, b} with arcs v -> a and v -> b until some v has fewer
+    than k arcs out; inverting the same triples again repairs D."""
+    n = D.n
+    out = apply_inversions(D, [rng.sample(range(n), 3) for _ in range(triples)])
+    order = list(range(n))
+    rng.shuffle(order)
+    for v in order * 3:
+        if not is_k_arc_strong(out, k):
+            return out
+        heads = [h for h in range(n) if out.has_arc(v, h)]
+        while len(heads) >= 2 and len(heads) >= k:
+            out = apply_inversions(out, [[v, *rng.sample(heads, 2)]])
+            heads = [h for h in range(n) if out.has_arc(v, h)]
+    raise AssertionError("could not break the tournament")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_dense_odd_witness_finishes():
+    # a triple inversion moves every out-degree of a tournament by an
+    # even amount, so the coset search needs out-degree >= 2 wherever the
+    # out-degree is even; without that bound this search ran for minutes
+    D = _break_by_triples(random.Random(7), rotative_tournament(64), 1, 4)
+
+    def too_slow(_signum, _frame):
+        raise TimeoutError("the n = 64 odd-p witness took more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        verdict = is_kp_invertible(D, 1, 3, witness=True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verdict.feasible and verdict.reason == "theorem-odd"
     assert all(len(s) == 3 for s in verdict.witness.sets)
     assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)

@@ -1,11 +1,13 @@
 import random
+import sys
+import types
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcinvert import oracles
+from arcinvert import _kernels, approx, oracles
 from arcinvert.core import (
     INFINITY,
     MultiDigraph,
@@ -18,6 +20,7 @@ from arcinvert.errors import InvalidArgumentError
 from arcinvert.oracles import (
     Gf2Basis,
     Hypergraph,
+    _cut_sizes,
     exact_inv_kp,
     exists_k_arc_strong_orientation,
     gf2_reachable,
@@ -26,7 +29,7 @@ from arcinvert.oracles import (
     orientation_bfs_reachable,
 )
 
-from conftest import rand_digraph, rand_multigraph
+from conftest import rand_2kec_digraph, rand_digraph, rand_multigraph
 
 
 def test_gf2_matches_bfs_reference():
@@ -308,3 +311,156 @@ def test_degree_two_hypergraphs_have_large_matchings():
         H = _degree_bounded_three_uniform(rng, rng.randint(1, 4))
         size, _w = max_hypergraph_matching(H)
         assert 9 * size >= H.n
+
+
+def _plain_degree_needs(n, k, caps, simple, _cbasis):
+    """The coset search's degree needs without the parity bound: k
+    minus the fixed digon degree, for every vertex."""
+    out_need = [max(0, k - sum(caps[v * n:v * n + n])) for v in range(n)]
+    in_need = [max(0, k - sum(caps[v::n])) for v in range(n)]
+    return out_need, in_need
+
+
+def _broken_at_a_vertex(rng, D):
+    """D with a random vertex turned into a source of its simple arcs."""
+    v = rng.randrange(D.n)
+    into_v = [u for u in range(D.n) if D.has_arc(u, v)]
+    return apply_inversions(D, [[v, *into_v]]) if into_v else D
+
+
+def test_parity_needs_keep_every_answer(monkeypatch):
+    # the parity-raised degree needs cut only subtrees without a
+    # k-arc-strong leaf, so the search returns the very same family as
+    # with the plain needs, and agrees with the BFS oracle
+    original = oracles._degree_needs
+    raised = []
+
+    def recorded(*args):
+        needs = original(*args)
+        raised.append(needs != _plain_degree_needs(*args))
+        return needs
+
+    monkeypatch.setattr(oracles, "_degree_needs", recorded)
+    rng = random.Random(312)
+    bfs_checked = 0
+    for _ in range(400):
+        k = rng.choice((1, 2))
+        n = rng.randint(2 * k + 1, 9)
+        if rng.random() < 0.5:
+            # a tournament (odd sets span an even number of arcs at each
+            # vertex) with a few digons
+            T = rand_digraph(rng, n_max=n, n_min=n, density=1.0, oriented=True)
+            arcs = [(t, h) for t, h, _m in T.arcs()]
+            D = MultiDigraph(n, arcs + [(h, t) for t, h in arcs if rng.random() < 0.1])
+        else:
+            D = rand_2kec_digraph(rng, k, n)
+        D = _broken_at_a_vertex(rng, D)
+        p = rng.randint(2, min(5, n))
+        mode = rng.choice(("exact-size", "at-most"))
+        got = gf2_reachable(D, k, p, mode=mode)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_degree_needs", _plain_degree_needs)
+            want = gf2_reachable(D, k, p, mode=mode)
+        assert got == want
+        if n <= 6:
+            assert (got is not None) == orientation_bfs_reachable(D, k, p, mode=mode)
+            bfs_checked += 1
+    assert sum(raised) > 20 and bfs_checked > 50
+
+
+def test_cut_sizes_match_the_cut_scan():
+    rng = random.Random(313)
+    for _ in range(40):
+        G = rand_multigraph(rng, n_max=9, n_min=1)
+        cut = _cut_sizes(G)
+        assert len(cut) == 1 << G.n
+        for mask in range(1 << G.n):
+            assert cut[mask] == G.cut_size([v for v in range(G.n) if (mask >> v) & 1])
+
+
+def _unfiltered_orientation(G, k):
+    """The orientation sampler without its degree filter: the first of
+    400 seeded samples that passes the flow test, or None."""
+    n = G.n
+    caps = [0] * (n * n)
+    free = []
+    for u, v, mm in G.edges():
+        pairs, odd = divmod(mm, 2)
+        caps[u * n + v] += pairs
+        caps[v * n + u] += pairs
+        if odd:
+            free.append((u, v))
+    rng = random.Random(0xA5C1)
+    for _ in range(400):
+        bits = rng.getrandbits(len(free)) if free else 0
+        trial = list(caps)
+        for i, (u, v) in enumerate(free):
+            if (bits >> i) & 1:
+                trial[v * n + u] += 1
+            else:
+                trial[u * n + v] += 1
+        if _kernels.karc_deficient_cut(n, trial, k) == -1:
+            return MultiDigraph(n, [(t, h, trial[t * n + h]) for t in range(n) for h in range(n) if trial[t * n + h]])
+    return None
+
+
+def test_orientation_sampler_matches_the_unfiltered_sampler():
+    rng = random.Random(314)
+    compared = 0
+    while compared < 60:
+        k = rng.choice((1, 2))
+        G = rand_multigraph(rng, n_max=10, n_min=4)
+        lam = edge_connectivity(G)
+        odd = [v for v in range(G.n) if sum(m % 2 for u, w, m in G.edges() if v in (u, w)) % 2]
+        if lam < 2 * k or not odd:
+            continue  # no orientation, or the Eulerian route
+        want = _unfiltered_orientation(G, k)
+        if want is None:
+            continue  # the exhaustive DFS decides
+        assert exists_k_arc_strong_orientation(G, k) == want
+        compared += 1
+
+
+def _checking_kernels(seen, per_set=0):
+    """Kernel namespace whose karc_deficient_cut asserts that the search
+    calling it could still mend every deficient vertex (one with fewer
+    than k arcs out or in): none for the orientation sampler, at most
+    per_set times the remaining budget for a branch-and-bound node."""
+
+    def karc_deficient_cut(n, caps, k):
+        deficient = sum(1 for v in range(n) if sum(caps[v * n:v * n + n]) < k or sum(caps[v::n]) < k)
+        # the sets a branch-and-bound node may still add, 0 elsewhere
+        budget = sys._getframe(1).f_locals.get("budget", 0)
+        assert deficient <= per_set * budget, "flow on a digraph the degree bound rejects"
+        seen.append(deficient)
+        return _kernels.karc_deficient_cut(n, caps, k)
+
+    return types.SimpleNamespace(
+        karc_deficient_cut=karc_deficient_cut,
+        st_max_flow=_kernels.st_max_flow,
+        strong_deficient_cut=_kernels.strong_deficient_cut,
+        global_min_cut=_kernels.global_min_cut,
+    )
+
+
+def test_searches_run_no_flow_the_degree_bound_rejects(monkeypatch):
+    # the orientation sampler rejects a sample with a vertex below k arcs
+    # out or in, exact_inv_kp and the pair search a node with more such
+    # vertices than its remaining sets can touch, before any flow
+    rng = random.Random(315)
+    sampled, exact, pairs = [], [], []
+    monkeypatch.setattr(oracles, "_kernels", _checking_kernels(sampled))
+    for _ in range(40):
+        k = rng.choice((1, 2))
+        G = rand_multigraph(rng, n_max=10, n_min=4)
+        assert (exists_k_arc_strong_orientation(G, k) is None) == (edge_connectivity(G) < 2 * k)
+    monkeypatch.setattr(oracles, "_kernels", _checking_kernels(exact, per_set=3))
+    for _ in range(30):
+        D = rand_digraph(rng, n_max=6, n_min=4)
+        exact_inv_kp(D, 1, 3, mode=rng.choice(("exact-size", "at-most")), l_max=2)
+    monkeypatch.setattr(approx, "_kernels", _checking_kernels(pairs, per_set=2))
+    for _ in range(30):
+        k = rng.choice((1, 2))
+        D = rand_2kec_digraph(rng, k, rng.randint(2 * k + 1, 8))
+        assert is_k_arc_strong(apply_inversions(D, approx.min_k2_inversion_set(D, k)), k)
+    assert sampled and exact and pairs
