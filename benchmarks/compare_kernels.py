@@ -7,7 +7,7 @@ one; otherwise, when gcc and Python.h are present, the checked-in
 _cimpl.c is built into a temporary directory and loaded from there.
 Usage:
 
-    python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60]
+    python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60,128]
                                           [--samples 40] [--seed 7]
                                           [--csv out.csv]
 """
@@ -121,7 +121,7 @@ def run_table(sizes, samples, seed, cimpl):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="10,20,40,60")
+    parser.add_argument("--sizes", default="10,20,40,60,128")
     parser.add_argument("--samples", type=int, default=40)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--csv", default=None)
@@ -132,11 +132,6 @@ def main(argv=None):
         cimpl = load_cimpl(build_dir)
         if cimpl is None:
             print("compiled kernel not built and no gcc to build it; timing the pure backend only")
-        else:
-            bad = [n for n in sizes if n > cimpl.MAX_N]
-            if bad:
-                print(f"skipping sizes {bad}: compiled masks stop at n={cimpl.MAX_N}")
-                sizes = [n for n in sizes if n <= cimpl.MAX_N]
         table = run_table(sizes, args.samples, args.seed, cimpl)
 
     header = f"{'op':<24} {'n':>4} {'samples':>7} {'py ms':>9} {'c ms':>9} {'speedup':>8}"

@@ -1,28 +1,20 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional C kernel.
 
-The package works without the extension (pure-Python twin in
+The package works without the extension (pure-Python kernels in
 arcinvert._kernels._pyimpl); the extension only speeds up the flow/cut
-kernels that dominate the exhaustive searches.
+kernels that dominate the exhaustive searches.  It is plain C against
+the Python C API and needs no tool beyond a C compiler; when the build
+fails, installation goes on without it.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "arcinvert._kernels._cimpl",
-                ["src/arcinvert/_kernels/_cimpl.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # no Cython at build time: pure-Python kernels are used at runtime
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "arcinvert._kernels._cimpl",
+            ["src/arcinvert/_kernels/_cimpl.c"],
+            optional=True,
+        )
+    ]
+)

@@ -1,10 +1,10 @@
 """Kernel dispatch: compiled backend when available, pure Python otherwise.
 
-Selection happens at import time.  ARCINVERT_KERNEL=py forces the pure
-backend, ARCINVERT_KERNEL=c requires the compiled one (ImportError if it
-was not built), anything else / unset picks the compiled backend when
-present.  Large instances (n > _cimpl.MAX_N, i.e. beyond 64-bit masks)
-are routed per call to the pure backend, which has no size limit.
+The backend is picked once, at import time.  ARCINVERT_KERNEL=py forces
+the pure backend, ARCINVERT_KERNEL=c requires the compiled one
+(ImportError if it was not built), anything else / unset picks the
+compiled backend when present.  Both take the same arguments and return
+the same values at every size.
 """
 
 import importlib
@@ -13,39 +13,32 @@ import os
 from . import _pyimpl
 
 _requested = os.environ.get("ARCINVERT_KERNEL", "auto").strip().lower() or "auto"
-_cimpl = None
+_impl = _pyimpl
 if _requested in ("auto", "c"):
     try:
-        _cimpl = importlib.import_module("._cimpl", __name__)
+        _impl = importlib.import_module("._cimpl", __name__)
     except ImportError:
-        _cimpl = None
-    if _requested == "c" and _cimpl is None:
-        raise ImportError(
-            "ARCINVERT_KERNEL=c requested but the compiled kernel is not built"
-        )
+        if _requested == "c":
+            raise ImportError(
+                "ARCINVERT_KERNEL=c requested but the compiled kernel is not built"
+            ) from None
 elif _requested != "py":
     raise RuntimeError(f"unknown ARCINVERT_KERNEL value: {_requested!r}")
 
-backend_name = "c" if _cimpl is not None else "py"
-
-
-def _impl_for(n):
-    if _cimpl is not None and n <= _cimpl.MAX_N:
-        return _cimpl
-    return _pyimpl
+backend_name = _impl.BACKEND
 
 
 def st_max_flow(n, caps, s, t, limit=-1):
-    return _impl_for(n).st_max_flow(n, caps, s, t, limit)
+    return _impl.st_max_flow(n, caps, s, t, limit)
 
 
 def karc_deficient_cut(n, caps, k):
-    return _impl_for(n).karc_deficient_cut(n, caps, k)
+    return _impl.karc_deficient_cut(n, caps, k)
 
 
 def strong_deficient_cut(n, caps):
-    return _impl_for(n).strong_deficient_cut(n, caps)
+    return _impl.strong_deficient_cut(n, caps)
 
 
 def global_min_cut(n, caps):
-    return _impl_for(n).global_min_cut(n, caps)
+    return _impl.global_min_cut(n, caps)

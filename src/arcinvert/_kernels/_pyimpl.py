@@ -2,20 +2,19 @@
 
 All functions take a flat capacity matrix ``caps`` (row-major, length
 n*n, caps[u*n+v] = number of parallel u->v arcs) and return vertex sets
-as bitmasks.  The Cython twin (_cimpl.pyx) implements the same
-signatures and returns the same results with the same tie-breaking, so
-the two backends are interchangeable; tests assert bit-for-bit
-agreement.
+as bitmasks (plain Python ints, so there is no vertex-count limit).
+The C kernel (_cimpl.c) implements the same signatures and returns the
+same results with the same tie-breaking, so the two backends are
+interchangeable; tests assert bit-for-bit agreement.
 
-The loops differ: the flows here walk, for each vertex, the ascending
-list of the vertices it shares an arc with (in either direction)
-instead of scanning all n vertices.  A list is built when a search
-first reaches its vertex and is shared by all flows of one kernel
-call.  A residual arc u->v can only exist between such neighbours, and
-the lists keep the ascending order of the dense scan, so every
-breadth-first search visits the same vertices in the same order and
-finds the same augmenting paths.  Masks are plain Python ints, so this
-backend has no vertex-count limit.
+The flows walk, for each vertex, the ascending list of the vertices it
+shares an arc with (in either direction) instead of scanning all n
+vertices.  A list is built when a search first reaches its vertex and
+is shared by all flows of one kernel call.  A residual arc u->v can
+only exist between such neighbours, and the lists keep the ascending
+order of a dense scan, so every breadth-first search visits the same
+vertices in the same order and finds the same augmenting paths as a
+scan of every vertex would.
 """
 
 from itertools import compress
@@ -95,7 +94,9 @@ def st_max_flow(n, caps, s, t, limit=-1):
 
 
 def strong_deficient_cut(n, caps):
-    """Side S with no arcs leaving S, or -1 if strongly connected (n>=1)."""
+    """Side S with no arcs leaving S, or -1 if strongly connected."""
+    if n <= 1:
+        return -1
     full = (1 << n) - 1
     # forward reach from 0
     mask = 1

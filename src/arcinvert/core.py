@@ -65,6 +65,16 @@ class MultiDigraph:
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, n, m):
+        """MultiDigraph on n vertices with the arc dict m, keys (t, h),
+        whose entries are known to be valid."""
+        D = object.__new__(cls)
+        object.__setattr__(D, "n", n)
+        object.__setattr__(D, "_m", m)
+        object.__setattr__(D, "_hash", None)
+        return D
+
     def __setattr__(self, *a):
         raise AttributeError("MultiDigraph is immutable")
 
@@ -127,7 +137,7 @@ class MultiDigraph:
         return Multigraph._trusted(self.n, edges)
 
     def reverse(self):
-        return MultiDigraph(self.n, [(h, t, m) for (t, h), m in self._m.items()])
+        return MultiDigraph._trusted(self.n, {(h, t): m for (t, h), m in self._m.items()})
 
     def induced(self, vertices):
         """(sub-multidigraph, sorted id list); ids reindexed by rank."""
@@ -557,7 +567,7 @@ def apply_inversions(D, family):
                         m[(u, v)] = b
                     else:
                         m.pop((u, v), None)
-    return MultiDigraph(n, [(t, h, mm) for (t, h), mm in m.items()])
+    return MultiDigraph._trusted(n, m)
 
 
 def push(D, X):

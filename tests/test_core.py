@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcinvert import core
 from arcinvert.core import (
     INFINITY,
     InversionFamily,
@@ -239,3 +240,25 @@ def test_underlying_matches_the_checked_construction(D):
     assert G == ref and hash(G) == hash(ref)
     with pytest.raises(AttributeError):
         G.n = 0
+
+
+def test_apply_inversions_checks_each_inverted_vertex_once(monkeypatch):
+    # the result is built from its arc dict without the per-arc checks
+    # of MultiDigraph(): only the vertices of the family are checked
+    calls = []
+    check = core._check_vertex
+    monkeypatch.setattr(core, "_check_vertex", lambda *a: calls.append(a) or check(*a))
+    rng = random.Random(49)
+    for _ in range(30):
+        D = rand_multidigraph(rng, n_max=7)
+        family = rand_family(rng, D.n)
+        del calls[:]
+        F = apply_inversions(D, family)
+        assert len(calls) == sum(len(set(X)) for X in family)
+        ref = MultiDigraph(D.n, [(t, h, m) for (t, h), m in F._m.items()])
+        assert list(F._m.items()) == list(ref._m.items())
+        assert F == ref and hash(F) == hash(ref)
+        R = reverse(D)
+        assert list(R._m.items()) == [((h, t), m) for (t, h), m in D._m.items()]
+    with pytest.raises(AttributeError):
+        F.n = 0

@@ -2,6 +2,7 @@ import importlib.util
 import random
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +35,7 @@ def test_st_max_flow_backends_agree(cimpl):
         D = rand_multidigraph(rng, n_max=8, mult_max=3)
         caps = D.caps_flat()
         s, t = rng.sample(range(D.n), 2)
-        for limit in (-1, 1, 2, 3):
+        for limit in (-1, 0, 1, 2, 3):
             assert _pyimpl.st_max_flow(D.n, caps, s, t, limit) == cimpl.st_max_flow(
                 D.n, caps, s, t, limit
             )
@@ -57,6 +58,65 @@ def test_karc_deficient_cut_backends_agree(cimpl):
             assert _pyimpl.karc_deficient_cut(D.n, caps, k) == cimpl.karc_deficient_cut(
                 D.n, caps, k
             )
+
+
+def test_backends_agree_past_64_vertices(cimpl):
+    # masks wider than a machine word: sizes around 64 and up to 130
+    rng = random.Random(105)
+    sizes = (1, 2, 5, 17, 40, 62, 63, 64, 65, 66, 97, 127, 128, 129, 130)
+    for i, n in enumerate(sizes):
+        caps = _rand_caps(rng, n, (0.04, 0.1, 0.3)[i % 3] if n > 40 else 0.3, 1 + i % 3)
+        assert _pyimpl.strong_deficient_cut(n, caps) == cimpl.strong_deficient_cut(n, caps)
+        for k in (1, 2, 3):
+            assert _pyimpl.karc_deficient_cut(n, caps, k) == cimpl.karc_deficient_cut(n, caps, k)
+        sym = [caps[u * n + v] + caps[v * n + u] for u in range(n) for v in range(n)]
+        assert _pyimpl.global_min_cut(n, sym) == cimpl.global_min_cut(n, sym)
+        if n < 2:
+            continue
+        s, t = rng.sample(range(n), 2)
+        for limit in (-1, 0, 1, 2, 3):
+            assert _pyimpl.st_max_flow(n, caps, s, t, limit) == cimpl.st_max_flow(
+                n, caps, s, t, limit
+            )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: c.st_max_flow(3, [0] * 8, 0, 1),
+        lambda c: c.karc_deficient_cut(3, [0] * 10, 2),
+        lambda c: c.strong_deficient_cut(2, [0] * 3),
+        lambda c: c.global_min_cut(4, [0] * 15),
+    ],
+    ids=["st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut"],
+)
+def test_compiled_kernel_rejects_a_wrong_caps_length(cimpl, call):
+    with pytest.raises(ValueError):
+        call(cimpl)
+
+
+def test_compiled_kernel_rejects_a_negative_vertex_count(cimpl):
+    for call in (
+        lambda: cimpl.st_max_flow(-1, [], 0, 1),
+        lambda: cimpl.karc_deficient_cut(-2, [], 2),
+        lambda: cimpl.strong_deficient_cut(-1, []),
+        lambda: cimpl.global_min_cut(-3, []),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_compiled_kernel_rejects_bad_entries(cimpl):
+    for entry in (-1, 2**31, 2**70, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            cimpl.karc_deficient_cut(2, [0, entry, 1, 0], 2)
+
+
+def test_compiled_flow_rejects_bad_endpoints(cimpl):
+    caps = [0, 1, 0, 0, 0, 1, 1, 0, 0]
+    for s, t in ((0, 3), (3, 0), (-1, 2), (2, -1), (1, 1), (10**6, 0)):
+        with pytest.raises(ValueError):
+            cimpl.st_max_flow(3, caps, s, t, -1)
 
 
 # -- dense reference: the pure backend's former loops, which scan every
@@ -174,7 +234,7 @@ def _rand_caps(rng, n, density, mult_max):
 
 
 def test_pure_kernels_match_the_dense_reference():
-    # sizes past the compiled masks' 62-vertex cap, sparse to dense
+    # sizes past one machine word of mask bits, sparse to dense
     rng = random.Random(104)
     densities = (0.05, 0.15, 0.3, 0.5, 0.7, 0.9)
     sizes = [*range(1, 24), *range(24, 70, 6), 70]
@@ -195,13 +255,33 @@ def test_pure_kernels_match_the_dense_reference():
         assert _pyimpl.global_min_cut(n, sym) == _dense_global_min_cut(n, sym)
 
 
-def test_dispatch_routes_large_instances_to_python(cimpl, monkeypatch):
-    monkeypatch.setattr(_kernels, "_cimpl", cimpl)
-    assert _kernels._impl_for(cimpl.MAX_N) is cimpl
-    n = cimpl.MAX_N + 2
-    caps = [0] * (n * n)
-    for i in range(n):
-        caps[i * n + (i + 1) % n] = 1
-        caps[((i + 1) % n) * n + i] = 1
-    flow, _mask = _kernels.st_max_flow(n, caps, 0, n // 2, -1)
-    assert flow == 2
+def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
+    seen = []
+
+    def recorded(name):
+        def call(n, *args):
+            seen.append((name, n))
+            return getattr(cimpl, name)(n, *args)
+
+        return call
+
+    names = ("st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut")
+    recording = SimpleNamespace(**{name: recorded(name) for name in names})
+    monkeypatch.setattr(_kernels, "_impl", recording)
+    for n in (64, 128):
+        # a ring both ways plus one chord: 2-arc-strong, not 3-arc-strong
+        caps = [0] * (n * n)
+        for i in range(n):
+            caps[i * n + (i + 1) % n] = 1
+            caps[((i + 1) % n) * n + i] = 1
+        caps[n // 2] = 1
+        sym = [caps[u * n + v] + caps[v * n + u] for u in range(n) for v in range(n)]
+        flow = _kernels.st_max_flow(n, caps, 0, n // 2, -1)
+        assert flow[0] == 3 and flow == _pyimpl.st_max_flow(n, caps, 0, n // 2, -1)
+        assert _kernels.karc_deficient_cut(n, caps, 2) == -1
+        side = _kernels.karc_deficient_cut(n, caps, 3)
+        assert side == _pyimpl.karc_deficient_cut(n, caps, 3)
+        assert side > 0 and side != (1 << n) - 1
+        assert _kernels.strong_deficient_cut(n, caps) == -1
+        assert _kernels.global_min_cut(n, sym) == _pyimpl.global_min_cut(n, sym)
+    assert sorted(set(seen)) == sorted((name, n) for name in names for n in (64, 128))
