@@ -2,13 +2,17 @@
 
 Runs the same randomly generated capacity matrices through both
 backends, asserts they agree call by call, and reports per-operation
-timings.  The compiled backend is the installed extension when there is
-one; otherwise, when gcc and Python.h are present, the checked-in
-_cimpl.c is built into a temporary directory and loaded from there.
-Usage:
+timings.  The global cut kernels get the symmetrised matrices.  A
+second sweep times global_min_cut against min_cut_value on graph
+families (cycle, cycle plus n/6 chords, complete, random 10-regular) at
+--family-sizes.  The compiled backend is the installed extension when
+there is one; otherwise, when gcc and Python.h are present, the
+checked-in _cimpl.c is built into a temporary directory and loaded from
+there.  Usage:
 
     python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60,128]
                                           [--samples 40] [--seed 7]
+                                          [--family-sizes 64,128,256]
                                           [--csv out.csv]
 """
 
@@ -63,9 +67,40 @@ def rand_caps(rng, n, density=0.35, mult_max=2):
     return caps
 
 
+def symmetrised(n, caps):
+    return [caps[u * n + v] + caps[v * n + u] for u in range(n) for v in range(n)]
+
+
+def sym_caps(n, edges):
+    caps = [0] * (n * n)
+    for u, v in edges:
+        caps[u * n + v] += 1
+        caps[v * n + u] += 1
+    return caps
+
+
+def family_graphs(rng, n):
+    """(name, symmetric caps): a cycle, the cycle plus n/6 random chords,
+    the complete graph and a union of 5 random Hamilton cycles (a
+    10-regular multigraph)."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    chords = [tuple(rng.sample(range(n), 2)) for _ in range(n // 6)]
+    tours = []
+    for _ in range(5):
+        order = rng.sample(range(n), n)
+        tours += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    return [
+        ("cycle", sym_caps(n, ring)),
+        ("cycle+chords", sym_caps(n, ring + chords)),
+        ("complete", sym_caps(n, [(u, v) for u in range(n) for v in range(u + 1, n)])),
+        ("10-regular", sym_caps(n, tours)),
+    ]
+
+
 def bench_op(name, call, instances, cimpl):
-    """Times one backend-agnostic closure over prebuilt instances and
-    checks both backends return identical answers."""
+    """Times one backend-agnostic closure over prebuilt instances,
+    checks both backends return identical answers and returns (py s,
+    c s or None, the py answers)."""
     rows = []
     for impl in (_pyimpl, cimpl):
         if impl is None:
@@ -76,7 +111,7 @@ def bench_op(name, call, instances, cimpl):
         rows.append((time.perf_counter() - start, results))
     if rows[1] is not None and rows[0][1] != rows[1][1]:
         raise AssertionError(f"{name}: backends disagree")
-    return rows[0][0], None if rows[1] is None else rows[1][0]
+    return rows[0][0], None if rows[1] is None else rows[1][0], rows[0][1]
 
 
 def run_table(sizes, samples, seed, cimpl):
@@ -84,6 +119,7 @@ def run_table(sizes, samples, seed, cimpl):
     table = []
     for n in sizes:
         caps_list = [rand_caps(rng, n) for _ in range(samples)]
+        sym_list = [symmetrised(n, caps) for caps in caps_list]
         pairs = [tuple(rng.sample(range(n), 2)) for _ in range(samples)]
         flows = list(zip(caps_list, pairs))
         ops = [
@@ -100,7 +136,12 @@ def run_table(sizes, samples, seed, cimpl):
             (
                 "global_min_cut",
                 lambda impl, caps: impl.global_min_cut(n, caps),
-                caps_list,
+                sym_list,
+            ),
+            (
+                "min_cut_value",
+                lambda impl, caps: impl.min_cut_value(n, caps),
+                sym_list,
             ),
             (
                 "karc_deficient_cut k=1",
@@ -114,8 +155,29 @@ def run_table(sizes, samples, seed, cimpl):
             ),
         ]
         for name, call, instances in ops:
-            py_s, c_s = bench_op(name, call, instances, cimpl)
+            py_s, c_s, _results = bench_op(name, call, instances, cimpl)
             table.append((name, n, samples, py_s * 1000, c_s and c_s * 1000))
+    return table
+
+
+def run_families(sizes, seed, cimpl):
+    """Rows of global_min_cut and min_cut_value on each family graph,
+    one sample each; both ops must give the same value."""
+    rng = random.Random(seed)
+    table = []
+    for n in sizes:
+        ops = (
+            ("global_min_cut", lambda impl, caps: impl.global_min_cut(n, caps)[0]),
+            ("min_cut_value", lambda impl, caps: impl.min_cut_value(n, caps)),
+        )
+        for family, caps in family_graphs(rng, n):
+            values = set()
+            for name, call in ops:
+                py_s, c_s, results = bench_op(f"{name} {family}", call, [caps], cimpl)
+                values.update(results)
+                table.append((f"{name} {family}", n, 1, py_s * 1000, c_s and c_s * 1000))
+            if len(values) != 1:
+                raise AssertionError(f"{family} n={n}: global_min_cut and min_cut_value disagree")
     return table
 
 
@@ -124,23 +186,26 @@ def main(argv=None):
     parser.add_argument("--sizes", default="10,20,40,60,128")
     parser.add_argument("--samples", type=int, default=40)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--family-sizes", default="64,128,256")
     parser.add_argument("--csv", default=None)
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    family_sizes = [int(s) for s in args.family_sizes.split(",") if s]
     with tempfile.TemporaryDirectory() as build_dir:
         cimpl = load_cimpl(build_dir)
         if cimpl is None:
             print("compiled kernel not built and no gcc to build it; timing the pure backend only")
         table = run_table(sizes, args.samples, args.seed, cimpl)
+        table += run_families(family_sizes, args.seed, cimpl)
 
-    header = f"{'op':<24} {'n':>4} {'samples':>7} {'py ms':>9} {'c ms':>9} {'speedup':>8}"
+    header = f"{'op':<32} {'n':>4} {'samples':>7} {'py ms':>9} {'c ms':>9} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for name, n, samples, py_ms, c_ms in table:
         c_txt = "-" if c_ms is None else f"{c_ms:9.2f}"
         ratio = "-" if c_ms is None else f"{py_ms / c_ms:7.1f}x"
-        print(f"{name:<24} {n:>4} {samples:>7} {py_ms:9.2f} {c_txt:>9} {ratio:>8}")
+        print(f"{name:<32} {n:>4} {samples:>7} {py_ms:9.2f} {c_txt:>9} {ratio:>8}")
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

@@ -42,3 +42,7 @@ def strong_deficient_cut(n, caps):
 
 def global_min_cut(n, caps):
     return _impl.global_min_cut(n, caps)
+
+
+def min_cut_value(n, caps):
+    return _impl.min_cut_value(n, caps)

@@ -253,25 +253,52 @@ static PyObject *strong_deficient_cut(PyObject *self, PyObject *args, PyObject *
     return deficient_cut(n, caps, 1);
 }
 
+/* Fixed-root scan of a symmetric network: min over v > 0 of the 0->v
+   flow, -1 for n < 2.  Each flow is limited at the running best, so a
+   search exhausts, and rewrites side, only on a flow below it: side
+   stays the best's. */
+static long long min_cut_scan(Net *g)
+{
+    idx v;
+    long long best = -1, value;
+    for (v = 1; v < g->n && best != 0; v++)
+        if ((value = flow(g, 0, v, best, 0)) < best || best < 0)
+            best = value;
+    return best;
+}
+
 static PyObject *global_min_cut(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"n", "caps", NULL};
-    idx n, v;
-    long long best = -1, value;
+    idx n;
+    long long best;
     PyObject *caps, *out;
     Net g;
     if (!PyArg_ParseTupleAndKeywords(args, kw, "nO", names, &n, &caps) || load(&g, n, caps) < 0)
         return NULL;
-    /* each flow is limited at the running best, so a search exhausts,
-       and rewrites side, only on a flow below it: side stays the best's */
     Py_BEGIN_ALLOW_THREADS
-    for (v = 1; v < n && best != 0; v++)
-        if ((value = flow(&g, 0, v, best, 0)) < best || best < 0)
-            best = value;
+    best = min_cut_scan(&g);
     Py_END_ALLOW_THREADS
     out = Py_BuildValue("(LN)", best, side_mask(&g, 0));
     PyMem_Free(g.caps);
     return out;
+}
+
+/* global_min_cut's value alone: the same scan, no side to build. */
+static PyObject *min_cut_value(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"n", "caps", NULL};
+    idx n;
+    long long best;
+    PyObject *caps;
+    Net g;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "nO", names, &n, &caps) || load(&g, n, caps) < 0)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    best = min_cut_scan(&g);
+    Py_END_ALLOW_THREADS
+    PyMem_Free(g.caps);
+    return PyLong_FromLongLong(best);
 }
 
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
@@ -281,6 +308,7 @@ static PyMethodDef methods[] = {
     KERNEL(strong_deficient_cut, "strong_deficient_cut(n, caps) -> side with no leaving arc, or -1"),
     KERNEL(karc_deficient_cut, "karc_deficient_cut(n, caps, k) -> side with d+(S) < k, or -1"),
     KERNEL(global_min_cut, "global_min_cut(n, caps) -> (value, side_mask) of a symmetric matrix"),
+    KERNEL(min_cut_value, "min_cut_value(n, caps) -> value of a minimum cut of a symmetric matrix"),
     {NULL, NULL, 0, NULL},
 };
 

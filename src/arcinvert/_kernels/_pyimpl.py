@@ -5,7 +5,9 @@ n*n, caps[u*n+v] = number of parallel u->v arcs) and return vertex sets
 as bitmasks (plain Python ints, so there is no vertex-count limit).
 The C kernel (_cimpl.c) implements the same signatures and returns the
 same results with the same tie-breaking, so the two backends are
-interchangeable; tests assert bit-for-bit agreement.
+interchangeable; tests assert bit-for-bit agreement.  min_cut_value
+returns only a value, which is unique, so here it contracts the graph
+instead of running the flows that the C kernel runs.
 
 The flows walk, for each vertex, the ascending list of the vertices it
 shares an arc with (in either direction) instead of scanning all n
@@ -17,6 +19,7 @@ vertices in the same order and finds the same augmenting paths as a
 scan of every vertex would.
 """
 
+from heapq import heappop, heappush
 from itertools import compress
 from operator import or_
 
@@ -88,8 +91,10 @@ def st_max_flow(n, caps, s, t, limit=-1):
     means unbounded).  Returns (flow, side_mask) where side_mask is the
     set of vertices reachable from s in the final residual graph; it is
     a minimum cut side only when the search exhausted (flow < limit or
-    limit < 0).
+    limit < 0).  s and t must be distinct vertices (ValueError).
     """
+    if not (0 <= s < n and 0 <= t < n) or s == t:
+        raise ValueError(f"need distinct s, t in 0..{n - 1}, got {s}, {t}")
     return _flow(n, caps, list(caps), [None] * n, s, t, limit)
 
 
@@ -165,3 +170,118 @@ def global_min_cut(n, caps):
             if best == 0:
                 break
     return best, best_mask
+
+
+def min_cut_value(n, caps):
+    """Value of a minimum cut of a symmetric matrix (n >= 2): equal to
+    global_min_cut(n, caps)[0], including its -1 for n < 2, without a
+    side and without max flows (Nagamochi-Ibaraki contraction).
+
+    The graph is kept as one dict of neighbour weights per vertex and
+    shrinks by contraction.  Contracting u and v keeps the minimum
+    value as long as every cut below the best value found so far has
+    u and v on one side; every degree of the current graph is a cut of
+    the input, so each one is a candidate for that best value.  Two
+    rules contract:
+
+    - Degree test (Padberg-Rinaldi), before each ordering, one merge at
+      a time, at vertices with at most two distinct neighbours: u goes
+      into its heaviest neighbour v, which gives 2c(u, v) >= d(u).  A
+      cut S with u on S's side, v not and S != {u} then does not grow
+      when u moves across, as d(S - u) <= d(S) + d(u) - 2c(u, v), and
+      the cut {u} is the candidate d(u).  This turns a chain of
+      degree-2 vertices into one vertex without an ordering.
+    - Maximum-adjacency ordering: the next vertex is the unvisited one
+      most heavily attached to the visited ones.  When u is visited, an
+      edge uv to an unvisited v attaches with q(uv), the weight between
+      v and the vertices visited so far, uv included; then
+      lambda(u, v) >= q(uv) (Nagamochi and Ibaraki, SIAM J. Discrete
+      Math. 5(1), 1992).  Each edge with q at least the best value is
+      contracted: no cut below the best separates its ends.  The last
+      vertex's last edge has q equal to that vertex's degree, so every
+      ordering contracts at least one edge.
+
+    An ordering that misses a vertex shows a disconnected graph
+    (value 0).  The next vertex comes from a heap with lazy deletion:
+    a vertex's freshest entry has its highest weight and so pops first,
+    and later ones are skipped."""
+    if n < 2:
+        return -1
+    verts = range(n)
+    adj = []
+    for u in verts:
+        row = caps[u * n:u * n + n]
+        nb = dict(zip(compress(verts, row), compress(row, row)))
+        nb.pop(u, None)
+        adj.append(nb)
+    deg = [sum(nb.values()) for nb in adj]
+    best = min(deg)
+    alive = set(verts)
+
+    def merge(u, v):
+        # contracts the edge uv, keeps the name with more neighbours
+        if len(adj[u]) > len(adj[v]):
+            u, v = v, u
+        au, av = adj[u], adj[v]
+        w = au.pop(v)
+        del av[u]
+        for x, c in au.items():
+            ax = adj[x]
+            del ax[u]
+            ax[v] = av[x] = ax.get(v, 0) + c
+        deg[v] += deg[u] - 2 * w
+        adj[u] = None
+        alive.discard(u)
+        return v
+
+    rep = list(verts)
+    attach = [0] * n
+    visited = [False] * n
+    while best > 0:
+        work = [u for u in alive if len(adj[u]) <= 2]
+        while work and len(alive) > 1:
+            u = work.pop()
+            au = adj[u]
+            if au is None or len(au) > 2:
+                continue
+            if not au:
+                return 0
+            work.extend(au)
+            v = merge(u, max(au, key=au.get))
+            if len(alive) > 1 and deg[v] < best:
+                best = deg[v]
+            work.append(v)
+        if len(alive) <= 1 or best == 0:
+            break
+        for u in alive:
+            attach[u] = 0
+            visited[u] = False
+        # key -q*n + x: the highest weight first, the lowest vertex on ties
+        heap = [next(iter(alive))]
+        seen = 0
+        close = []
+        while heap:
+            u = heappop(heap) % n
+            if visited[u]:
+                continue
+            visited[u] = True
+            seen += 1
+            for x, c in adj[u].items():
+                if not visited[x]:
+                    q = attach[x] = attach[x] + c
+                    heappush(heap, x - q * n)
+                    if q >= best:
+                        close.append((u, x))
+        if seen < len(alive):
+            return 0
+        for a, b in close:
+            while rep[a] != a:
+                a = rep[a]
+            while rep[b] != b:
+                b = rep[b]
+            if a != b:
+                v = merge(a, b)
+                rep[a] = rep[b] = v
+                if len(alive) > 1 and deg[v] < best:
+                    best = deg[v]
+    return best

@@ -205,6 +205,11 @@ def minimally_k_arc_strong(D, k):
     _check_k(k)
     if not is_k_arc_strong(D, k):
         raise PreconditionViolatedError("input digraph is not k-arc-strong")
+    return _minimal_core(D, k)
+
+
+def _minimal_core(D, k):
+    """minimally_k_arc_strong on a D already known to be k-arc-strong."""
     n = D.n
     caps = D.caps_flat()
     for (t, h, m) in D.arcs():
@@ -320,8 +325,8 @@ def approx_kp(D, k, p, heuristic=False):
     base = _greedy_pairs(D, k) if heuristic else _min_pairs(D, k)
     if base is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")
-    strong = apply_inversions(D, base)
-    core = minimally_k_arc_strong(strong, k)
+    # both pair stages verify apply(D, base) before returning it
+    core = _minimal_core(apply_inversions(D, base), k)
     packed, leftover = pack_independent_pairs(base, core.underlying(), p)
     family = InversionFamily(list(packed) + list(leftover))
     if not is_k_arc_strong(apply_inversions(D, family), k):

@@ -390,13 +390,16 @@ def min_cut(obj, s, t):
 
 
 def edge_connectivity(G):
-    """Global edge-connectivity of a Multigraph; INFINITY for n <= 1."""
+    """Global edge-connectivity of a Multigraph; INFINITY for n <= 1.
+
+    Only the value is needed, and it is unique, so this calls the
+    value-only kernel ``min_cut_value`` (no max flows in the pure
+    backend); ``frames`` keeps ``global_min_cut`` for its side."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("edge_connectivity expects a Multigraph")
     if G.n <= 1:
         return INFINITY
-    value, _mask = _kernels.global_min_cut(G.n, G.caps_flat())
-    return value
+    return _kernels.min_cut_value(G.n, G.caps_flat())
 
 
 def violating_dicut(D, k, core=None):

@@ -157,6 +157,25 @@ def test_minimally_k_arc_strong_runs_one_flow_per_unit(monkeypatch):
             assert calls["st_max_flow"] == tried
 
 
+def test_approx_kp_tests_strongness_twice(monkeypatch):
+    # once inside the pair stage, once on the final family: the minimal
+    # core reuses the pair stage's proof instead of testing again
+    calls = []
+
+    def counted(D, k, _fn=is_k_arc_strong):
+        calls.append(D.n)
+        return _fn(D, k)
+
+    monkeypatch.setattr(approx, "is_k_arc_strong", counted)
+    rng = random.Random(511)
+    for heuristic in (False, True):
+        for _ in range(6):
+            D = rand_2kec_digraph(rng, 1, rng.randint(5, 9))
+            calls.clear()
+            approx_kp(D, 1, 3, heuristic=heuristic)
+            assert len(calls) == 2
+
+
 def test_pairs_independent_cases():
     # two disjoint edges with nothing between them are independent
     G = Multigraph(6, [(0, 1), (2, 3), (4, 5, 2)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcinvert import core
+from arcinvert import _kernels, core
 from arcinvert.core import (
     INFINITY,
     InversionFamily,
@@ -130,11 +130,20 @@ def _brute_lambda(G):
     return best
 
 
-def test_edge_connectivity_matches_brute_force():
+def test_edge_connectivity_matches_brute_force(monkeypatch):
+    # the value-only kernel serves it: no global_min_cut flow scan
+    calls = []
+
+    def counted(n, caps, _fn=_kernels.global_min_cut):
+        calls.append(n)
+        return _fn(n, caps)
+
+    monkeypatch.setattr(_kernels, "global_min_cut", counted)
     rng = random.Random(43)
     for _ in range(80):
         G = rand_multigraph(rng, n_max=7)
         assert edge_connectivity(G) == _brute_lambda(G)
+    assert calls == []
 
 
 def _brute_k_arc_strong(D, k):

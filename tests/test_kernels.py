@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import signal
 from collections import deque
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import pytest
 
 from arcinvert import _kernels
 from arcinvert._kernels import _pyimpl
+from arcinvert.oracles import brute_edge_connectivity
 
 from conftest import rand_multidigraph, rand_multigraph
 
@@ -47,6 +49,7 @@ def test_global_min_cut_backends_agree(cimpl):
         G = rand_multigraph(rng, n_max=8)
         caps = G.caps_flat()
         assert _pyimpl.global_min_cut(G.n, caps) == cimpl.global_min_cut(G.n, caps)
+        assert _pyimpl.min_cut_value(G.n, caps) == cimpl.min_cut_value(G.n, caps)
 
 
 def test_karc_deficient_cut_backends_agree(cimpl):
@@ -71,6 +74,7 @@ def test_backends_agree_past_64_vertices(cimpl):
             assert _pyimpl.karc_deficient_cut(n, caps, k) == cimpl.karc_deficient_cut(n, caps, k)
         sym = [caps[u * n + v] + caps[v * n + u] for u in range(n) for v in range(n)]
         assert _pyimpl.global_min_cut(n, sym) == cimpl.global_min_cut(n, sym)
+        assert _pyimpl.min_cut_value(n, sym) == cimpl.min_cut_value(n, sym)
         if n < 2:
             continue
         s, t = rng.sample(range(n), 2)
@@ -87,8 +91,9 @@ def test_backends_agree_past_64_vertices(cimpl):
         lambda c: c.karc_deficient_cut(3, [0] * 10, 2),
         lambda c: c.strong_deficient_cut(2, [0] * 3),
         lambda c: c.global_min_cut(4, [0] * 15),
+        lambda c: c.min_cut_value(4, [0] * 17),
     ],
-    ids=["st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut"],
+    ids=["st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut", "min_cut_value"],
 )
 def test_compiled_kernel_rejects_a_wrong_caps_length(cimpl, call):
     with pytest.raises(ValueError):
@@ -101,6 +106,7 @@ def test_compiled_kernel_rejects_a_negative_vertex_count(cimpl):
         lambda: cimpl.karc_deficient_cut(-2, [], 2),
         lambda: cimpl.strong_deficient_cut(-1, []),
         lambda: cimpl.global_min_cut(-3, []),
+        lambda: cimpl.min_cut_value(-2, []),
     ):
         with pytest.raises(ValueError):
             call()
@@ -112,11 +118,28 @@ def test_compiled_kernel_rejects_bad_entries(cimpl):
             cimpl.karc_deficient_cut(2, [0, entry, 1, 0], 2)
 
 
-def test_compiled_flow_rejects_bad_endpoints(cimpl):
+@pytest.fixture
+def alarm():
+    """Fails a test that runs longer than 5 s instead of letting it hang."""
+
+    def expired(signum, frame):
+        raise TimeoutError("kernel call did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_flows_reject_bad_endpoints(cimpl, alarm):
+    # s == t used to loop forever in the pure backend for limits >= 1
     caps = [0, 1, 0, 0, 0, 1, 1, 0, 0]
-    for s, t in ((0, 3), (3, 0), (-1, 2), (2, -1), (1, 1), (10**6, 0)):
-        with pytest.raises(ValueError):
-            cimpl.st_max_flow(3, caps, s, t, -1)
+    for impl in (_pyimpl, cimpl):
+        for s, t in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1), (10**6, 0)):
+            for limit in (1, -1, 0, 3):
+                with pytest.raises(ValueError):
+                    impl.st_max_flow(3, caps, s, t, limit)
 
 
 # -- dense reference: the pure backend's former loops, which scan every
@@ -255,6 +278,88 @@ def test_pure_kernels_match_the_dense_reference():
         assert _pyimpl.global_min_cut(n, sym) == _dense_global_min_cut(n, sym)
 
 
+def _sym_caps(n, edges):
+    caps = [0] * (n * n)
+    for u, v in edges:
+        caps[u * n + v] += 1
+        caps[v * n + u] += 1
+    return caps
+
+
+def _ring(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _regular(rng, n, d):
+    """Union of d random Hamilton cycles: a 2d-regular multigraph."""
+    edges = []
+    for _ in range(d):
+        order = rng.sample(range(n), n)
+        edges += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    return edges
+
+
+def test_min_cut_value_matches_brute_force():
+    rng = random.Random(106)
+    for _ in range(300):
+        G = rand_multigraph(rng, n_max=8, mult_max=3, density=rng.choice((None, 0.15, 0.3)))
+        assert _pyimpl.min_cut_value(G.n, G.caps_flat()) == brute_edge_connectivity(G)
+
+
+def test_min_cut_value_matches_global_min_cut():
+    rng = random.Random(107)
+    graphs = [
+        (2, [(0, 1)] * 3),
+        (2, []),
+        (5, [(0, 1), (1, 2), (3, 4)]),  # two components
+        (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        (4, [(0, 1), (1, 2), (2, 0)]),  # vertex 3 isolated
+        (4, [(0, 1)] * 5 + [(1, 2)] * 5 + [(2, 3)] * 5 + [(3, 0)] + [(0, 2)] * 4),
+        (40, _ring(40)),  # one long degree-2 chain
+        (30, _ring(30) + [(0, 15)] * 3 + [(7, 22)]),
+        (12, [(u, v) for u in range(12) for v in range(u + 1, 12)]),
+        (25, _ring(25) + _ring(25)),
+    ]
+    for n in (30, 64):
+        # two cliques joined by parallel edges and by two degree-2 chains
+        half = n // 2
+        edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        edges += [(half + u, half + v) for u in range(8) for v in range(u + 1, 8)]
+        edges += [(0, half)] * rng.randint(1, 9)
+        for chain in ([7, *range(8, half), half + 7], [half + 6, *range(half + 8, n), 6]):
+            edges += list(zip(chain, chain[1:]))
+        graphs.append((n, edges))
+    for n, d in ((16, 2), (33, 3), (64, 5), (70, 1)):
+        graphs.append((n, _regular(rng, n, d)))
+    # two K5 joined by 3 edges into one vertex: the cut (3) is below
+    # every degree (4), so no contraction may take an edge across it
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    graphs.append((10, k5 + [(u + 5, v + 5) for u, v in k5] + [(0, 5), (1, 5), (2, 5)]))
+    # a vertex with three neighbours, the lowest across the cut of 1
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    graphs.append((9, k4 + [(u + 4, v + 4) for u, v in k4] + [(8, 0), (8, 4), (8, 5)]))
+    for _ in range(200):
+        # two dense clusters joined by a few edges: cuts below every degree
+        a, b = rng.randint(3, 12), rng.randint(3, 12)
+        edges = [(u, v) for u in range(a) for v in range(u + 1, a) if rng.random() < 0.8]
+        edges += [(u, v) for u in range(a, a + b) for v in range(u + 1, a + b) if rng.random() < 0.8]
+        edges += [(rng.randrange(a), rng.randrange(a, a + b)) for _ in range(rng.randint(1, 4))]
+        graphs.append((a + b, edges))
+    instances = [(n, _sym_caps(n, edges)) for n, edges in graphs]
+    # random multigraphs, sparse to dense, connected or not, with
+    # weights above the best cut
+    for _ in range(400):
+        n = rng.randint(2, 30)
+        G = rand_multigraph(
+            rng, n_min=n, n_max=n, mult_max=rng.choice((1, 3, 8)),
+            density=rng.choice((0.05, 0.1, 0.2, 0.5, 0.9)),
+        )
+        instances.append((n, G.caps_flat()))
+    instances += [(0, []), (1, [0])]
+    for n, caps in instances:
+        assert _pyimpl.min_cut_value(n, caps) == _pyimpl.global_min_cut(n, caps)[0]
+
+
 def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
     seen = []
 
@@ -265,7 +370,7 @@ def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
 
         return call
 
-    names = ("st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut")
+    names = ("st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut", "min_cut_value")
     recording = SimpleNamespace(**{name: recorded(name) for name in names})
     monkeypatch.setattr(_kernels, "_impl", recording)
     for n in (64, 128):
@@ -284,4 +389,5 @@ def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
         assert side > 0 and side != (1 << n) - 1
         assert _kernels.strong_deficient_cut(n, caps) == -1
         assert _kernels.global_min_cut(n, sym) == _pyimpl.global_min_cut(n, sym)
+        assert _kernels.min_cut_value(n, sym) == _pyimpl.min_cut_value(n, sym) == 4
     assert sorted(set(seen)) == sorted((name, n) for name in names for n in (64, 128))
