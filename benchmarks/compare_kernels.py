@@ -5,14 +5,13 @@ backends, asserts they agree call by call, and reports per-operation
 timings.  The global cut kernels get the symmetrised matrices.  A
 second sweep times global_min_cut against min_cut_value on graph
 families (cycle, cycle plus n/6 chords, complete, random 10-regular) at
---family-sizes.  The compiled backend is the installed extension when
+n = 64, 128 and 256.  The compiled backend is the installed extension when
 there is one; otherwise, when gcc and Python.h are present, the
 checked-in _cimpl.c is built into a temporary directory and loaded from
 there.  Usage:
 
     python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60,128]
                                           [--samples 40] [--seed 7]
-                                          [--family-sizes 64,128,256]
                                           [--csv out.csv]
 """
 
@@ -31,6 +30,8 @@ from pathlib import Path
 
 from arcinvert import _kernels
 from arcinvert._kernels import _pyimpl
+
+FAMILY_SIZES = (64, 128, 256)
 
 
 def load_cimpl(build_dir):
@@ -186,18 +187,16 @@ def main(argv=None):
     parser.add_argument("--sizes", default="10,20,40,60,128")
     parser.add_argument("--samples", type=int, default=40)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--family-sizes", default="64,128,256")
     parser.add_argument("--csv", default=None)
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    family_sizes = [int(s) for s in args.family_sizes.split(",") if s]
     with tempfile.TemporaryDirectory() as build_dir:
         cimpl = load_cimpl(build_dir)
         if cimpl is None:
             print("compiled kernel not built and no gcc to build it; timing the pure backend only")
         table = run_table(sizes, args.samples, args.seed, cimpl)
-        table += run_families(family_sizes, args.seed, cimpl)
+        table += run_families(FAMILY_SIZES, args.seed, cimpl)
 
     header = f"{'op':<32} {'n':>4} {'samples':>7} {'py ms':>9} {'c ms':>9} {'speedup':>8}"
     print(header)

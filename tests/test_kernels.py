@@ -132,14 +132,21 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
-def test_flows_reject_bad_endpoints(cimpl, alarm):
-    # s == t used to loop forever in the pure backend for limits >= 1
+def _assert_rejects_bad_endpoints(impl):
     caps = [0, 1, 0, 0, 0, 1, 1, 0, 0]
-    for impl in (_pyimpl, cimpl):
-        for s, t in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1), (10**6, 0)):
-            for limit in (1, -1, 0, 3):
-                with pytest.raises(ValueError):
-                    impl.st_max_flow(3, caps, s, t, limit)
+    for s, t in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1), (10**6, 0)):
+        for limit in (1, -1, 0, 3):
+            with pytest.raises(ValueError):
+                impl.st_max_flow(3, caps, s, t, limit)
+
+
+def test_pure_flow_rejects_bad_endpoints(alarm):
+    # s == t used to loop forever in the pure backend for limits >= 1
+    _assert_rejects_bad_endpoints(_pyimpl)
+
+
+def test_compiled_flow_rejects_bad_endpoints(cimpl, alarm):
+    _assert_rejects_bad_endpoints(cimpl)
 
 
 # -- dense reference: the pure backend's former loops, which scan every
