@@ -2,13 +2,12 @@
 
 Runs the same randomly generated capacity matrices through both
 backends, asserts they agree call by call, and reports per-operation
-timings.  The global cut kernels get the symmetrised matrices.  A
-second sweep times global_min_cut against min_cut_value on graph
-families (cycle, cycle plus n/6 chords, complete, random 10-regular) at
-n = 64, 128 and 256.  The compiled backend is the installed extension when
-there is one; otherwise, when gcc and Python.h are present, the
-checked-in _cimpl.c is built into a temporary directory and loaded from
-there.  Usage:
+timings.  min_cut_value gets the symmetrised matrices.  A second sweep
+times min_cut_value on graph families (cycle, cycle plus n/6 chords,
+complete, random 10-regular) at n = 64, 128 and 256.  The compiled
+backend is the installed extension when there is one; otherwise, when
+gcc and Python.h are present, the checked-in _cimpl.c is built into a
+temporary directory and loaded from there.  Usage:
 
     python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60,128]
                                           [--samples 40] [--seed 7]
@@ -101,7 +100,7 @@ def family_graphs(rng, n):
 def bench_op(name, call, instances, cimpl):
     """Times one backend-agnostic closure over prebuilt instances,
     checks both backends return identical answers and returns (py s,
-    c s or None, the py answers)."""
+    c s or None)."""
     rows = []
     for impl in (_pyimpl, cimpl):
         if impl is None:
@@ -112,7 +111,7 @@ def bench_op(name, call, instances, cimpl):
         rows.append((time.perf_counter() - start, results))
     if rows[1] is not None and rows[0][1] != rows[1][1]:
         raise AssertionError(f"{name}: backends disagree")
-    return rows[0][0], None if rows[1] is None else rows[1][0], rows[0][1]
+    return rows[0][0], None if rows[1] is None else rows[1][0]
 
 
 def run_table(sizes, samples, seed, cimpl):
@@ -135,11 +134,6 @@ def run_table(sizes, samples, seed, cimpl):
                 flows,
             ),
             (
-                "global_min_cut",
-                lambda impl, caps: impl.global_min_cut(n, caps),
-                sym_list,
-            ),
-            (
                 "min_cut_value",
                 lambda impl, caps: impl.min_cut_value(n, caps),
                 sym_list,
@@ -156,29 +150,20 @@ def run_table(sizes, samples, seed, cimpl):
             ),
         ]
         for name, call, instances in ops:
-            py_s, c_s, _results = bench_op(name, call, instances, cimpl)
+            py_s, c_s = bench_op(name, call, instances, cimpl)
             table.append((name, n, samples, py_s * 1000, c_s and c_s * 1000))
     return table
 
 
 def run_families(sizes, seed, cimpl):
-    """Rows of global_min_cut and min_cut_value on each family graph,
-    one sample each; both ops must give the same value."""
+    """Rows of min_cut_value on each family graph, one sample each."""
     rng = random.Random(seed)
     table = []
     for n in sizes:
-        ops = (
-            ("global_min_cut", lambda impl, caps: impl.global_min_cut(n, caps)[0]),
-            ("min_cut_value", lambda impl, caps: impl.min_cut_value(n, caps)),
-        )
         for family, caps in family_graphs(rng, n):
-            values = set()
-            for name, call in ops:
-                py_s, c_s, results = bench_op(f"{name} {family}", call, [caps], cimpl)
-                values.update(results)
-                table.append((f"{name} {family}", n, 1, py_s * 1000, c_s and c_s * 1000))
-            if len(values) != 1:
-                raise AssertionError(f"{family} n={n}: global_min_cut and min_cut_value disagree")
+            name = f"min_cut_value {family}"
+            py_s, c_s = bench_op(name, lambda impl, caps: impl.min_cut_value(n, caps), [caps], cimpl)
+            table.append((name, n, 1, py_s * 1000, c_s and c_s * 1000))
     return table
 
 

@@ -36,13 +36,5 @@ def karc_deficient_cut(n, caps, k):
     return _impl.karc_deficient_cut(n, caps, k)
 
 
-def strong_deficient_cut(n, caps):
-    return _impl.strong_deficient_cut(n, caps)
-
-
-def global_min_cut(n, caps):
-    return _impl.global_min_cut(n, caps)
-
-
 def min_cut_value(n, caps):
     return _impl.min_cut_value(n, caps)

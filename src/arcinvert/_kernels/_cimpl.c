@@ -82,17 +82,17 @@ fail:
 }
 
 /* Max s->t flow by BFS augmentation, stopping at limit (< 0: none); a
-   search stops once t has a parent unless the flow is at its limit,
-   and with reach unset no search runs at the limit.  So the last
-   search exhausts the residual reach from s, and side marks it,
-   exactly when the flow ends below the limit or reach is set.  The
-   residual matrix equals caps again on return. */
-static int64_t flow(Net *g, idx s, idx t, int64_t limit, int reach)
+   search stops once t has a parent, and no search runs at the limit.
+   So the last search exhausts the residual reach from s, and side
+   marks it, exactly when the flow ends below the limit; a flow that
+   reaches its limit leaves side as it was.  The residual matrix
+   equals caps again on return. */
+static int64_t flow(Net *g, idx s, idx t, int64_t limit)
 {
     idx n = g->n, *parent = g->parent, *queue = g->queue;
     idx i, u, v, e, qh, qt, ndirty = 0;
     int64_t total = 0, bott;
-    while (reach || total != limit) {
+    while (total != limit) {
         for (i = 0; i < n; i++)
             parent[i] = -1;
         parent[s] = s;
@@ -106,7 +106,7 @@ static int64_t flow(Net *g, idx s, idx t, int64_t limit, int reach)
                     queue[qt++] = v;
                 }
             }
-            if (parent[t] >= 0 && total != limit)
+            if (parent[t] >= 0)
                 break;
         }
         if (qh == qt) {
@@ -200,8 +200,9 @@ static PyObject *st_max_flow(PyObject *self, PyObject *args, PyObject *kw)
         return PyErr_Format(PyExc_ValueError, "need distinct s, t in 0..%zd, got %zd, %zd", n - 1, s, t);
     if (load(&g, n, caps) < 0)
         return NULL;
+    /* side stays all zero, as load left it, when the flow reaches limit */
     Py_BEGIN_ALLOW_THREADS
-    value = flow(&g, s, t, limit, 1);
+    value = flow(&g, s, t, limit);
     Py_END_ALLOW_THREADS
     out = Py_BuildValue("(LN)", value, side_mask(&g, 0));
     PyMem_Free(g.caps);
@@ -211,20 +212,22 @@ static PyObject *st_max_flow(PyObject *self, PyObject *args, PyObject *kw)
 /* First side in scan order with fewer than k arcs leaving, or -1.  For
    k = 1 the two reaches from vertex 0 decide; otherwise the flows run
    v ascending, 0->v before v->0. */
-static PyObject *deficient_cut(idx n, PyObject *caps, long long k)
+static PyObject *karc_deficient_cut(PyObject *self, PyObject *args, PyObject *kw)
 {
-    idx v;
+    static char *names[] = {"n", "caps", "k", NULL};
+    idx n, v;
+    long long k;
     int found = 0;
-    PyObject *out;
+    PyObject *caps, *out;
     Net g;
-    if (load(&g, n, caps) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOL", names, &n, &caps, &k) || load(&g, n, caps) < 0)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
     if (n > 1 && k == 1)
         found = reach0(&g, 0) < n ? 1 : reach0(&g, 1) < n ? 2 : 0;
     else if (n > 1 && k > 1)
         for (v = 1; v < n && !found; v++)
-            found = flow(&g, 0, v, k, 0) < k || flow(&g, v, 0, k, 0) < k;
+            found = flow(&g, 0, v, k) < k || flow(&g, v, 0, k) < k;
     Py_END_ALLOW_THREADS
     /* found = 2: nothing leaves the complement of the backward reach */
     out = found ? side_mask(&g, found == 2) : PyLong_FromLong(-1);
@@ -232,70 +235,21 @@ static PyObject *deficient_cut(idx n, PyObject *caps, long long k)
     return out;
 }
 
-static PyObject *karc_deficient_cut(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *names[] = {"n", "caps", "k", NULL};
-    idx n;
-    long long k;
-    PyObject *caps;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOL", names, &n, &caps, &k))
-        return NULL;
-    return deficient_cut(n, caps, k);
-}
-
-static PyObject *strong_deficient_cut(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *names[] = {"n", "caps", NULL};
-    idx n;
-    PyObject *caps;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "nO", names, &n, &caps))
-        return NULL;
-    return deficient_cut(n, caps, 1);
-}
-
 /* Fixed-root scan of a symmetric network: min over v > 0 of the 0->v
-   flow, -1 for n < 2.  Each flow is limited at the running best, so a
-   search exhausts, and rewrites side, only on a flow below it: side
-   stays the best's. */
-static long long min_cut_scan(Net *g)
-{
-    idx v;
-    long long best = -1, value;
-    for (v = 1; v < g->n && best != 0; v++)
-        if ((value = flow(g, 0, v, best, 0)) < best || best < 0)
-            best = value;
-    return best;
-}
-
-static PyObject *global_min_cut(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *names[] = {"n", "caps", NULL};
-    idx n;
-    long long best;
-    PyObject *caps, *out;
-    Net g;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "nO", names, &n, &caps) || load(&g, n, caps) < 0)
-        return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    best = min_cut_scan(&g);
-    Py_END_ALLOW_THREADS
-    out = Py_BuildValue("(LN)", best, side_mask(&g, 0));
-    PyMem_Free(g.caps);
-    return out;
-}
-
-/* global_min_cut's value alone: the same scan, no side to build. */
+   flow, each limited at the running best; -1 for n < 2. */
 static PyObject *min_cut_value(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"n", "caps", NULL};
-    idx n;
-    long long best;
+    idx n, v;
+    long long best = -1, value;
     PyObject *caps;
     Net g;
     if (!PyArg_ParseTupleAndKeywords(args, kw, "nO", names, &n, &caps) || load(&g, n, caps) < 0)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
-    best = min_cut_scan(&g);
+    for (v = 1; v < n && best != 0; v++)
+        if ((value = flow(&g, 0, v, best)) < best || best < 0)
+            best = value;
     Py_END_ALLOW_THREADS
     PyMem_Free(g.caps);
     return PyLong_FromLongLong(best);
@@ -304,10 +258,8 @@ static PyObject *min_cut_value(PyObject *self, PyObject *args, PyObject *kw)
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
 
 static PyMethodDef methods[] = {
-    KERNEL(st_max_flow, "st_max_flow(n, caps, s, t, limit=-1) -> (flow, side_mask)"),
-    KERNEL(strong_deficient_cut, "strong_deficient_cut(n, caps) -> side with no leaving arc, or -1"),
+    KERNEL(st_max_flow, "st_max_flow(n, caps, s, t, limit=-1) -> (flow, side_mask), side_mask 0 at the limit"),
     KERNEL(karc_deficient_cut, "karc_deficient_cut(n, caps, k) -> side with d+(S) < k, or -1"),
-    KERNEL(global_min_cut, "global_min_cut(n, caps) -> (value, side_mask) of a symmetric matrix"),
     KERNEL(min_cut_value, "min_cut_value(n, caps) -> value of a minimum cut of a symmetric matrix"),
     {NULL, NULL, 0, NULL},
 };

@@ -26,19 +26,19 @@ from operator import or_
 BACKEND = "py"
 
 
-def _flow(n, caps, res, nbrs, s, t, limit, reach=True):
+def _flow(n, caps, res, nbrs, s, t, limit):
     """Max s->t flow by BFS augmentation over the residual matrix
     ``res``, which must equal ``caps`` on entry and equals it again on
     return.  ``nbrs[u]`` is the ascending list of the vertices that
     share an arc with u, in either direction, or None until a search
     first reaches u.  Returns (flow, mask of the residual reach from
-    s); with reach=False the mask is 0 when the flow stops at its
-    limit, which saves the search for callers that then ignore it."""
+    s); the mask is 0 when the flow stops at its limit, as no search
+    runs then."""
     verts = range(n)
     flow = 0
     mask = 0
     touched = []
-    while reach or flow != limit:
+    while flow != limit:
         parent = [-1] * n
         parent[s] = s
         queue = [s]
@@ -52,11 +52,11 @@ def _flow(n, caps, res, nbrs, s, t, limit, reach=True):
                     parent[v] = u
                     queue.append(v)
             # parents are final once set: stopping at t keeps its path
-            if parent[t] >= 0 and flow != limit:
+            if parent[t] >= 0:
                 break
         else:
-            # t is unreachable or the flow is at its limit: the search
-            # has visited the whole residual reach from s
+            # t is unreachable: the search has visited the whole
+            # residual reach from s
             for v in queue:
                 mask |= 1 << v
             break
@@ -88,20 +88,19 @@ def st_max_flow(n, caps, s, t, limit=-1):
     """Max s->t flow by BFS augmentation.
 
     Stops early once ``limit`` augmenting units are found (limit < 0
-    means unbounded).  Returns (flow, side_mask) where side_mask is the
-    set of vertices reachable from s in the final residual graph; it is
-    a minimum cut side only when the search exhausted (flow < limit or
-    limit < 0).  s and t must be distinct vertices (ValueError).
+    means unbounded).  Returns (flow, side_mask).  Below the limit
+    side_mask is the set of vertices reachable from s in the final
+    residual graph, a minimum cut side; a flow that reaches its limit
+    returns side_mask 0.  s and t must be distinct vertices
+    (ValueError).
     """
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need distinct s, t in 0..{n - 1}, got {s}, {t}")
     return _flow(n, caps, list(caps), [None] * n, s, t, limit)
 
 
-def strong_deficient_cut(n, caps):
+def _strong_deficient_cut(n, caps):
     """Side S with no arcs leaving S, or -1 if strongly connected."""
-    if n <= 1:
-        return -1
     full = (1 << n) - 1
     # forward reach from 0
     mask = 1
@@ -132,50 +131,30 @@ def strong_deficient_cut(n, caps):
 def karc_deficient_cut(n, caps, k):
     """Side S (nonempty, proper) with d+(S) < k, or -1 if none.
 
-    Scans local arc-connectivity to and from vertex 0; deterministic:
-    the first deficiency in scan order (v ascending, 0->v before v->0)
-    is returned.
+    k = 1 takes the forward, then the backward reach of vertex 0;
+    larger k scans local arc-connectivity to and from vertex 0.
+    Deterministic: the first deficiency in scan order (v ascending,
+    0->v before v->0) is returned.
     """
     if n <= 1:
         return -1
     if k == 1:
-        return strong_deficient_cut(n, caps)
+        return _strong_deficient_cut(n, caps)
     res = list(caps)
     nbrs = [None] * n
     for v in range(1, n):
-        flow, mask = _flow(n, caps, res, nbrs, 0, v, k, reach=False)
+        flow, mask = _flow(n, caps, res, nbrs, 0, v, k)
         if flow < k:
             return mask
-        flow, mask = _flow(n, caps, res, nbrs, v, 0, k, reach=False)
+        flow, mask = _flow(n, caps, res, nbrs, v, 0, k)
         if flow < k:
             return mask
     return -1
 
 
-def global_min_cut(n, caps):
-    """(value, side_mask) of a minimum cut of a symmetric matrix (n>=2).
-
-    Fixed-root scan: min over v>0 of maxflow(0, v).  Deterministic: the
-    first v attaining the running minimum supplies the side.
-    """
-    res = list(caps)
-    nbrs = [None] * n
-    best = -1
-    best_mask = 0
-    for v in range(1, n):
-        flow, mask = _flow(n, caps, res, nbrs, 0, v, best if best >= 0 else -1, reach=False)
-        if best < 0 or flow < best:
-            best = flow
-            best_mask = mask
-            if best == 0:
-                break
-    return best, best_mask
-
-
 def min_cut_value(n, caps):
-    """Value of a minimum cut of a symmetric matrix (n >= 2): equal to
-    global_min_cut(n, caps)[0], including its -1 for n < 2, without a
-    side and without max flows (Nagamochi-Ibaraki contraction).
+    """Value of a minimum cut of a symmetric matrix (n >= 2), -1 for
+    n < 2, without max flows (Nagamochi-Ibaraki contraction).
 
     The graph is kept as one dict of neighbour weights per vertex and
     shrinks by contraction.  Contracting u and v keeps the minimum

@@ -394,7 +394,7 @@ def edge_connectivity(G):
 
     Only the value is needed, and it is unique, so this calls the
     value-only kernel ``min_cut_value`` (no max flows in the pure
-    backend); ``frames`` keeps ``global_min_cut`` for its side."""
+    backend)."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("edge_connectivity expects a Multigraph")
     if G.n <= 1:
@@ -402,59 +402,23 @@ def edge_connectivity(G):
     return _kernels.min_cut_value(G.n, G.caps_flat())
 
 
-def violating_dicut(D, k, core=None):
-    """A dicut of D with out-size < k, or None if D is k-arc-strong.
-
-    With ``core=W`` (a vertex set the caller knows induces a
-    k-arc-strong subdigraph) only connectivity between W and the rest is
-    checked; sound and complete given a correct core.
-    """
+def violating_dicut(D, k):
+    """A dicut of D with out-size < k, or None if D is k-arc-strong."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("violating_dicut expects a MultiDigraph")
     _check_k(k)
     n = D.n
     if n <= 1:
         return None
-    if core is None:
-        mask = _kernels.karc_deficient_cut(n, D.caps_flat(), k)
-        if mask == -1:
-            return None
-        return dicut(D, _mask_to_set(mask))
-    w = set(core)
-    for v in w:
-        _check_vertex(v, n, "core vertex")
-    if not w:
-        raise InvalidArgumentError("core must be nonempty")
-    rest = [v for v in range(n) if v not in w]
-    if not rest:
-        return None  # D[W] = D, trusted k-arc-strong
-    # contract W to the last index of a smaller matrix
-    nn = len(rest) + 1
-    wi = nn - 1
-    pos = {v: i for i, v in enumerate(rest)}
-    caps = [0] * (nn * nn)
-    for (t, h), m in D._m.items():
-        a = pos.get(t, wi)
-        b = pos.get(h, wi)
-        if a != b:
-            caps[a * nn + b] += m
-    for v in rest:
-        i = pos[v]
-        flow, mask = _kernels.st_max_flow(nn, caps, i, wi, k)
-        if flow < k:
-            side = {rest[j] for j in range(len(rest)) if (mask >> j) & 1}
-            return dicut(D, side)
-        flow, mask = _kernels.st_max_flow(nn, caps, wi, i, k)
-        if flow < k:
-            side = {rest[j] for j in range(len(rest)) if (mask >> j) & 1}
-            side |= w
-            return dicut(D, side)
-    return None
+    mask = _kernels.karc_deficient_cut(n, D.caps_flat(), k)
+    if mask == -1:
+        return None
+    return dicut(D, _mask_to_set(mask))
 
 
-def is_k_arc_strong(D, k, core=None):
+def is_k_arc_strong(D, k):
     """True iff every dicut of D has at least k arcs leaving."""
-    return violating_dicut(D, k, core=core) is None
+    return violating_dicut(D, k) is None
 
 
 # -- inversions and pushing -------------------------------------------
@@ -535,7 +499,10 @@ class InversionFamily:
                 continue
             if not ln.startswith("inv:"):
                 raise InvalidArgumentError(f"expected 'inv:' line, got {ln!r}")
-            sets.append([int(tok) for tok in ln[4:].split()])
+            try:
+                sets.append([int(tok) for tok in ln[4:].split()])
+            except ValueError:
+                raise InvalidArgumentError(f"bad vertex in line {ln!r}") from None
         return InversionFamily(sets)
 
 
@@ -615,35 +582,28 @@ def frames(G, k):
     subgraphs (singletons count as infinitely connected).
 
     Recursive: a piece whose induced subgraph has a cut below k is split
-    along a minimum cut; the result is the unique frame partition, so
-    the choice of minimum cut does not matter.  Internally the split
-    side comes from a fixed-root flow scan and the lexicographically
-    smaller side recurses first, making the run deterministic."""
+    along it.  No cut below k separates two vertices of one frame, so
+    any such cut gives the unique frame partition; the cut comes from
+    ``karc_deficient_cut``, as on a symmetric matrix d+(S) is the cut
+    size of S."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("frames expects a Multigraph")
     _check_k(k)
     blocks = []
 
     def split(ids):
-        if len(ids) <= 1:
-            blocks.append(tuple(ids))
-            return
         sub, _ = G.induced(ids)
-        value, mask = _kernels.global_min_cut(sub.n, sub.caps_flat())
-        if value >= k:
+        mask = _kernels.karc_deficient_cut(sub.n, sub.caps_flat(), k)
+        if mask == -1:
             blocks.append(tuple(ids))
             return
-        a = [ids[i] for i in range(len(ids)) if (mask >> i) & 1]
-        b = [ids[i] for i in range(len(ids)) if not (mask >> i) & 1]
-        first, second = (a, b) if a < b else (b, a)
-        split(first)
-        split(second)
+        split([ids[i] for i in range(len(ids)) if (mask >> i) & 1])
+        split([ids[i] for i in range(len(ids)) if not (mask >> i) & 1])
 
-    split(list(range(G.n)))
-    blocks.sort(key=lambda b: b[0] if b else -1)
-    groups = [list(b) for b in blocks]
-    contracted = G.contract(groups) if G.n else Multigraph(0)
-    return FramePartition(k=k, blocks=tuple(blocks), contracted=contracted)
+    if G.n:
+        split(list(range(G.n)))
+    blocks.sort()
+    return FramePartition(k=k, blocks=tuple(blocks), contracted=G.contract(blocks))
 
 
 # -- .mdg text format ---------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcinvert import _kernels, core
+from arcinvert import core, oracles
 from arcinvert.core import (
     INFINITY,
     InversionFamily,
@@ -25,6 +25,7 @@ from arcinvert.core import (
 from arcinvert.errors import InvalidArgumentError, ParseError
 
 from conftest import rand_digraph, rand_family, rand_multidigraph, rand_multigraph
+from test_kernels import _dense_global_min_cut
 
 
 @st.composite
@@ -90,6 +91,11 @@ def test_family_lines_round_trip():
     assert again.sets == fam.sets
 
 
+def test_family_lines_reject_a_non_integer_vertex():
+    with pytest.raises(InvalidArgumentError, match="inv: 0 x"):
+        InversionFamily.from_lines(["inv: 0 1", "inv: 0 x"])
+
+
 def test_symmetric_difference_cancels_duplicates():
     a = InversionFamily([[0, 1], [2, 3]])
     b = InversionFamily([[2, 3], [1, 4]])
@@ -130,20 +136,11 @@ def _brute_lambda(G):
     return best
 
 
-def test_edge_connectivity_matches_brute_force(monkeypatch):
-    # the value-only kernel serves it: no global_min_cut flow scan
-    calls = []
-
-    def counted(n, caps, _fn=_kernels.global_min_cut):
-        calls.append(n)
-        return _fn(n, caps)
-
-    monkeypatch.setattr(_kernels, "global_min_cut", counted)
+def test_edge_connectivity_matches_brute_force():
     rng = random.Random(43)
     for _ in range(80):
         G = rand_multigraph(rng, n_max=7)
         assert edge_connectivity(G) == _brute_lambda(G)
-    assert calls == []
 
 
 def _brute_k_arc_strong(D, k):
@@ -205,6 +202,47 @@ def test_frames_match_brute_force_maximal_blocks():
         for k in (1, 2, 3):
             part = frames(G, k)
             assert set(part.blocks) == brute_frames(G, k)
+
+
+def test_frames_of_empty_and_single_vertex_graphs_match_the_oracle():
+    for n in (0, 1):
+        for k in (1, 2, 3):
+            part = frames(Multigraph(n), k)
+            assert list(part.blocks) == oracles.brute_frames(Multigraph(n), k)
+            assert part.contracted == Multigraph(n)
+
+
+def _min_cut_frames(G, k):
+    """Reference recursion: split a piece along a minimum cut of its
+    induced subgraph, from the dense flow reference, while that cut is
+    below k."""
+    blocks = []
+
+    def split(ids):
+        if len(ids) <= 1:
+            blocks.append(tuple(ids))
+            return
+        sub, _ = G.induced(ids)
+        value, mask = _dense_global_min_cut(sub.n, sub.caps_flat())
+        if value >= k:
+            blocks.append(tuple(ids))
+            return
+        split([ids[i] for i in range(len(ids)) if (mask >> i) & 1])
+        split([ids[i] for i in range(len(ids)) if not (mask >> i) & 1])
+
+    split(list(range(G.n)))
+    return sorted(blocks)
+
+
+def test_frames_match_the_min_cut_recursion_past_brute_force():
+    # brute_frames stops at n = 10; sparse graphs give many frames
+    rng = random.Random(49)
+    for _ in range(24):
+        G = rand_multigraph(rng, n_min=11, n_max=40, density=rng.choice((0.08, 0.15, 0.3)))
+        for k in (1, 2, 3, 4):
+            part = frames(G, k)
+            assert list(part.blocks) == _min_cut_frames(G, k)
+            assert part.contracted.n == len(part.blocks)
 
 
 def test_mdg_round_trip():

@@ -43,12 +43,11 @@ def test_st_max_flow_backends_agree(cimpl):
             )
 
 
-def test_global_min_cut_backends_agree(cimpl):
+def test_min_cut_value_backends_agree(cimpl):
     rng = random.Random(102)
     for _ in range(100):
         G = rand_multigraph(rng, n_max=8)
         caps = G.caps_flat()
-        assert _pyimpl.global_min_cut(G.n, caps) == cimpl.global_min_cut(G.n, caps)
         assert _pyimpl.min_cut_value(G.n, caps) == cimpl.min_cut_value(G.n, caps)
 
 
@@ -69,11 +68,9 @@ def test_backends_agree_past_64_vertices(cimpl):
     sizes = (1, 2, 5, 17, 40, 62, 63, 64, 65, 66, 97, 127, 128, 129, 130)
     for i, n in enumerate(sizes):
         caps = _rand_caps(rng, n, (0.04, 0.1, 0.3)[i % 3] if n > 40 else 0.3, 1 + i % 3)
-        assert _pyimpl.strong_deficient_cut(n, caps) == cimpl.strong_deficient_cut(n, caps)
         for k in (1, 2, 3):
             assert _pyimpl.karc_deficient_cut(n, caps, k) == cimpl.karc_deficient_cut(n, caps, k)
         sym = [caps[u * n + v] + caps[v * n + u] for u in range(n) for v in range(n)]
-        assert _pyimpl.global_min_cut(n, sym) == cimpl.global_min_cut(n, sym)
         assert _pyimpl.min_cut_value(n, sym) == cimpl.min_cut_value(n, sym)
         if n < 2:
             continue
@@ -89,11 +86,9 @@ def test_backends_agree_past_64_vertices(cimpl):
     [
         lambda c: c.st_max_flow(3, [0] * 8, 0, 1),
         lambda c: c.karc_deficient_cut(3, [0] * 10, 2),
-        lambda c: c.strong_deficient_cut(2, [0] * 3),
-        lambda c: c.global_min_cut(4, [0] * 15),
         lambda c: c.min_cut_value(4, [0] * 17),
     ],
-    ids=["st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut", "min_cut_value"],
+    ids=["st_max_flow", "karc_deficient_cut", "min_cut_value"],
 )
 def test_compiled_kernel_rejects_a_wrong_caps_length(cimpl, call):
     with pytest.raises(ValueError):
@@ -104,8 +99,6 @@ def test_compiled_kernel_rejects_a_negative_vertex_count(cimpl):
     for call in (
         lambda: cimpl.st_max_flow(-1, [], 0, 1),
         lambda: cimpl.karc_deficient_cut(-2, [], 2),
-        lambda: cimpl.strong_deficient_cut(-1, []),
-        lambda: cimpl.global_min_cut(-3, []),
         lambda: cimpl.min_cut_value(-2, []),
     ):
         with pytest.raises(ValueError):
@@ -150,7 +143,8 @@ def test_compiled_flow_rejects_bad_endpoints(cimpl, alarm):
 
 
 # -- dense reference: the pure backend's former loops, which scan every
-# vertex at every step; the current kernels must return the same values
+# vertex at every step; the current kernels must return the same values,
+# apart from st_max_flow's mask at its limit, which is 0
 
 
 def _dense_st_max_flow(n, caps, s, t, limit=-1):
@@ -270,7 +264,6 @@ def test_pure_kernels_match_the_dense_reference():
     sizes = [*range(1, 24), *range(24, 70, 6), 70]
     for i, n in enumerate(sizes):
         caps = _rand_caps(rng, n, densities[i % len(densities)], 1 + i % 3)
-        assert _pyimpl.strong_deficient_cut(n, caps) == _dense_strong_deficient_cut(n, caps)
         for k in (1, 2, 3):
             assert _pyimpl.karc_deficient_cut(n, caps, k) == _dense_karc_deficient_cut(n, caps, k)
         if n < 2:
@@ -278,11 +271,11 @@ def test_pure_kernels_match_the_dense_reference():
         for _ in range(3):
             s, t = rng.sample(range(n), 2)
             for limit in (-1, 1, 2, 3):
-                assert _pyimpl.st_max_flow(n, caps, s, t, limit) == _dense_st_max_flow(
-                    n, caps, s, t, limit
-                )
-        sym = [caps[u * n + v] + caps[v * n + u] for u in range(n) for v in range(n)]
-        assert _pyimpl.global_min_cut(n, sym) == _dense_global_min_cut(n, sym)
+                flow, mask = _pyimpl.st_max_flow(n, caps, s, t, limit)
+                dense_flow, dense_mask = _dense_st_max_flow(n, caps, s, t, limit)
+                assert flow == dense_flow
+                # the residual reach is returned only below the limit
+                assert mask == (0 if flow == limit else dense_mask)
 
 
 def _sym_caps(n, edges):
@@ -364,7 +357,7 @@ def test_min_cut_value_matches_global_min_cut():
         instances.append((n, G.caps_flat()))
     instances += [(0, []), (1, [0])]
     for n, caps in instances:
-        assert _pyimpl.min_cut_value(n, caps) == _pyimpl.global_min_cut(n, caps)[0]
+        assert _pyimpl.min_cut_value(n, caps) == _dense_global_min_cut(n, caps)[0]
 
 
 def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
@@ -377,7 +370,7 @@ def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
 
         return call
 
-    names = ("st_max_flow", "karc_deficient_cut", "strong_deficient_cut", "global_min_cut", "min_cut_value")
+    names = ("st_max_flow", "karc_deficient_cut", "min_cut_value")
     recording = SimpleNamespace(**{name: recorded(name) for name in names})
     monkeypatch.setattr(_kernels, "_impl", recording)
     for n in (64, 128):
@@ -394,7 +387,5 @@ def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
         side = _kernels.karc_deficient_cut(n, caps, 3)
         assert side == _pyimpl.karc_deficient_cut(n, caps, 3)
         assert side > 0 and side != (1 << n) - 1
-        assert _kernels.strong_deficient_cut(n, caps) == -1
-        assert _kernels.global_min_cut(n, sym) == _pyimpl.global_min_cut(n, sym)
         assert _kernels.min_cut_value(n, sym) == _pyimpl.min_cut_value(n, sym) == 4
     assert sorted(set(seen)) == sorted((name, n) for name in names for n in (64, 128))

@@ -438,8 +438,7 @@ def _checking_kernels(seen, per_set=0):
     return types.SimpleNamespace(
         karc_deficient_cut=karc_deficient_cut,
         st_max_flow=_kernels.st_max_flow,
-        strong_deficient_cut=_kernels.strong_deficient_cut,
-        global_min_cut=_kernels.global_min_cut,
+        min_cut_value=_kernels.min_cut_value,
     )
 
 
