@@ -4,7 +4,9 @@ Runs the same randomly generated capacity matrices through both
 backends, asserts they agree call by call, and reports per-operation
 timings.  min_cut_value gets the symmetrised matrices.  A second sweep
 times min_cut_value on graph families (cycle, cycle plus n/6 chords,
-complete, random 10-regular) at n = 64, 128 and 256.  The compiled
+complete, random 10-regular) and karc_deficient_cut with k = 1 and 2 on
+a union of k directed Hamilton cycles plus n/2 chords, at n = 64, 128
+and 256.  The compiled
 backend is the installed extension when there is one; otherwise, when
 gcc and Python.h are present, the checked-in _cimpl.c is built into a
 temporary directory and loaded from there.  Usage:
@@ -97,6 +99,21 @@ def family_graphs(rng, n):
     ]
 
 
+def cycle_union(rng, n, k):
+    """Caps of k random directed Hamilton cycles plus n/2 random
+    chords (parallel arcs allowed): a k-arc-strong digraph, on which a
+    deficient-cut scan runs to the end."""
+    caps = [0] * (n * n)
+    for _ in range(k):
+        order = rng.sample(range(n), n)
+        for i in range(n):
+            caps[order[i] * n + order[(i + 1) % n]] += 1
+    for _ in range(n // 2):
+        u, v = rng.sample(range(n), 2)
+        caps[u * n + v] += 1
+    return caps
+
+
 def bench_op(name, call, instances, cimpl):
     """Times one backend-agnostic closure over prebuilt instances,
     checks both backends return identical answers and returns (py s,
@@ -156,13 +173,25 @@ def run_table(sizes, samples, seed, cimpl):
 
 
 def run_families(sizes, seed, cimpl):
-    """Rows of min_cut_value on each family graph, one sample each."""
+    """Rows of min_cut_value on each family graph and of
+    karc_deficient_cut (k = 1, 2) on a k-cycle union, one sample each."""
     rng = random.Random(seed)
+    # a second stream keeps the family graphs those of a run without unions
+    union_rng = random.Random(seed + 1)
     table = []
     for n in sizes:
-        for family, caps in family_graphs(rng, n):
-            name = f"min_cut_value {family}"
-            py_s, c_s = bench_op(name, lambda impl, caps: impl.min_cut_value(n, caps), [caps], cimpl)
+        rows = [
+            (f"min_cut_value {family}", lambda impl, caps: impl.min_cut_value(n, caps), caps)
+            for family, caps in family_graphs(rng, n)
+        ]
+        for k in (1, 2):
+            rows.append((
+                f"karc_deficient_cut k={k} union",
+                lambda impl, caps, k=k: impl.karc_deficient_cut(n, caps, k),
+                cycle_union(union_rng, n, k),
+            ))
+        for name, call, caps in rows:
+            py_s, c_s = bench_op(name, call, [caps], cimpl)
             table.append((name, n, 1, py_s * 1000, c_s and c_s * 1000))
     return table
 

@@ -1,9 +1,11 @@
 /* Compiled flow/cut kernels: the C twin of _pyimpl, with the same
    signatures, return values and tie-breaking.  The flows repeat
    _pyimpl._flow's searches step by step over the same ascending
-   neighbour lists.  Each call copies caps once into an int64 buffer,
-   runs its whole scan with the GIL released and returns vertex sets as
-   Python ints of any width.  Bad arguments raise ValueError.  Build:
+   neighbour lists; the k >= 2 scan runs every flow, including those
+   that _pyimpl skips because their answer is already known.  Each
+   call copies caps once into an int64 buffer, runs its whole scan with
+   the GIL released and returns vertex sets as Python ints of any
+   width.  Bad arguments raise ValueError.  Build:
 
        gcc -O2 -shared -fPIC -I<Python include dir> _cimpl.c -o _cimpl<EXT_SUFFIX>
 */
@@ -151,7 +153,10 @@ static int64_t flow(Net *g, idx s, idx t, int64_t limit)
 static idx reach0(Net *g, int backward)
 {
     idx n = g->n, top = 1, count = 1, u, v;
-    memset(g->side, 0, n);
+    /* a loop, not memset(side, 0, n), which gcc warns about
+       (-Wstringop-overflow) as it cannot see that n > 0 here */
+    for (v = 1; v < n; v++)
+        g->side[v] = 0;
     g->side[0] = 1;
     g->queue[0] = 0;
     while (top > 0)

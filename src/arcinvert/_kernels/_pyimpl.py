@@ -17,6 +17,11 @@ only exist between such neighbours, and the lists keep the ascending
 order of a dense scan, so every breadth-first search visits the same
 vertices in the same order and finds the same augmenting paths as a
 scan of every vertex would.
+
+karc_deficient_cut does less than the C kernel's scan and returns the
+same side: with k = 1 it takes whole rows as bitmasks instead of
+testing one vertex at a time, and with k >= 2 it skips each flow whose
+answer the arcs to and from the vertices already passed prove.
 """
 
 from heapq import heappop, heappush
@@ -99,32 +104,37 @@ def st_max_flow(n, caps, s, t, limit=-1):
     return _flow(n, caps, list(caps), [None] * n, s, t, limit)
 
 
+# POW[i] == 1 << i.  _strong_deficient_cut grows it past 64 when a
+# larger n needs it, by rebinding a new list: a list extended in place
+# could be read half grown by a scan in another thread.
+POW = [1 << i for i in range(64)]
+
+
 def _strong_deficient_cut(n, caps):
-    """Side S with no arcs leaving S, or -1 if strongly connected."""
+    """Side S with no arcs leaving S, or -1 if strongly connected.
+
+    Takes the forward reach of vertex 0 (S is that reach), then the
+    backward reach (S is its complement).  Each reached vertex is
+    expanded once: its row (backward: its column) becomes a mask in one
+    C-level ``sum(compress(POW, row))``, and a search stops once every
+    vertex is reached."""
+    global POW
+    pow2 = POW
+    if len(pow2) < n:
+        pow2 = POW = [1 << i for i in range(n)]
     full = (1 << n) - 1
-    # forward reach from 0
-    mask = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        base = u * n
-        for v in range(n):
-            if not (mask >> v) & 1 and caps[base + v] > 0:
-                mask |= 1 << v
-                stack.append(v)
-    if mask != full:
-        return mask
-    # backward reach to 0
-    rmask = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in range(n):
-            if not (rmask >> v) & 1 and caps[v * n + u] > 0:
-                rmask |= 1 << v
-                stack.append(v)
-    if rmask != full:
-        return full & ~rmask
+    for backward in (False, True):
+        mask = todo = 1
+        while todo and mask != full:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            row = caps[u::n] if backward else caps[u * n:u * n + n]
+            new = sum(compress(pow2, row)) & ~mask
+            mask |= new
+            todo |= new
+        if mask != full:
+            return full & ~mask if backward else mask
     return -1
 
 
@@ -135,6 +145,16 @@ def karc_deficient_cut(n, caps, k):
     larger k scans local arc-connectivity to and from vertex 0.
     Deterministic: the first deficiency in scan order (v ascending,
     0->v before v->0) is returned.
+
+    The scan skips a flow whose answer the passed vertices 0..v-1
+    already prove.  The 0->v flow is skipped when v has at least k arcs
+    in from them: a cut S with 0 in S and v outside either holds every
+    passed vertex, and then carries those arcs, or separates 0 from a
+    passed u, and lambda(0, u) >= k was checked before.  Symmetrically
+    the v->0 flow is skipped when v has at least k arcs out to them.
+    A skipped flow could not have failed, and every other test runs the
+    same flow as a full scan, so the first failure and its side stay
+    the same.
     """
     if n <= 1:
         return -1
@@ -143,12 +163,15 @@ def karc_deficient_cut(n, caps, k):
     res = list(caps)
     nbrs = [None] * n
     for v in range(1, n):
-        flow, mask = _flow(n, caps, res, nbrs, 0, v, k)
-        if flow < k:
-            return mask
-        flow, mask = _flow(n, caps, res, nbrs, v, 0, k)
-        if flow < k:
-            return mask
+        # caps[v:v*n:n] is v's column over rows 0..v-1
+        if sum(caps[v:v * n:n]) < k:
+            flow, mask = _flow(n, caps, res, nbrs, 0, v, k)
+            if flow < k:
+                return mask
+        if sum(caps[v * n:v * n + v]) < k:
+            flow, mask = _flow(n, caps, res, nbrs, v, 0, k)
+            if flow < k:
+                return mask
     return -1
 
 

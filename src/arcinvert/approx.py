@@ -199,7 +199,11 @@ def minimally_k_arc_strong(D, k):
     is k-arc-strong exactly when it still has k arc-disjoint t->h
     paths.  A cut S with fewer than k arcs out in D - th has at least k
     in D, so th leaves it: t is in S and h is not, and S caps the t->h
-    flow below k.  Conversely a t->h flow below k gives such a cut."""
+    flow below k.  Conversely a t->h flow below k gives such a cut.
+
+    A unit t->h whose tail has at most k arcs out, or whose head at
+    most k arcs in, stays without a flow: dropping it leaves the cut
+    {t} or the complement of {h} below k."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("minimally_k_arc_strong expects a MultiDigraph")
     _check_k(k)
@@ -212,10 +216,16 @@ def _minimal_core(D, k):
     """minimally_k_arc_strong on a D already known to be k-arc-strong."""
     n = D.n
     caps = D.caps_flat()
+    out = [sum(caps[u * n:u * n + n]) for u in range(n)]
+    into = [sum(caps[u::n]) for u in range(n)]
     for (t, h, m) in D.arcs():
         for _unit in range(m):
+            if out[t] <= k or into[h] <= k:
+                break
             caps[t * n + h] -= 1
             if _kernels.st_max_flow(n, caps, t, h, k)[0] == k:
+                out[t] -= 1
+                into[h] -= 1
                 continue
             caps[t * n + h] += 1
             break

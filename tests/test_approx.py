@@ -126,11 +126,30 @@ def _naive_minimal(D, k):
     return MultiDigraph(D.n, [(a, b, c) for (a, b), c in units.items() if c])
 
 
+def _dicycle_union(rng, k):
+    """Sparse k-arc-strong multidigraph: k random Hamilton dicycles,
+    parallel arcs kept, plus a few doubled chords; most arc units sit
+    at a vertex of out- or in-degree k."""
+    n = rng.randint(2, 9)
+    units = Counter()
+    for _ in range(k):
+        order = rng.sample(range(n), n)
+        for i in range(n):
+            units[(order[i], order[(i + 1) % n])] += 1
+    for _ in range(rng.randint(0, 2)):
+        t, h = rng.sample(range(n), 2)
+        units[(t, h)] += rng.randint(1, 2)
+    return MultiDigraph(n, [(t, h, m) for (t, h), m in units.items()])
+
+
 def test_minimally_k_arc_strong_matches_the_naive_deletion():
     rng = random.Random(509)
     for k in (1, 2, 3):
         for _ in range(12):
             D = _rand_k_arc_strong(rng, k)
+            assert minimally_k_arc_strong(D, k) == _naive_minimal(D, k)
+        for _ in range(12):
+            D = _dicycle_union(rng, k)
             assert minimally_k_arc_strong(D, k) == _naive_minimal(D, k)
 
 
@@ -145,16 +164,34 @@ def test_minimally_k_arc_strong_runs_one_flow_per_unit(monkeypatch):
     # the inputs are k-arc-strong; skip the precondition's own cut scan
     monkeypatch.setattr(approx, "is_k_arc_strong", lambda D, k: True)
     rng = random.Random(510)
+    forced = 0
     for k in (1, 2, 3):
         for _ in range(8):
             D = _rand_k_arc_strong(rng, k)
             calls.clear()
             core = minimally_k_arc_strong(D, k)
             kept = {(t, h): m for (t, h, m) in core.arcs()}
-            # units of an arc are tried until the first one that must stay
-            tried = sum(m - kept.get((t, h), 0) + ((t, h) in kept) for (t, h, m) in D.arcs())
+            # units of an arc are tried until the first one that must
+            # stay; a unit whose tail has at most k arcs out or whose
+            # head at most k arcs in, in the core so far, stays unflowed
+            out, into = Counter(), Counter()
+            for (t, h, m) in D.arcs():
+                out[t] += m
+                into[h] += m
+            flows = 0
+            for (t, h, m) in D.arcs():
+                for unit in range(m):
+                    if out[t] <= k or into[h] <= k:
+                        forced += 1
+                        break
+                    flows += 1
+                    if unit == m - kept.get((t, h), 0):
+                        break
+                    out[t] -= 1
+                    into[h] -= 1
             assert calls["karc_deficient_cut"] == 0
-            assert calls["st_max_flow"] == tried
+            assert calls["st_max_flow"] == flows
+    assert forced > 0
 
 
 def test_approx_kp_tests_strongness_twice(monkeypatch):

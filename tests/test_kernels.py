@@ -60,6 +60,9 @@ def test_karc_deficient_cut_backends_agree(cimpl):
             assert _pyimpl.karc_deficient_cut(D.n, caps, k) == cimpl.karc_deficient_cut(
                 D.n, caps, k
             )
+    for n, caps, k in _late_broken_unions(random.Random(108)):
+        for kk in (k - 1, k, k + 1):
+            assert _pyimpl.karc_deficient_cut(n, caps, kk) == cimpl.karc_deficient_cut(n, caps, kk)
 
 
 def test_backends_agree_past_64_vertices(cimpl):
@@ -257,6 +260,40 @@ def _rand_caps(rng, n, density, mult_max):
     ]
 
 
+def _union_caps(rng, n, k, chords):
+    """k random Hamilton dicycles (parallel arcs allowed) plus random
+    chords: a k-arc-strong matrix."""
+    caps = [0] * (n * n)
+    for _ in range(k):
+        order = rng.sample(range(n), n)
+        for i in range(n):
+            caps[order[i] * n + order[(i + 1) % n]] += 1
+    for _ in range(chords):
+        u, v = rng.sample(range(n), 2)
+        caps[u * n + v] += 1
+    return caps
+
+
+def _late_broken_unions(rng):
+    """(n, caps, k): cycle unions with units removed at the last
+    vertices, so that the first deficiency of the scan, if any, comes
+    late and after many flows that the passed vertices decide."""
+    cases = []
+    for n in (6, 12, 20, 33, 65, 80):
+        for k in (2, 3, 4):
+            caps = _union_caps(rng, n, k, rng.choice((0, n // 4, n // 2)))
+            late = range(n - max(2, n // 5), n)
+            for _ in range(rng.randint(1, 3)):
+                arcs = [
+                    (u, v) for u in range(n) for v in range(n)
+                    if caps[u * n + v] and (u in late or v in late)
+                ]
+                u, v = rng.choice(arcs)
+                caps[u * n + v] -= 1
+            cases.append((n, caps, k))
+    return cases
+
+
 def test_pure_kernels_match_the_dense_reference():
     # sizes past one machine word of mask bits, sparse to dense
     rng = random.Random(104)
@@ -276,6 +313,25 @@ def test_pure_kernels_match_the_dense_reference():
                 assert flow == dense_flow
                 # the residual reach is returned only below the limit
                 assert mask == (0 if flow == limit else dense_mask)
+    found = set()
+    for n, caps, k in _late_broken_unions(rng):
+        side = _pyimpl.karc_deficient_cut(n, caps, k)
+        assert side == _dense_karc_deficient_cut(n, caps, k)
+        found.add(side == -1)
+    assert found == {True, False}
+    # k = 1 reaches wider than a machine word: a directed ring, the ring
+    # cut after a random vertex (0 reaches a prefix) and the ring
+    # without its arc into 0 (0 reaches all, nothing else reaches 0)
+    for n in (65, 100, 130):
+        ring = [0] * (n * n)
+        for i in range(n):
+            ring[i * n + (i + 1) % n] = 1
+        forward = list(ring)
+        forward[rng.randrange(1, n - 1) * (n + 1) + 1] = 0
+        backward = list(ring)
+        backward[(n - 1) * n] = 0
+        for caps in (ring, forward, backward, _union_caps(rng, n, 1, 3)):
+            assert _pyimpl.karc_deficient_cut(n, caps, 1) == _dense_karc_deficient_cut(n, caps, 1)
 
 
 def _sym_caps(n, edges):
