@@ -4,9 +4,10 @@ Runs the same randomly generated capacity matrices through both
 backends, asserts they agree call by call, and reports per-operation
 timings.  min_cut_value gets the symmetrised matrices.  A second sweep
 times min_cut_value on graph families (cycle, cycle plus n/6 chords,
-complete, random 10-regular) and karc_deficient_cut with k = 1 and 2 on
-a union of k directed Hamilton cycles plus n/2 chords, at n = 64, 128
-and 256.  The compiled
+complete, random 10-regular), karc_deficient_cut with k = 1 and 2 on
+a union of k directed Hamilton cycles plus n/2 chords, and
+karc_deficient_cut with k = 2 on such a union that lacks one arc into
+the last vertex ("late"), at n = 64, 128 and 256.  The compiled
 backend is the installed extension when there is one; otherwise, when
 gcc and Python.h are present, the checked-in _cimpl.c is built into a
 temporary directory and loaded from there.  Usage:
@@ -114,6 +115,29 @@ def cycle_union(rng, n, k):
     return caps
 
 
+def late_union(rng, n, k):
+    """Caps of k random directed Hamilton cycles plus n/2 random chords
+    that avoid n - 1, with one arc into n - 1 removed and its tail
+    joined to the next vertex of its cycle instead.  Every cut other
+    than the one around n - 1 still has at least k arcs out, and that
+    one has k - 1: the scan runs to its end and fails at its last
+    flow."""
+    caps = [0] * (n * n)
+    for j in range(k):
+        order = rng.sample(range(n), n)
+        for i in range(n):
+            caps[order[i] * n + order[(i + 1) % n]] += 1
+        if j == 0:
+            i = order.index(n - 1)
+            pred, succ = order[i - 1], order[(i + 1) % n]
+            caps[pred * n + n - 1] -= 1
+            caps[pred * n + succ] += 1
+    for _ in range(n // 2):
+        u, v = rng.sample(range(n - 1), 2)
+        caps[u * n + v] += 1
+    return caps
+
+
 def bench_op(name, call, instances, cimpl):
     """Times one backend-agnostic closure over prebuilt instances,
     checks both backends return identical answers and returns (py s,
@@ -173,11 +197,15 @@ def run_table(sizes, samples, seed, cimpl):
 
 
 def run_families(sizes, seed, cimpl):
-    """Rows of min_cut_value on each family graph and of
-    karc_deficient_cut (k = 1, 2) on a k-cycle union, one sample each."""
+    """Rows of min_cut_value on each family graph, of
+    karc_deficient_cut (k = 1, 2) on a k-cycle union and of
+    karc_deficient_cut (k = 2) on a 2-cycle union that fails only at
+    the last flow of the scan, one sample each."""
     rng = random.Random(seed)
-    # a second stream keeps the family graphs those of a run without unions
+    # second and third streams keep the graphs of each kind those of a
+    # run without the later kinds
     union_rng = random.Random(seed + 1)
+    late_rng = random.Random(seed + 2)
     table = []
     for n in sizes:
         rows = [
@@ -190,6 +218,11 @@ def run_families(sizes, seed, cimpl):
                 lambda impl, caps, k=k: impl.karc_deficient_cut(n, caps, k),
                 cycle_union(union_rng, n, k),
             ))
+        rows.append((
+            "karc_deficient_cut k=2 late",
+            lambda impl, caps: impl.karc_deficient_cut(n, caps, 2),
+            late_union(late_rng, n, 2),
+        ))
         for name, call, caps in rows:
             py_s, c_s = bench_op(name, call, [caps], cimpl)
             table.append((name, n, 1, py_s * 1000, c_s and c_s * 1000))

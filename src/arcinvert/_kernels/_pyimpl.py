@@ -20,8 +20,15 @@ scan of every vertex would.
 
 karc_deficient_cut does less than the C kernel's scan and returns the
 same side: with k = 1 it takes whole rows as bitmasks instead of
-testing one vertex at a time, and with k >= 2 it skips each flow whose
-answer the arcs to and from the vertices already passed prove.
+testing one vertex at a time.  With k >= 2 the C kernel sends its flows
+between v and vertex 0, and this one between v and the set P of the
+vertices already passed: every vertex of P is then k-connected to and
+from vertex 0, so the flow to or from P falls below k exactly when the
+flow to or from 0 does, with the same minimum cuts, and the minimal
+side of those cuts is unique (karc_deficient_cut gives the argument).
+Its searches start at v and stop at the first vertex of P they reach,
+which is mostly close, and it skips each flow that v's own arcs to or
+from P already fill.
 """
 
 from heapq import heappop, heappush
@@ -31,17 +38,23 @@ from operator import or_
 BACKEND = "py"
 
 
-def _flow(n, caps, res, nbrs, s, t, limit):
-    """Max s->t flow by BFS augmentation over the residual matrix
-    ``res``, which must equal ``caps`` on entry and equals it again on
-    return.  ``nbrs[u]`` is the ascending list of the vertices that
-    share an arc with u, in either direction, or None until a search
-    first reaches u.  Returns (flow, mask of the residual reach from
-    s); the mask is 0 when the flow stops at its limit, as no search
-    runs then."""
+def _flow(n, caps, res, nbrs, s, target, limit):
+    """Max flow from s to the vertices flagged in ``target`` by BFS
+    augmentation over the residual matrix ``res``, which must equal
+    ``caps`` on entry.  Each search runs forwards from s along
+    residual arcs and stops at the first flagged vertex it reaches;
+    s must not be flagged.  To search backwards, that is, to send the
+    flow from the flagged set into s, pass the transposed ``caps`` and
+    ``res``.  ``nbrs[u]`` is the ascending list of the vertices that
+    share an arc with u, in either direction (the same for a matrix and
+    its transpose), or None until a search first reaches u.
+
+    Returns (flow, mask of the residual reach from s).  A flow that
+    stops at its limit returns mask 0, as no search runs then, and
+    leaves ``res`` equal to ``caps`` again; below the limit ``res``
+    holds the final residual matrix."""
     verts = range(n)
     flow = 0
-    mask = 0
     touched = []
     while flow != limit:
         parent = [-1] * n
@@ -55,18 +68,23 @@ def _flow(n, caps, res, nbrs, s, t, limit):
             for v in nb:
                 if parent[v] < 0 and res[base + v] > 0:
                     parent[v] = u
+                    # parents are final once set: stopping here keeps
+                    # the path, and no flagged vertex is ever expanded
+                    if target[v]:
+                        break
                     queue.append(v)
-            # parents are final once set: stopping at t keeps its path
-            if parent[t] >= 0:
-                break
+            else:
+                continue
+            break
         else:
-            # t is unreachable: the search has visited the whole
-            # residual reach from s
+            # no flagged vertex is reachable: the search has visited
+            # the whole residual reach from s
+            mask = 0
             for v in queue:
                 mask |= 1 << v
-            break
+            return flow, mask
+        t = v
         bott = -1
-        v = t
         while v != s:
             u = parent[v]
             c = res[u * n + v]
@@ -86,7 +104,7 @@ def _flow(n, caps, res, nbrs, s, t, limit):
         flow += bott
     for i in touched:
         res[i] = caps[i]
-    return flow, mask
+    return flow, 0
 
 
 def st_max_flow(n, caps, s, t, limit=-1):
@@ -101,41 +119,38 @@ def st_max_flow(n, caps, s, t, limit=-1):
     """
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need distinct s, t in 0..{n - 1}, got {s}, {t}")
-    return _flow(n, caps, list(caps), [None] * n, s, t, limit)
+    target = [False] * n
+    target[t] = True
+    return _flow(n, caps, list(caps), [None] * n, s, target, limit)
 
 
-# POW[i] == 1 << i.  _strong_deficient_cut grows it past 64 when a
-# larger n needs it, by rebinding a new list: a list extended in place
-# could be read half grown by a scan in another thread.
+# POW[i] == 1 << i.  _reach grows it past 64 when a larger n needs it,
+# by rebinding a new list: a list extended in place could be read half
+# grown by a scan in another thread.
 POW = [1 << i for i in range(64)]
 
 
-def _strong_deficient_cut(n, caps):
-    """Side S with no arcs leaving S, or -1 if strongly connected.
-
-    Takes the forward reach of vertex 0 (S is that reach), then the
-    backward reach (S is its complement).  Each reached vertex is
-    expanded once: its row (backward: its column) becomes a mask in one
-    C-level ``sum(compress(POW, row))``, and a search stops once every
-    vertex is reached."""
+def _reach(n, caps, mask, backward):
+    """Mask of the vertices that the vertices of ``mask`` reach along
+    the positive entries of ``caps`` (backward: that reach them).  Each
+    reached vertex is expanded once: its row (backward: its column)
+    becomes a mask in one C-level ``sum(compress(POW, row))``, and the
+    search stops once every vertex is reached."""
     global POW
     pow2 = POW
     if len(pow2) < n:
         pow2 = POW = [1 << i for i in range(n)]
     full = (1 << n) - 1
-    for backward in (False, True):
-        mask = todo = 1
-        while todo and mask != full:
-            low = todo & -todo
-            todo ^= low
-            u = low.bit_length() - 1
-            row = caps[u::n] if backward else caps[u * n:u * n + n]
-            new = sum(compress(pow2, row)) & ~mask
-            mask |= new
-            todo |= new
-        if mask != full:
-            return full & ~mask if backward else mask
-    return -1
+    todo = mask
+    while todo and mask != full:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        row = caps[u::n] if backward else caps[u * n:u * n + n]
+        new = sum(compress(pow2, row)) & ~mask
+        mask |= new
+        todo |= new
+    return mask
 
 
 def karc_deficient_cut(n, caps, k):
@@ -144,32 +159,60 @@ def karc_deficient_cut(n, caps, k):
     k = 1 takes the forward, then the backward reach of vertex 0;
     larger k scans local arc-connectivity to and from vertex 0.
     Deterministic: the first deficiency in scan order (v ascending,
-    0->v before v->0) is returned.
+    0->v before v->0) is returned, with the minimal side of the minimum
+    cuts: for 0->v the residual reach of 0, for v->0 that of v, after a
+    maximum flow.
 
-    The scan skips a flow whose answer the passed vertices 0..v-1
-    already prove.  The 0->v flow is skipped when v has at least k arcs
-    in from them: a cut S with 0 in S and v outside either holds every
-    passed vertex, and then carries those arcs, or separates 0 from a
-    passed u, and lambda(0, u) >= k was checked before.  Symmetrically
-    the v->0 flow is skipped when v has at least k arcs out to them.
-    A skipped flow could not have failed, and every other test runs the
-    same flow as a full scan, so the first failure and its side stay
-    the same.
+    With k >= 2 the flows run between v and the passed set P = {0..v-1}
+    instead of vertex 0 (Hao and Orlin, J. Algorithms 17, 1994, grow
+    their source set the same way).  When v is tested, every u in P has
+    lambda(0, u) >= k and lambda(u, 0) >= k.  A 0->v cut S below k then
+    holds all of P, as otherwise it separates 0 from some u in P, which
+    lambda(0, u) >= k forbids.  Every P->v cut is a 0->v cut, so
+    lambda(0, v) < k exactly when lambda(P, v) < k, and both have the
+    same minimum cuts.  The minimal source side of the minimum cuts is
+    unique, so the side returned is the one a 0->v flow returns, bit
+    for bit; v->P and v->0 alike.
+
+    The P->v flow searches backwards from v (forwards in the transposed
+    matrix) and stops at the first vertex of P it reaches, and the v->P
+    flow searches forwards from v.  Only a failing P->v flow needs one
+    more search: the forward residual reach of P, its side.  The P->v
+    flow is skipped when v has at least k arcs in from P, as every
+    P->v cut carries all of them (the flow would find them as paths of
+    one arc); the v->P flow likewise when v has at least k arcs out to
+    P.
     """
     if n <= 1:
         return -1
     if k == 1:
-        return _strong_deficient_cut(n, caps)
-    res = list(caps)
+        full = (1 << n) - 1
+        mask = _reach(n, caps, 1, False)
+        if mask != full:
+            return mask
+        mask = _reach(n, caps, 1, True)
+        return full & ~mask if mask != full else -1
+    # residual matrices, each built when its first flow runs
+    res = capsT = resT = None
     nbrs = [None] * n
+    passed = [False] * n
     for v in range(1, n):
+        passed[v - 1] = True
         # caps[v:v*n:n] is v's column over rows 0..v-1
         if sum(caps[v:v * n:n]) < k:
-            flow, mask = _flow(n, caps, res, nbrs, 0, v, k)
-            if flow < k:
-                return mask
+            if capsT is None:
+                capsT = []
+                for u in range(n):
+                    capsT += caps[u::n]
+                resT = list(capsT)
+            if _flow(n, capsT, resT, nbrs, v, passed, k)[0] < k:
+                # resT is the transposed residual: its columns are the
+                # residual rows
+                return _reach(n, resT, (1 << v) - 1, True)
         if sum(caps[v * n:v * n + v]) < k:
-            flow, mask = _flow(n, caps, res, nbrs, v, 0, k)
+            if res is None:
+                res = list(caps)
+            flow, mask = _flow(n, caps, res, nbrs, v, passed, k)
             if flow < k:
                 return mask
     return -1

@@ -96,6 +96,9 @@ def _min_pairs(D, k, sup=None):
         indeg[u] += uv - vu
 
     def deficient():
+        # a single vertex has no proper cut, so its degrees bound nothing
+        if n < 2:
+            return 0
         return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
 
     chain = []
@@ -167,16 +170,17 @@ def _greedy_pairs(D, k):
             if not is_k_arc_strong(apply_inversions(D, fam), k):
                 raise RuntimeError("internal error: greedy repair returned a bad family")
             return fam
+        # only a crossing pair changes the cut: lo in the side, hi not
+        inside = [v for v in range(n) if (side >> v) & 1]
+        outside = [v for v in range(n) if not (side >> v) & 1]
         best = None
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in flipped:
-                    continue
-                if ((side >> u) & 1) != ((side >> v) & 1) and caps[u * n + v] != caps[v * n + u]:
-                    lo, hi = (u, v) if (side >> u) & 1 else (v, u)
-                    gain = caps[hi * n + lo] - caps[lo * n + hi]
-                    if gain > 0 and (best is None or (-gain, (u, v)) < best):
-                        best = (-gain, (u, v))
+        for lo in inside:
+            for hi in outside:
+                gain = caps[hi * n + lo] - caps[lo * n + hi]
+                if gain > 0:
+                    pr = (lo, hi) if lo < hi else (hi, lo)
+                    if pr not in flipped and (best is None or (-gain, pr) < best):
+                        best = (-gain, pr)
         if best is None:
             break
         _g, (u, v) = best

@@ -658,6 +658,9 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             indeg[a] += ab - ba
 
     def deficient_count():
+        # a single vertex has no proper cut, so its degrees bound nothing
+        if n < 2:
+            return 0
         return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
 
     def candidates_for(side_mask):

@@ -19,12 +19,13 @@ from arcinvert.core import (
     MultiDigraph,
     Multigraph,
     apply_inversions,
+    edge_connectivity,
     is_k_arc_strong,
 )
 from arcinvert.errors import PreconditionViolatedError
 from arcinvert.oracles import exact_inv_kp, gf2_reachable
 
-from conftest import rand_2kec_digraph
+from conftest import rand_2kec_digraph, rand_digraph
 
 
 def test_min_k2_matches_the_generic_exact_solver():
@@ -63,6 +64,16 @@ def test_min_k2_respects_support():
     assert seen_none > 0
 
 
+def test_min_k2_on_a_single_vertex():
+    # no proper cut, so k-arc-strong already and the empty family is optimal
+    assert min_k2_inversion_set(MultiDigraph(1), 1).sets == ()
+
+
+def test_approx_kp_on_a_single_vertex():
+    family, trace = approx_kp(MultiDigraph(1), 1, 3)
+    assert family.sets == () and trace.base_pairs.sets == ()
+
+
 def test_min_k2_requires_connectivity():
     D = MultiDigraph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(PreconditionViolatedError):
@@ -77,6 +88,55 @@ def test_greedy_output_is_valid_and_never_beats_exact():
         greedy = greedy_k2_inversion_set(D, 1)
         assert is_k_arc_strong(apply_inversions(D, greedy.sets), 1)
         assert len(greedy.sets) >= len(exact.sets)
+
+
+def _greedy_over_all_pairs(D, k):
+    """The greedy pair repair with its former step, which scans all
+    pairs u < v for the best crossing one."""
+    n = D.n
+    caps = D.caps_flat()
+    flipped = set()
+    while True:
+        side = _kernels.karc_deficient_cut(n, caps, k)
+        if side == -1:
+            return sorted(flipped)
+        best = None
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) in flipped:
+                    continue
+                if ((side >> u) & 1) != ((side >> v) & 1) and caps[u * n + v] != caps[v * n + u]:
+                    lo, hi = (u, v) if (side >> u) & 1 else (v, u)
+                    gain = caps[hi * n + lo] - caps[lo * n + hi]
+                    if gain > 0 and (best is None or (-gain, (u, v)) < best):
+                        best = (-gain, (u, v))
+        if best is None:
+            return [tuple(sorted(s)) for s in approx._min_pairs(D, k).sets]
+        _g, (u, v) = best
+        caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
+        flipped.add((u, v))
+
+
+def test_greedy_crossing_step_matches_the_all_pairs_scan():
+    # 2k-edge-connected digraphs with digons, broken by reversing every
+    # simple arc that enters a random set X
+    rng = random.Random(506)
+    broken = digons = 0
+    for k in (1, 2):
+        for _ in range(40):
+            D = rand_digraph(rng, 11, 2 * k + 2, density=rng.uniform(0.3, 0.6))
+            if edge_connectivity(D.underlying()) < 2 * k:
+                continue
+            X = set(rng.sample(range(D.n), rng.randint(1, D.n // 2)))
+            D = MultiDigraph(D.n, [
+                (h, t, m) if t not in X and h in X and not D.mult(h, t) else (t, h, m)
+                for (t, h, m) in D.arcs()
+            ])
+            broken += not is_k_arc_strong(D, k)
+            digons += any(D.mult(h, t) for (t, h, _m) in D.arcs())
+            fam = greedy_k2_inversion_set(D, k)
+            assert [tuple(sorted(s)) for s in fam.sets] == _greedy_over_all_pairs(D, k)
+    assert broken >= 20 and digons >= 40
 
 
 def test_minimally_k_arc_strong_is_minimal_and_small():

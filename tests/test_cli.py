@@ -106,6 +106,15 @@ def test_exact_infeasible_within_budget(tmp_path, capsys):
     assert "value: none" in out
 
 
+def test_single_vertex_approx_and_exact_report_value_zero(tmp_path, capsys):
+    f = tmp_path / "one.mdg"
+    write_mdg(str(f), MultiDigraph(1))
+    for argv in (("approx", "--k", "1", "--p", "3"), ("exact", "--k", "1", "--p", "3", "--lmax", "0")):
+        code, out, _err = run(capsys, *argv, str(f))
+        assert code == 0
+        assert "value: 0" in out
+
+
 def test_gen_sidecar_round_trip(tmp_path, capsys):
     out_path = str(tmp_path / "g.mdg")
     code, out, _err = run(capsys, "gen", "p3p", "--seed", "5", "-o", out_path)

@@ -63,6 +63,11 @@ def test_karc_deficient_cut_backends_agree(cimpl):
     for n, caps, k in _late_broken_unions(random.Random(108)):
         for kk in (k - 1, k, k + 1):
             assert _pyimpl.karc_deficient_cut(n, caps, kk) == cimpl.karc_deficient_cut(n, caps, kk)
+    rng = random.Random(109)
+    for n, caps, k, side in _tied_chains(rng) + _last_vertex_cuts(rng):
+        assert cimpl.karc_deficient_cut(n, caps, k) == side
+        for kk in (k - 1, k + 1):
+            assert _pyimpl.karc_deficient_cut(n, caps, kk) == cimpl.karc_deficient_cut(n, caps, kk)
 
 
 def test_backends_agree_past_64_vertices(cimpl):
@@ -294,6 +299,84 @@ def _late_broken_unions(rng):
     return cases
 
 
+def _split_units(rng, units):
+    """Multiplicities of at most 3 that add up to ``units``."""
+    parts = []
+    while units:
+        parts.append(rng.randint(1, min(3, units)))
+        units -= parts[-1]
+    return parts
+
+
+def _tied_chains(rng):
+    """(n, caps, k, side): chains of clusters C0, C1, ... whose links
+    carry k - 1 arc units one way (in arcs of multiplicity 1 to 3) and
+    2k the other way, so that the minimum cuts between 0 and a vertex
+    of C2 are ties: every prefix of the chain, or every suffix.  The
+    labels put C0 first and C2 next, so the scan fails first at the
+    first vertex of C2, and ``side`` is the minimal side it must
+    return: C0 for weak forward links, C2 and the clusters after it for
+    weak backward links."""
+    cases = []
+    for k in (2, 3, 4):
+        for weak_back in (False, True):
+            for _ in range(3):
+                sizes = [rng.randint(2, 5) for _ in range(rng.randint(3, 5))]
+                labels = {}
+                n = 0
+                for c in (0, 2, 1, *range(3, len(sizes))):
+                    labels[c] = range(n, n + sizes[c])
+                    n += sizes[c]
+                caps = [0] * (n * n)
+                for c in range(len(sizes)):
+                    for u in labels[c]:
+                        for v in labels[c]:
+                            if u != v:
+                                caps[u * n + v] = rng.randint(k, k + 1)
+                # arc units of each forward and each backward link
+                fwd, back = (2 * k, k - 1) if weak_back else (k - 1, 2 * k)
+                for c in range(len(sizes) - 1):
+                    for tails, heads, units in (
+                        (labels[c], labels[c + 1], fwd),
+                        (labels[c + 1], labels[c], back),
+                    ):
+                        for m in _split_units(rng, units):
+                            caps[rng.choice(tails) * n + rng.choice(heads)] += m
+                clusters = [0] if not weak_back else range(2, len(sizes))
+                side = sum(1 << v for c in clusters for v in labels[c])
+                cases.append((n, caps, k, side))
+    return cases
+
+
+def _last_vertex_cuts(rng):
+    """(n, caps, k, side): k random Hamilton dicycles with one arc into
+    n - 1 turned to the next vertex of its cycle, plus chords of
+    multiplicity 1 to 3 that avoid n - 1.  Each cycle still crosses
+    every cut other than the one around n - 1, which now carries k - 1
+    arcs: the scan's first deficiency is its last 0->v test, and the
+    transposed matrix has its first at the last v->0 test."""
+    cases = []
+    for n in (5, 9, 16, 30, 67):
+        for k in (2, 3, 4):
+            caps = [0] * (n * n)
+            orders = [rng.sample(range(n), n) for _ in range(k)]
+            for j, order in enumerate(orders):
+                for a in range(n):
+                    caps[order[a] * n + order[(a + 1) % n]] += 1
+                if j == 0:
+                    i = order.index(n - 1)
+                    pred, succ = order[i - 1], order[(i + 1) % n]
+                    caps[pred * n + n - 1] -= 1
+                    caps[pred * n + succ] += 1
+            for _ in range(n // 3):
+                u, v = rng.sample(range(n - 1), 2)
+                caps[u * n + v] += rng.randint(1, 3)
+            transposed = [caps[v * n + u] for u in range(n) for v in range(n)]
+            cases.append((n, caps, k, (1 << (n - 1)) - 1))
+            cases.append((n, transposed, k, 1 << (n - 1)))
+    return cases
+
+
 def test_pure_kernels_match_the_dense_reference():
     # sizes past one machine word of mask bits, sparse to dense
     rng = random.Random(104)
@@ -319,6 +402,11 @@ def test_pure_kernels_match_the_dense_reference():
         assert side == _dense_karc_deficient_cut(n, caps, k)
         found.add(side == -1)
     assert found == {True, False}
+    # tied minimum cuts, where only the minimal side is right, and
+    # deficiencies that only the last flow of the scan finds
+    for n, caps, k, side in _tied_chains(rng) + _last_vertex_cuts(rng):
+        assert _pyimpl.karc_deficient_cut(n, caps, k) == side
+        assert _dense_karc_deficient_cut(n, caps, k) == side
     # k = 1 reaches wider than a machine word: a directed ring, the ring
     # cut after a random vertex (0 reaches a prefix) and the ring
     # without its arc into 0 (0 reaches all, nothing else reaches 0)

@@ -283,6 +283,13 @@ def test_exact_inv_kp_gives_up_on_an_obstruction():
     assert exact_inv_kp(D, 1, 3, mode="exact-size", l_max=3) is None
 
 
+def test_exact_inv_kp_on_a_single_vertex():
+    # no proper cut: k-arc-strong with no sets, whatever the budget
+    for mode in ("at-most", "exact-size"):
+        for l_max in (0, 2):
+            assert exact_inv_kp(MultiDigraph(1), 1, 3, mode, l_max).sets == ()
+
+
 def _degree_bounded_three_uniform(rng, m):
     """3m vertices, every vertex in one base triple, extra triples raise
     some degrees to 2."""
