@@ -7,10 +7,15 @@ sets in order, verdicts and traces field by field, digraphs and
 multigraphs (orientations, minimal cores) as their sorted arcs or
 edges.  A call that raises contributes its exception type and message
 and counts as failed.  Two checkouts that print the same digests gave
-byte-identical answers.  Usage, from the repository root:
+byte-identical answers.  ``--check FILE`` recomputes every digest
+line of FILE instead (``#`` lines are skipped), prints the lines that
+differ and exits with status 1 if any does; answers_digests.txt holds
+the digests of all three workloads for seeds 1, 2 and 7, which are the
+same under both kernel backends.  Usage, from the repository root:
 
     python3 benchmarks/answers.py [--workloads decide,approx,exact]
                                   [--seeds 1,2,7]
+    python3 benchmarks/answers.py --check benchmarks/answers_digests.txt
 
 The package is imported from this checkout's ``src``; the workload
 definitions are only read (no byte code is written next to them).
@@ -64,18 +69,42 @@ def answers_digest(name, seed):
     return len(w.calls), failed, h.hexdigest()
 
 
+def digest_line(name, seed):
+    calls, failed, digest = answers_digest(name, seed)
+    return f"{name} seed={seed} calls={calls} failed={failed} sha256={digest}"
+
+
+def check(path):
+    """Number of digest lines of the file at path that this checkout
+    does not reproduce; each is printed with the line it gives."""
+    text = Path(path).read_text()
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    differ = 0
+    for line in lines:
+        name, seed = line.split()[:2]
+        got = digest_line(name, int(seed.removeprefix("seed=")))
+        if got != line:
+            differ += 1
+            print(f"expected {line}\ngot      {got}")
+    print(f"{len(lines) - differ} of {len(lines)} digests equal")
+    return differ
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workloads", default=",".join(workloads.WORKLOADS))
     ap.add_argument("--seeds", default="1,2,7")
+    ap.add_argument("--check", metavar="FILE", help="compare with the digest lines in FILE")
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
     print(f"# arcinvert from {Path(A.__file__).parent}, backend {A._kernels.backend_name}")
+    if args.check:
+        return 1 if check(args.check) else 0
+    seeds = [int(s) for s in args.seeds.split(",")]
     for name in args.workloads.split(","):
         for seed in seeds:
-            calls, failed, digest = answers_digest(name, seed)
-            print(f"{name} seed={seed} calls={calls} failed={failed} sha256={digest}")
+            print(digest_line(name, seed))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,14 +7,17 @@ times min_cut_value on graph families (cycle, cycle plus n/6 chords,
 complete, random 10-regular), karc_deficient_cut with k = 1 and 2 on
 a union of k directed Hamilton cycles plus n/2 chords, and
 karc_deficient_cut with k = 2 on such a union that lacks one arc into
-the last vertex ("late"), at n = 64, 128 and 256.  The compiled
+the last vertex ("late"), at n = 64, 128 and 256.  ``--repeat N``
+times every row N times, in N rounds over all rows, and reports the
+median per backend, so that drift of the host shows in every row
+alike instead of in whichever row ran during it.  The compiled
 backend is the installed extension when there is one; otherwise, when
 gcc and Python.h are present, the checked-in _cimpl.c is built into a
 temporary directory and loaded from there.  Usage:
 
     python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60,128]
                                           [--samples 40] [--seed 7]
-                                          [--csv out.csv]
+                                          [--repeat 1] [--csv out.csv]
 """
 
 import argparse
@@ -23,6 +26,7 @@ import importlib
 import importlib.util
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import sysconfig
@@ -155,9 +159,10 @@ def bench_op(name, call, instances, cimpl):
     return rows[0][0], None if rows[1] is None else rows[1][0]
 
 
-def run_table(sizes, samples, seed, cimpl):
+def table_rows(sizes, samples, seed):
+    """(op, n, call, instances) of the random-matrix table."""
     rng = random.Random(seed)
-    table = []
+    rows = []
     for n in sizes:
         caps_list = [rand_caps(rng, n) for _ in range(samples)]
         sym_list = [symmetrised(n, caps) for caps in caps_list]
@@ -166,38 +171,36 @@ def run_table(sizes, samples, seed, cimpl):
         ops = [
             (
                 "st_max_flow",
-                lambda impl, inst: impl.st_max_flow(n, inst[0], *inst[1], -1),
+                lambda impl, inst, n=n: impl.st_max_flow(n, inst[0], *inst[1], -1),
                 flows,
             ),
             (
                 "st_max_flow limit=2",
-                lambda impl, inst: impl.st_max_flow(n, inst[0], *inst[1], 2),
+                lambda impl, inst, n=n: impl.st_max_flow(n, inst[0], *inst[1], 2),
                 flows,
             ),
             (
                 "min_cut_value",
-                lambda impl, caps: impl.min_cut_value(n, caps),
+                lambda impl, caps, n=n: impl.min_cut_value(n, caps),
                 sym_list,
             ),
             (
                 "karc_deficient_cut k=1",
-                lambda impl, caps: impl.karc_deficient_cut(n, caps, 1),
+                lambda impl, caps, n=n: impl.karc_deficient_cut(n, caps, 1),
                 caps_list,
             ),
             (
                 "karc_deficient_cut",
-                lambda impl, caps: impl.karc_deficient_cut(n, caps, 2),
+                lambda impl, caps, n=n: impl.karc_deficient_cut(n, caps, 2),
                 caps_list,
             ),
         ]
-        for name, call, instances in ops:
-            py_s, c_s = bench_op(name, call, instances, cimpl)
-            table.append((name, n, samples, py_s * 1000, c_s and c_s * 1000))
-    return table
+        rows += [(name, n, call, instances) for name, call, instances in ops]
+    return rows
 
 
-def run_families(sizes, seed, cimpl):
-    """Rows of min_cut_value on each family graph, of
+def family_rows(sizes, seed):
+    """(op, n, call, [caps]) of min_cut_value on each family graph, of
     karc_deficient_cut (k = 1, 2) on a k-cycle union and of
     karc_deficient_cut (k = 2) on a 2-cycle union that fails only at
     the last flow of the scan, one sample each."""
@@ -206,27 +209,47 @@ def run_families(sizes, seed, cimpl):
     # run without the later kinds
     union_rng = random.Random(seed + 1)
     late_rng = random.Random(seed + 2)
-    table = []
+    rows = []
     for n in sizes:
-        rows = [
-            (f"min_cut_value {family}", lambda impl, caps: impl.min_cut_value(n, caps), caps)
+        rows += [
+            (
+                f"min_cut_value {family}",
+                n,
+                lambda impl, caps, n=n: impl.min_cut_value(n, caps),
+                [caps],
+            )
             for family, caps in family_graphs(rng, n)
         ]
         for k in (1, 2):
             rows.append((
                 f"karc_deficient_cut k={k} union",
-                lambda impl, caps, k=k: impl.karc_deficient_cut(n, caps, k),
-                cycle_union(union_rng, n, k),
+                n,
+                lambda impl, caps, n=n, k=k: impl.karc_deficient_cut(n, caps, k),
+                [cycle_union(union_rng, n, k)],
             ))
         rows.append((
             "karc_deficient_cut k=2 late",
-            lambda impl, caps: impl.karc_deficient_cut(n, caps, 2),
-            late_union(late_rng, n, 2),
+            n,
+            lambda impl, caps, n=n: impl.karc_deficient_cut(n, caps, 2),
+            [late_union(late_rng, n, 2)],
         ))
-        for name, call, caps in rows:
-            py_s, c_s = bench_op(name, call, [caps], cimpl)
-            table.append((name, n, 1, py_s * 1000, c_s and c_s * 1000))
-    return table
+    return rows
+
+
+def time_rows(rows, cimpl, repeat):
+    """(op, n, samples, py ms, c ms or None) of each row: the medians
+    over ``repeat`` rounds, each of which times every row once."""
+    times = [([], []) for _ in rows]
+    for _ in range(repeat):
+        for (name, _n, call, instances), (py, c) in zip(rows, times):
+            py_s, c_s = bench_op(name, call, instances, cimpl)
+            py.append(py_s * 1000)
+            if c_s is not None:
+                c.append(c_s * 1000)
+    return [
+        (name, n, len(instances), statistics.median(py), statistics.median(c) if c else None)
+        for (name, n, _call, instances), (py, c) in zip(rows, times)
+    ]
 
 
 def main(argv=None):
@@ -234,16 +257,19 @@ def main(argv=None):
     parser.add_argument("--sizes", default="10,20,40,60,128")
     parser.add_argument("--samples", type=int, default=40)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--csv", default=None)
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
     with tempfile.TemporaryDirectory() as build_dir:
         cimpl = load_cimpl(build_dir)
         if cimpl is None:
             print("compiled kernel not built and no gcc to build it; timing the pure backend only")
-        table = run_table(sizes, args.samples, args.seed, cimpl)
-        table += run_families(FAMILY_SIZES, args.seed, cimpl)
+        rows = table_rows(sizes, args.samples, args.seed) + family_rows(FAMILY_SIZES, args.seed)
+        table = time_rows(rows, cimpl, args.repeat)
 
     header = f"{'op':<32} {'n':>4} {'samples':>7} {'py ms':>9} {'c ms':>9} {'speedup':>8}"
     print(header)

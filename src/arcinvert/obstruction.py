@@ -217,7 +217,11 @@ def _obstruction_scan(D, G, k):
     """is_k_obstruction for a digraph D on n >= 4k+2 vertices whose
     underlying multigraph G is 2k-edge-connected."""
     candidates = [{v} for v in range(D.n)]
-    high = {v for v in range(D.n) if G.degree(v) >= 2 * k + 1}
+    degree = [0] * D.n
+    for u, v, mm in G.edges():
+        degree[u] += mm
+        degree[v] += mm
+    high = {v for v in range(D.n) if degree[v] >= 2 * k + 1}
     if 2 <= len(high) < D.n:
         candidates.append(high)
     for y in candidates:

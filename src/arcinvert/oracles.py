@@ -629,24 +629,50 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     next set must contain some crossing pair with asymmetric arc counts
     (otherwise that cut stays below k forever).  Multidigraph inputs
     are allowed; sets act by swapping the two arc bundles of each
-    internal pair."""
+    internal pair.
+
+    Degree bound: a set changes the degrees of its own vertices only,
+    so b more sets mend at most b * p deficient vertices (those with
+    fewer than k arcs out or in), and a k-arc-strong digraph has none.
+    A node with b sets left fails at once when more than b * p vertices
+    are deficient.  The bound does two more things:
+
+    - Refutation at entry: with more than l_max * p deficient vertices
+      the call returns None before lambda(UG(D)) is computed, and the
+      deepening starts at ceil(#deficient / p) sets.
+    - Pruned candidates: a node never builds a set that leaves more
+      than (b - 1) * p deficient vertices outside, as the child would
+      reject it.  At b = 1 the candidates are the supersets of the
+      deficient set.
+
+    Pruned subtrees hold no family and the other candidates keep their
+    order, so the first family found stays the same."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("exact_inv_kp expects a MultiDigraph")
     _validate_kp(k, p, mode)
     if not isinstance(l_max, int) or l_max < 0:
         raise InvalidArgumentError(f"l_max must be a non-negative int, got {l_max!r}")
     n = D.n
+    caps = D.caps_flat()
+    outdeg = [sum(caps[v * n:v * n + n]) for v in range(n)]
+    indeg = [sum(caps[v::n]) for v in range(n)]
+
+    def deficient():
+        # a single vertex has no proper cut, so its degrees bound nothing
+        if n < 2:
+            return []
+        return [v for v in range(n) if outdeg[v] < k or indeg[v] < k]
+
+    first = len(deficient())
+    if first > l_max * p:
+        return None  # the search would fail at every budget
     if edge_connectivity(D.underlying()) < 2 * k:
         return None  # inversions keep the underlying multigraph
-    caps = D.caps_flat()
     adj = [0] * n
     for (t, h) in D._m:
         adj[t] |= 1 << h
         adj[h] |= 1 << t
     sizes = [p] if mode == "exact-size" else list(range(2, p + 1))
-
-    outdeg = [sum(caps[v * n:v * n + n]) for v in range(n)]
-    indeg = [sum(caps[v::n]) for v in range(n)]
 
     def apply_set(xs):
         for a, b in combinations(xs, 2):
@@ -657,53 +683,63 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             outdeg[b] += ab - ba
             indeg[a] += ab - ba
 
-    def deficient_count():
-        # a single vertex has no proper cut, so its degrees bound nothing
-        if n < 2:
-            return 0
-        return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
+    def candidates_for(side_mask, budget, short):
+        # gain of each crossing pair with unequal arc counts: the arcs
+        # its inversion adds out of the violated side
+        inside = [v for v in range(n) if (side_mask >> v) & 1]
+        outside = [v for v in range(n) if not (side_mask >> v) & 1]
+        gains = {}
+        for lo in inside:
+            for hi in outside:
+                g = caps[hi * n + lo] - caps[lo * n + hi]
+                if g:
+                    gains[(lo, hi) if lo < hi else (hi, lo)] = g
+        # the child keeps at most (budget - 1) * p deficient vertices
+        # outside the set, so the set holds at least need of them
+        need = len(short) - (budget - 1) * p
+        short_set = set(short)
 
-    def candidates_for(side_mask):
-        pairs = []
-        for t in range(n):
-            for h in range(n):
-                if t < h and ((side_mask >> t) & 1) != ((side_mask >> h) & 1):
-                    if caps[t * n + h] != caps[h * n + t]:
-                        pairs.append((t, h))
+        def holding(base):
+            """Sets of each size with base and enough deficient vertices."""
+            lack = need - len(short_set.intersection(base))
+            more = [v for v in short if v not in base]
+            other = [v for v in range(n) if v not in short_set and v not in base]
+            for size in sizes:
+                free = size - len(base)
+                for j in range(max(lack, 0), min(free, len(more)) + 1):
+                    for ext in combinations(more, j):
+                        for rest in combinations(other, free - j):
+                            yield tuple(sorted(base + ext + rest))
+
+        # at budget 1 every deficient vertex goes in: one base, no repeats
+        bases = [tuple(short)] if budget == 1 and short else gains
         seen = set()
         out = []
-        for (a, b) in pairs:
-            others = [v for v in range(n) if v != a and v != b]
-            for size in sizes:
-                if size - 2 > len(others):
+        for base in bases:
+            for xs in holding(base):
+                if xs in seen:
                     continue
-                for ext in combinations(others, size - 2):
-                    xs = tuple(sorted((a, b) + ext))
-                    if xs in seen:
+                seen.add(xs)
+                if mode == "at-most":
+                    # minimal <=p families never need a vertex with no
+                    # neighbor inside its set (dropping it keeps the effect)
+                    msk = 0
+                    for v in xs:
+                        msk |= 1 << v
+                    if any(not (adj[v] & (msk ^ (1 << v))) for v in xs):
                         continue
-                    seen.add(xs)
-                    if mode == "at-most":
-                        # minimal <=p families never need a vertex with no
-                        # neighbor inside its set (dropping it keeps the effect)
-                        msk = 0
-                        for v in xs:
-                            msk |= 1 << v
-                        if any(not (adj[v] & (msk ^ (1 << v))) for v in xs):
-                            continue
-                    out.append(xs)
+                g = 0
+                hit = False
+                for pair in combinations(xs, 2):
+                    d = gains.get(pair)
+                    if d is not None:
+                        g += d
+                        hit = True
+                if hit:
+                    out.append((-g, xs))
         # prefer sets that raise the violated cut's out-degree the most
-        def gain(xs):
-            s = set(xs)
-            g = 0
-            for a in xs:
-                for b in xs:
-                    if a < b and ((side_mask >> a) & 1) != ((side_mask >> b) & 1):
-                        lo, hi = (a, b) if (side_mask >> a) & 1 else (b, a)
-                        g += caps[hi * n + lo] - caps[lo * n + hi]
-            return g
-
-        out.sort(key=lambda xs: (-gain(xs), xs))
-        return out
+        out.sort()
+        return [xs for _g, xs in out]
 
     chain = []
     found = []
@@ -711,7 +747,8 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     def dfs(budget):
         # a k-arc-strong digraph has no deficient vertex, so this bound
         # goes first and saves the flows of the nodes it rejects
-        if deficient_count() > budget * p:
+        short = deficient()
+        if len(short) > budget * p:
             return False
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
@@ -719,7 +756,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             return True
         if budget == 0:
             return False
-        for xs in candidates_for(side):
+        for xs in candidates_for(side, budget, short):
             if xs in chain:
                 continue  # repeated set cancels itself; minimum never repeats
             apply_set(xs)
@@ -730,7 +767,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             apply_set(xs)
         return False
 
-    for budget in range(l_max + 1):
+    for budget in range(-(-first // p), l_max + 1):
         if dfs(budget):
             fam = InversionFamily(found[0])
             check = apply_inversions(D, fam)

@@ -290,6 +290,87 @@ def test_exact_inv_kp_on_a_single_vertex():
             assert exact_inv_kp(MultiDigraph(1), 1, 3, mode, l_max).sets == ()
 
 
+def _fewest_sets_by_bfs(D, k, p, mode, depth_max):
+    """Fewest (=p or <=p)-sets whose inversion makes D k-arc-strong, by
+    a breadth-first search over the arc counts that single sets reach;
+    None when more than depth_max sets are needed."""
+    n = D.n
+    sizes = [p] if mode == "exact-size" else range(2, p + 1)
+    moves = [xs for size in sizes for xs in combinations(range(n), size)]
+    start = tuple(D.caps_flat())
+    seen = {start}
+    frontier = [start]
+    for depth in range(depth_max + 1):
+        if any(_kernels.karc_deficient_cut(n, list(caps), k) == -1 for caps in frontier):
+            return depth
+        following = []
+        for caps in frontier if depth < depth_max else ():
+            for xs in moves:
+                new = list(caps)
+                for a, b in combinations(xs, 2):
+                    new[a * n + b], new[b * n + a] = caps[b * n + a], caps[a * n + b]
+                new = tuple(new)
+                if new not in seen:
+                    seen.add(new)
+                    following.append(new)
+        frontier = following
+    return None
+
+
+def test_exact_inv_kp_size_is_the_breadth_first_depth():
+    # the minimum family of the branch and bound is as long as the
+    # shortest inversion sequence, and it gives up exactly when that
+    # sequence is longer than l_max
+    rng = random.Random(309)
+    depths = []
+    for _ in range(160):
+        k = rng.choice((1, 2))
+        n = rng.randint(2 * k + 1, 6)
+        p = rng.choice((2, 3, 4))
+        mode = rng.choice(("exact-size", "at-most"))
+        # an oriented graph (every arc can flip) with up to three random sets inverted
+        D = rand_digraph(rng, n, n, density=rng.uniform(0.6, 1.0), oriented=True)
+        sets = [rng.sample(range(n), rng.randint(2, min(p, n))) for _ in range(rng.randint(0, 3))]
+        D = apply_inversions(D, sets)
+        l_max = rng.randint(0, 3)
+        want = _fewest_sets_by_bfs(D, k, p, mode, l_max)
+        fam = exact_inv_kp(D, k, p, mode=mode, l_max=l_max)
+        assert (None if fam is None else len(fam.sets)) == want
+        depths.append(want)
+    assert depths.count(None) > 40 and depths.count(0) > 20 and depths.count(1) > 20
+    assert depths.count(2) + depths.count(3) > 8
+
+
+def test_exact_inv_kp_refutes_by_degrees_before_lambda_and_flows(monkeypatch):
+    # more deficient vertices (fewer than k arcs out or in) than l_max
+    # sets of p vertices can touch: None from the degrees alone
+    rng = random.Random(312)
+    cases = []
+    for _ in range(60):
+        k = rng.choice((1, 2))
+        D = rand_digraph(rng, n_max=9, n_min=3, density=rng.uniform(0.1, 0.5))
+        p = rng.choice((2, 3, 4))
+        mode = rng.choice(("exact-size", "at-most"))
+        deficient = sum(1 for v in range(D.n) if D.out_degree(v) < k or D.in_degree(v) < k)
+        if deficient:
+            l_max = rng.randint(0, (deficient - 1) // p)
+            assert exact_inv_kp(D, k, p, mode=mode, l_max=l_max) is None
+            cases.append((D, k, p, mode, l_max))
+
+    def refuse(*_args):
+        raise AssertionError("lambda or a flow on an input the degrees refute")
+
+    monkeypatch.setattr(oracles, "edge_connectivity", refuse)
+    monkeypatch.setattr(
+        oracles,
+        "_kernels",
+        types.SimpleNamespace(karc_deficient_cut=refuse, st_max_flow=refuse, min_cut_value=refuse),
+    )
+    for D, k, p, mode, l_max in cases:
+        assert exact_inv_kp(D, k, p, mode=mode, l_max=l_max) is None
+    assert len(cases) > 30
+
+
 def _degree_bounded_three_uniform(rng, m):
     """3m vertices, every vertex in one base triple, extra triples raise
     some degrees to 2."""
