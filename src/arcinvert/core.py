@@ -28,12 +28,13 @@ def _check_vertex(v, n, what="vertex"):
 
 
 def _check_k(k):
-    if not isinstance(k, int) or k < 1:
+    # bool is an int subclass, but True is no connectivity
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
 
 
 def _check_p(p, least=2):
-    if not isinstance(p, int) or p < least:
+    if isinstance(p, bool) or not isinstance(p, int) or p < least:
         raise InvalidArgumentError(f"p must be an int >= {least}, got {p!r}")
 
 

@@ -621,6 +621,91 @@ def _eulerian_bits(n, free):
 # -- exact minimum inversion families ------------------------------------
 
 
+def _exact_candidates(n, caps, adj, k, p, mode, side, budget, short):
+    """The sets a node of exact_inv_kp tries, best first (a generator).
+
+    side is the node's violated side S (d+(S) < k), budget its number
+    of sets left, short its deficient vertices and adj[v] the neighbour
+    mask of v in UG(D).  A candidate X has an allowed size, keeps at
+    most (budget - 1) * p deficient vertices outside (the child's
+    degree bound) and holds a crossing pair of S whose two arc counts
+    differ (a set without one leaves d+(S) as it is).  Its gain g, the
+    arcs out of S that its inversion adds, is exactly the change of
+    d+(S).  Order: (-g, X).
+
+    Only such pairs carry gain, so X splits into Y, its vertices on
+    them, which fixes g, and the rest.  The Y sets are scored first and
+    the X sets built one gain level at a time, as they are read; most
+    nodes read one level.  At budget 1 a Y with d+(S) + g < k is
+    dropped: its child would fail on S.  In at-most mode a set with a
+    vertex that has no neighbour inside is skipped as it is read:
+    dropping that vertex keeps the effect, so minimal families never
+    use it."""
+    sizes = [p] if mode == "exact-size" else list(range(2, p + 1))
+    gain = [0] * (n * n)
+    paired = 0  # the vertices on crossing pairs with unequal arc counts
+    d_out = 0
+    for lo in range(n):
+        if not (side >> lo) & 1:
+            continue
+        rest = adj[lo] & ~side
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            hi = bit.bit_length() - 1
+            ab, ba = caps[lo * n + hi], caps[hi * n + lo]
+            d_out += ab
+            if ab != ba:
+                gain[lo * n + hi] = gain[hi * n + lo] = ba - ab
+                paired |= bit | (1 << lo)
+    # the child keeps at most (budget - 1) * p deficient vertices
+    # outside the set, so the set holds at least need of them
+    need = len(short) - (budget - 1) * p
+    more = [v for v in short if not (paired >> v) & 1]
+    other = [v for v in range(n) if not (paired >> v) & 1 and v not in short]
+    if budget == 1:
+        # every deficient vertex goes in: those on pairs with Y, the
+        # others (more) with the rest
+        seed = tuple(v for v in short if (paired >> v) & 1)
+        top = sizes[-1] - len(more)
+        floor = k - d_out
+    else:
+        seed, top, floor = (), sizes[-1], None
+    ends = [v for v in range(n) if (paired >> v) & 1 and v not in seed]
+    levels = {}
+    for r in range(max(2 - len(seed), 0), top - len(seed) + 1):
+        for add in combinations(ends, r):
+            ys = seed + add
+            g = 0
+            hit = False
+            for a, b in combinations(ys, 2):
+                d = gain[a * n + b]
+                if d:
+                    g += d
+                    hit = True
+            if hit and (floor is None or g >= floor):
+                levels.setdefault(g, []).append(ys)
+    for g in sorted(levels, reverse=True):
+        level = []
+        for ys in levels[g]:
+            lack = max(need - sum(1 for v in ys if v in short), 0)
+            for size in sizes:
+                free = size - len(ys)
+                for j in range(lack, min(free, len(more)) + 1):
+                    for ext in combinations(more, j):
+                        for fill in combinations(other, free - j):
+                            level.append(tuple(sorted(ys + ext + fill)))
+        level.sort()
+        for xs in level:
+            if mode == "at-most":
+                msk = 0
+                for v in xs:
+                    msk |= 1 << v
+                if any(not (adj[v] & (msk ^ (1 << v))) for v in xs):
+                    continue
+            yield xs
+
+
 def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     """Minimum family of (=p or <=p)-inversions making D k-arc-strong,
     or None if no family of at most l_max sets works.
@@ -629,7 +714,9 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     next set must contain some crossing pair with asymmetric arc counts
     (otherwise that cut stays below k forever).  Multidigraph inputs
     are allowed; sets act by swapping the two arc bundles of each
-    internal pair.
+    internal pair.  A node tries its sets by decreasing gain, the arcs
+    they add out of the violated side, ties by the sets themselves
+    (_exact_candidates builds them lazily, one gain level at a time).
 
     Degree bound: a set changes the degrees of its own vertices only,
     so b more sets mend at most b * p deficient vertices (those with
@@ -638,19 +725,31 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     are deficient.  The bound does two more things:
 
     - Refutation at entry: with more than l_max * p deficient vertices
-      the call returns None before lambda(UG(D)) is computed, and the
-      deepening starts at ceil(#deficient / p) sets.
+      the call returns None before any flow, and the deepening starts
+      at ceil(#deficient / p) sets.
     - Pruned candidates: a node never builds a set that leaves more
       than (b - 1) * p deficient vertices outside, as the child would
       reject it.  At b = 1 the candidates are the supersets of the
       deficient set.
+
+    Gain floor: at b = 1 a set whose gain leaves the violated side
+    below k arcs out is never tried, as the child would find that cut.
+    In at-most mode a set with a vertex that has no neighbour inside
+    it is skipped as it is read.
+
+    lambda(UG(D)) >= 2k is necessary, as inversions keep UG(D), but it
+    can only change the answer of a search that fails.  It is computed
+    once, at the first child that fails or before the second budget,
+    whichever comes first, and the call returns None at once when it is
+    below 2k.  A call whose first descent finds a family never computes
+    it, and at most one descent (l_max + 1 nodes) runs before it.
 
     Pruned subtrees hold no family and the other candidates keep their
     order, so the first family found stays the same."""
     if not isinstance(D, MultiDigraph):
         raise InvalidArgumentError("exact_inv_kp expects a MultiDigraph")
     _validate_kp(k, p, mode)
-    if not isinstance(l_max, int) or l_max < 0:
+    if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 0:
         raise InvalidArgumentError(f"l_max must be a non-negative int, got {l_max!r}")
     n = D.n
     caps = D.caps_flat()
@@ -666,13 +765,10 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     first = len(deficient())
     if first > l_max * p:
         return None  # the search would fail at every budget
-    if edge_connectivity(D.underlying()) < 2 * k:
-        return None  # inversions keep the underlying multigraph
     adj = [0] * n
     for (t, h) in D._m:
         adj[t] |= 1 << h
         adj[h] |= 1 << t
-    sizes = [p] if mode == "exact-size" else list(range(2, p + 1))
 
     def apply_set(xs):
         for a, b in combinations(xs, 2):
@@ -683,63 +779,13 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             outdeg[b] += ab - ba
             indeg[a] += ab - ba
 
-    def candidates_for(side_mask, budget, short):
-        # gain of each crossing pair with unequal arc counts: the arcs
-        # its inversion adds out of the violated side
-        inside = [v for v in range(n) if (side_mask >> v) & 1]
-        outside = [v for v in range(n) if not (side_mask >> v) & 1]
-        gains = {}
-        for lo in inside:
-            for hi in outside:
-                g = caps[hi * n + lo] - caps[lo * n + hi]
-                if g:
-                    gains[(lo, hi) if lo < hi else (hi, lo)] = g
-        # the child keeps at most (budget - 1) * p deficient vertices
-        # outside the set, so the set holds at least need of them
-        need = len(short) - (budget - 1) * p
-        short_set = set(short)
+    connected = None  # lambda(UG(D)) >= 2k, once the search has failed
 
-        def holding(base):
-            """Sets of each size with base and enough deficient vertices."""
-            lack = need - len(short_set.intersection(base))
-            more = [v for v in short if v not in base]
-            other = [v for v in range(n) if v not in short_set and v not in base]
-            for size in sizes:
-                free = size - len(base)
-                for j in range(max(lack, 0), min(free, len(more)) + 1):
-                    for ext in combinations(more, j):
-                        for rest in combinations(other, free - j):
-                            yield tuple(sorted(base + ext + rest))
-
-        # at budget 1 every deficient vertex goes in: one base, no repeats
-        bases = [tuple(short)] if budget == 1 and short else gains
-        seen = set()
-        out = []
-        for base in bases:
-            for xs in holding(base):
-                if xs in seen:
-                    continue
-                seen.add(xs)
-                if mode == "at-most":
-                    # minimal <=p families never need a vertex with no
-                    # neighbor inside its set (dropping it keeps the effect)
-                    msk = 0
-                    for v in xs:
-                        msk |= 1 << v
-                    if any(not (adj[v] & (msk ^ (1 << v))) for v in xs):
-                        continue
-                g = 0
-                hit = False
-                for pair in combinations(xs, 2):
-                    d = gains.get(pair)
-                    if d is not None:
-                        g += d
-                        hit = True
-                if hit:
-                    out.append((-g, xs))
-        # prefer sets that raise the violated cut's out-degree the most
-        out.sort()
-        return [xs for _g, xs in out]
+    def well_connected():
+        nonlocal connected
+        if connected is None:
+            connected = edge_connectivity(D.underlying()) >= 2 * k
+        return connected
 
     chain = []
     found = []
@@ -756,7 +802,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             return True
         if budget == 0:
             return False
-        for xs in candidates_for(side, budget, short):
+        for xs in _exact_candidates(n, caps, adj, k, p, mode, side, budget, short):
             if xs in chain:
                 continue  # repeated set cancels itself; minimum never repeats
             apply_set(xs)
@@ -765,9 +811,14 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
                 return True
             chain.pop()
             apply_set(xs)
+            if not well_connected():
+                return False  # no family at any budget
         return False
 
-    for budget in range(-(-first // p), l_max + 1):
+    start = -(-first // p)
+    for budget in range(start, l_max + 1):
+        if budget > start and not well_connected():
+            return None  # inversions keep the underlying multigraph
         if dfs(budget):
             fam = InversionFamily(found[0])
             check = apply_inversions(D, fam)

@@ -4,11 +4,15 @@ Every sampler takes an explicit random.Random so test runs are
 reproducible from the seeds written into the tests.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from arcinvert.core import INFINITY, MultiDigraph, Multigraph, edge_connectivity
+
+COMPARE_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "compare_kernels.py"
 
 
 def rand_multidigraph(rng, n_max=10, n_min=2, mult_max=2, density=None):
@@ -100,3 +104,18 @@ def record_criterion(line):
 def pytest_terminal_summary(terminalreporter):
     for line in CRITERION_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def cimpl(tmp_path_factory):
+    """The compiled backend, as the kernel comparison script loads it:
+    the installed extension when there is one, else the checked-in
+    _cimpl.c built with gcc into a temporary directory (never into the
+    source tree)."""
+    spec = importlib.util.spec_from_file_location("compare_kernels", COMPARE_KERNELS)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    module = compare.load_cimpl(tmp_path_factory.mktemp("cimpl"))
+    if module is None:
+        pytest.skip("compiled backend not built, and no gcc and Python.h to build it")
+    return module

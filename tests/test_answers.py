@@ -1,5 +1,6 @@
 """The answers of the benchmark workloads against the checked-in digests."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,22 @@ def test_workload_answers_equal_the_checked_in_digests():
     run = check(DIGESTS)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.endswith("9 of 9 digests equal\n")
+
+
+def test_workload_answers_equal_the_digests_under_the_compiled_backend(cimpl, monkeypatch, capsys):
+    # the checked-in digests hold for both kernel backends: the same
+    # check in this process, with the compiled kernels swapped in
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("answers", ANSWERS)
+    answers = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(answers)
+        monkeypatch.setattr(answers.A._kernels, "_impl", cimpl)
+        assert answers.check(DIGESTS) == 0
+    finally:
+        sys.modules.pop("workloads", None)
+    assert capsys.readouterr().out.endswith("9 of 9 digests equal\n")
 
 
 def test_answers_check_reports_a_changed_digest(tmp_path):

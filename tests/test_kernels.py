@@ -1,8 +1,6 @@
-import importlib.util
 import random
 import signal
 from collections import deque
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,23 +10,6 @@ from arcinvert._kernels import _pyimpl
 from arcinvert.oracles import brute_edge_connectivity
 
 from conftest import rand_multidigraph, rand_multigraph
-
-COMPARE_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "compare_kernels.py"
-
-
-@pytest.fixture(scope="module")
-def cimpl(tmp_path_factory):
-    """The compiled backend, as the kernel comparison script loads it:
-    the installed extension when there is one, else the checked-in
-    _cimpl.c built with gcc into a temporary directory (never into the
-    source tree)."""
-    spec = importlib.util.spec_from_file_location("compare_kernels", COMPARE_KERNELS)
-    compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare)
-    module = compare.load_cimpl(tmp_path_factory.mktemp("cimpl"))
-    if module is None:
-        pytest.skip("compiled backend not built, and no gcc and Python.h to build it")
-    return module
 
 
 def test_st_max_flow_backends_agree(cimpl):

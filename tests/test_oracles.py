@@ -29,7 +29,7 @@ from arcinvert.oracles import (
     orientation_bfs_reachable,
 )
 
-from conftest import rand_2kec_digraph, rand_digraph, rand_multigraph
+from conftest import rand_2kec_digraph, rand_digraph, rand_multidigraph, rand_multigraph
 
 
 def test_gf2_matches_bfs_reference():
@@ -369,6 +369,185 @@ def test_exact_inv_kp_refutes_by_degrees_before_lambda_and_flows(monkeypatch):
     for D, k, p, mode, l_max in cases:
         assert exact_inv_kp(D, k, p, mode=mode, l_max=l_max) is None
     assert len(cases) > 30
+
+
+def test_exact_inv_kp_rejects_bool_arguments():
+    # bool is an int subclass; True must not pass for k = 1, p or l_max
+    D = MultiDigraph(3, [(0, 1), (1, 2), (2, 0)])
+    for k, p, l_max in ((True, 3, 2), (False, 3, 2), (1, True, 2), (1, 3, True), (1, 3, False)):
+        with pytest.raises(InvalidArgumentError):
+            exact_inv_kp(D, k, p, l_max=l_max)
+    with pytest.raises(InvalidArgumentError):
+        gf2_reachable(D, 1, True)
+    with pytest.raises(InvalidArgumentError):
+        exists_k_arc_strong_orientation(D.underlying(), True)
+
+
+def _neighbour_masks(D):
+    adj = [0] * D.n
+    for t, h, _mult in D.arcs():
+        adj[t] |= 1 << h
+        adj[h] |= 1 << t
+    return adj
+
+
+def _reference_candidates(D, p, mode, side, budget, short):
+    """(gain, set) for every set of an allowed size that holds at least
+    len(short) - (budget - 1) * p deficient vertices and a crossing pair
+    of side with unequal arc counts, sorted by (-gain, set); in at-most
+    mode without the sets that have a vertex with no neighbour inside."""
+    n = D.n
+    caps = D.caps_flat()
+    sizes = [p] if mode == "exact-size" else range(2, p + 1)
+    need = len(short) - (budget - 1) * p
+    out = []
+    for size in sizes:
+        for xs in combinations(range(n), size):
+            if sum(v in short for v in xs) < need:
+                continue
+            gain, hit = 0, False
+            for a, b in combinations(xs, 2):
+                if (side >> a) & 1 == (side >> b) & 1:
+                    continue
+                lo, hi = (a, b) if (side >> a) & 1 else (b, a)
+                if caps[hi * n + lo] != caps[lo * n + hi]:
+                    gain += caps[hi * n + lo] - caps[lo * n + hi]
+                    hit = True
+            stray = any(not any(caps[v * n + u] + caps[u * n + v] for u in xs) for v in xs)
+            if hit and not (mode == "at-most" and stray):
+                out.append((-gain, xs))
+    out.sort()
+    return [(-neg, xs) for neg, xs in out]
+
+
+def test_exact_candidates_match_a_brute_force_reference():
+    # the lazy, levelled build yields the reference list in its order;
+    # at budget 1 it leaves out exactly the sets that keep d+(S) below
+    # k, and each of those leaves D not k-arc-strong
+    rng = random.Random(318)
+    nodes = dropped = 0
+    for _ in range(1200):
+        k = rng.choice((1, 2))
+        D = rand_multidigraph(rng, n_max=8, n_min=2)
+        n, caps = D.n, D.caps_flat()
+        side = _kernels.karc_deficient_cut(n, caps, k)
+        p = rng.choice((2, 3, 4))
+        mode = rng.choice(("exact-size", "at-most"))
+        budget = rng.choice((1, 1, 2, 3))
+        short = [v for v in range(n) if D.out_degree(v) < k or D.in_degree(v) < k]
+        if side == -1 or len(short) > budget * p:
+            continue  # the search asks no candidates of such a node
+        got = list(
+            oracles._exact_candidates(n, caps, _neighbour_masks(D), k, p, mode, side, budget, short)
+        )
+        want = _reference_candidates(D, p, mode, side, budget, short)
+        inside = [v for v in range(n) if (side >> v) & 1]
+        d_out = sum(D.mult(u, v) for u in inside for v in range(n) if v not in inside)
+        if budget == 1:
+            for gain, xs in want:
+                if d_out + gain < k:
+                    assert not is_k_arc_strong(apply_inversions(D, [xs]), k)
+                    dropped += 1
+            want = [(gain, xs) for gain, xs in want if d_out + gain >= k]
+        assert got == [xs for _gain, xs in want]
+        nodes += 1
+    assert nodes > 500 and dropped > 50
+
+
+def _logging_kernels(monkeypatch):
+    """Log 'karc' and 'lambda' for every karc_deficient_cut and
+    min_cut_value call, in order."""
+    log = []
+    karc, cut_value = _kernels.karc_deficient_cut, _kernels.min_cut_value
+
+    def logged_karc(*args):
+        log.append("karc")
+        return karc(*args)
+
+    def logged_cut_value(*args):
+        log.append("lambda")
+        return cut_value(*args)
+
+    monkeypatch.setattr(_kernels, "karc_deficient_cut", logged_karc)
+    monkeypatch.setattr(_kernels, "min_cut_value", logged_cut_value)
+    return log
+
+
+def test_exact_inv_kp_computes_lambda_only_after_a_failure(monkeypatch):
+    # a call whose first descent finds a family (each node on it reads
+    # one set, and one karc call per node plus the final check) never
+    # computes lambda(UG(D)); any other call computes it once
+    log = _logging_kernels(monkeypatch)
+    reads = []
+    candidates = oracles._exact_candidates
+
+    def read(*args):
+        for xs in candidates(*args):
+            reads.append(xs)
+            yield xs
+
+    monkeypatch.setattr(oracles, "_exact_candidates", read)
+    rng = random.Random(321)
+    first = later = 0
+    for _ in range(300):
+        k = rng.choice((1, 2))
+        D = rand_digraph(rng, n_max=7, n_min=2 * k + 1, density=rng.uniform(0.3, 0.9))
+        log.clear()
+        reads.clear()
+        fam = exact_inv_kp(D, k, rng.choice((2, 3, 4)), rng.choice(("exact-size", "at-most")), 2)
+        if fam is None:
+            continue
+        if len(reads) == len(fam.sets) and log.count("karc") == len(fam.sets) + 2:
+            assert "lambda" not in log
+            first += 1
+        else:
+            assert log.count("lambda") == 1
+            later += 1
+    assert first > 100 and later > 15
+
+
+def _split_with_sinks(rng, k, half, sinks):
+    """Two dense halves of half vertices each, joined by 2k - 1 arcs, so
+    lambda(UG) = 2k - 1, with sinks vertices (no two adjacent) turned
+    into sinks by reversing their out-arcs, which keeps UG."""
+    n = 2 * half
+    chosen = set(rng.sample(range(half), sinks // 2))
+    chosen.update(rng.sample(range(half, n), sinks - sinks // 2))
+    arcs = []
+    for base in (0, half):
+        for u, v in combinations(range(base, base + half), 2):
+            if u in chosen and v in chosen:
+                continue
+            for t, h in ((u, v), (v, u)):
+                arcs.append((h, t) if t in chosen else (t, h))
+    plain = [v for v in range(n) if v not in chosen]
+    for _ in range(2 * k - 1):
+        u = rng.choice([v for v in plain if v < half])
+        v = rng.choice([v for v in plain if v >= half])
+        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return MultiDigraph(n, arcs)
+
+
+def test_exact_inv_kp_gives_up_after_one_descent_below_2k(monkeypatch):
+    # lambda(UG(D)) < 2k rules out every family; it is computed at the
+    # first failed child, so at most one descent of l_max + 1 nodes runs
+    # before it and nothing after it
+    log = _logging_kernels(monkeypatch)
+    rng = random.Random(324)
+    l_max = 3
+    computed = 0
+    for _ in range(30):
+        k = rng.choice((1, 2))
+        D = _split_with_sinks(rng, k, 6, rng.randint(4, 7))
+        assert edge_connectivity(D.underlying()) == 2 * k - 1
+        for p in (2, 3, 4, 7):
+            for mode in ("exact-size", "at-most"):
+                log.clear()
+                assert exact_inv_kp(D, k, p, mode=mode, l_max=l_max) is None
+                karc = log.count("karc")
+                assert karc <= l_max + 1 and log[karc:] in ([], ["lambda"])
+                computed += len(log) - karc
+    assert computed > 100
 
 
 def _degree_bounded_three_uniform(rng, m):
