@@ -26,6 +26,7 @@ from . import _kernels
 from .core import (
     _check_k,
     _check_p,
+    _check_vertex,
     InversionFamily,
     MultiDigraph,
     Multigraph,
@@ -48,7 +49,8 @@ def min_k2_inversion_set(D, k, support=None):
     """Minimum family of pair inversions making D k-arc-strong.
 
     Exact iterative-deepening branch and bound: each chosen pair must
-    cross the currently violated dicut with asymmetric arc counts.
+    cross the currently violated dicut and add arcs out of it (see
+    _gaining_pairs).
     Requires the underlying multigraph 2k-edge-connected.  Returns None
     when no pair family works, which can happen only when D has
     parallel arcs (a pair flip swaps a bundle, it cannot split it) or
@@ -65,11 +67,39 @@ def min_k2_inversion_set(D, k, support=None):
     such as k - d, orients the simple arcs to meet every such demand
     at once."""
     _check_connected(D, k, "min_k2_inversion_set")
-    sup = range(D.n) if support is None else set(support)
-    for v in sup:
-        if not 0 <= v < D.n:
-            raise InvalidArgumentError(f"support vertex {v} out of range")
-    return _min_pairs(D, k, sup)
+    if support is None:
+        return _min_pairs(D, k)
+    return _min_pairs(D, k, {_check_vertex(v, D.n, "support vertex") for v in support})
+
+
+def _asymmetric_pairs(n, caps, sup):
+    """The pairs u < v of sup whose two arc counts differ.  A flip swaps
+    the two counts of its pair, so every pair keeps this property."""
+    return {(u, v) for u in sup for v in sup if u < v and caps[u * n + v] != caps[v * n + u]}
+
+
+def _gaining_pairs(n, caps, side, pairs):
+    """(-gain, pair) for each of pairs that crosses side and whose flip
+    raises d+(side), sorted; gain is the arcs out of side it adds less
+    those it removes.  Both pair stages branch on this list only.
+
+    A pair whose gain is not positive is never needed first.  Flips of
+    distinct pairs touch disjoint arcs, so their gains on a fixed cut
+    add up.  Any set of unflipped pairs that lifts d+(side) from below
+    k to at least k thus holds a pair Q of positive gain.  Q comes
+    before every non-positive pair in (-gain, pair) order, and the
+    search under Q, which is complete, finds a family within the same
+    budget.  So no non-positive pair is ever the first branch to
+    succeed, and dropping them keeps every search's first family."""
+    out = []
+    for (u, v) in pairs:
+        if ((side >> u) & 1) != ((side >> v) & 1):
+            lo, hi = (u, v) if (side >> u) & 1 else (v, u)
+            gain = caps[hi * n + lo] - caps[lo * n + hi]
+            if gain > 0:
+                out.append((-gain, (u, v)))
+    out.sort()
+    return out
 
 
 def _min_pairs(D, k, sup=None):
@@ -77,12 +107,7 @@ def _min_pairs(D, k, sup=None):
     n = D.n
     sup = range(n) if sup is None else sup
     caps = D.caps_flat()
-    allowed = {
-        (u, v)
-        for u in sup
-        for v in sup
-        if u < v and caps[u * n + v] != caps[v * n + u]
-    }
+    allowed = _asymmetric_pairs(n, caps, sup)
 
     outdeg = [sum(caps[v * n:v * n + n]) for v in range(n)]
     indeg = [sum(caps[v::n]) for v in range(n)]
@@ -118,17 +143,7 @@ def _min_pairs(D, k, sup=None):
         key = frozenset(chain)
         if failed.get(key, -1) >= budget:
             return False
-        pairs = []
-        for (u, v) in allowed:
-            if ((side >> u) & 1) != ((side >> v) & 1) and caps[u * n + v] != caps[v * n + u]:
-                lo, hi = (u, v) if (side >> u) & 1 else (v, u)
-                gain = caps[hi * n + lo] - caps[lo * n + hi]
-                pairs.append((-gain, (u, v)))
-        if not pairs:
-            failed[key] = budget
-            return False
-        pairs.sort()
-        for _g, pr in pairs:
+        for _g, pr in _gaining_pairs(n, caps, side, allowed):
             if pr in chain:
                 continue
             flip(*pr)
@@ -159,9 +174,12 @@ def greedy_k2_inversion_set(D, k):
 
 
 def _greedy_pairs(D, k):
-    """greedy_k2_inversion_set on checked inputs."""
+    """greedy_k2_inversion_set on checked inputs: the first unflipped
+    pair of _min_pairs' candidate list, so the leftmost descent of the
+    exact search (without its budget)."""
     n = D.n
     caps = D.caps_flat()
+    allowed = _asymmetric_pairs(n, caps, range(n))
     flipped = set()
     while True:
         side = _kernels.karc_deficient_cut(n, caps, k)
@@ -170,22 +188,13 @@ def _greedy_pairs(D, k):
             if not is_k_arc_strong(apply_inversions(D, fam), k):
                 raise RuntimeError("internal error: greedy repair returned a bad family")
             return fam
-        # only a crossing pair changes the cut: lo in the side, hi not
-        inside = [v for v in range(n) if (side >> v) & 1]
-        outside = [v for v in range(n) if not (side >> v) & 1]
-        best = None
-        for lo in inside:
-            for hi in outside:
-                gain = caps[hi * n + lo] - caps[lo * n + hi]
-                if gain > 0:
-                    pr = (lo, hi) if lo < hi else (hi, lo)
-                    if pr not in flipped and (best is None or (-gain, pr) < best):
-                        best = (-gain, pr)
+        pairs = (pr for _g, pr in _gaining_pairs(n, caps, side, allowed) if pr not in flipped)
+        best = next(pairs, None)
         if best is None:
             break
-        _g, (u, v) = best
+        u, v = best
         caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
-        flipped.add((u, v))
+        flipped.add(best)
     result = _min_pairs(D, k)
     if result is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")

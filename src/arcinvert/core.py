@@ -23,8 +23,10 @@ INFINITY = math.inf
 
 
 def _check_vertex(v, n, what="vertex"):
+    """v itself when it is an int vertex id of 0..n-1 (bool is not)."""
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
         raise InvalidArgumentError(f"{what} id {v!r} out of range 0..{n - 1}")
+    return v
 
 
 def _check_k(k):

@@ -115,7 +115,14 @@ def _witness(D, k, p):
     plans are merged by symmetric difference.  Inputs where the
     rewriting rules do not apply (digon-free tournaments for even p,
     independence number below 3 for p = 1 mod 4) fall back to the
-    exhaustive search."""
+    exhaustive search.
+
+    The plans alone make up the witness: applying plan i equals
+    inverting small set i, so their symmetric difference acts as the
+    whole small family.  The small sets themselves never enter the
+    merge: each is the target of exactly one plan, so with the targets
+    they would cancel in pairs, and they cannot meet a plan set, which
+    has size p >= 4 against their 2 or 3."""
     if is_k_arc_strong(D, k):
         return InversionFamily([])
     if p % 2 == 0:
@@ -133,9 +140,7 @@ def _witness(D, k, p):
         if fam is None:
             raise RuntimeError("internal error: feasible instance rejected by exhaustive search")
         return _finish(D, k, p, fam)
-    # every target drops out of the base family and its plan takes its place
-    targets = InversionFamily([plan.target for plan in plans])
-    merged = InversionFamily.symmetric_difference(base, targets, *(plan.family() for plan in plans))
+    merged = InversionFamily.symmetric_difference(*(plan.family() for plan in plans))
     return _finish(D, k, p, merged)
 
 

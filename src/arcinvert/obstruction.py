@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .core import (
     _check_k,
+    _check_vertex,
     Multigraph,
     MultiDigraph,
     edge_connectivity,
@@ -101,10 +102,7 @@ def k_regular_partition(G, k, X):
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("k_regular_partition expects a Multigraph")
     _check_k(k)
-    xs = sorted(set(X))
-    for v in xs:
-        if not 0 <= v < G.n:
-            raise InvalidArgumentError(f"vertex {v} out of range")
+    xs = sorted({_check_vertex(v, G.n) for v in X})
     if not xs:
         return []
     if len(xs) == G.n:
@@ -164,10 +162,7 @@ def extend_to_certificate(D, k, Y):
     G = D.underlying()
     if edge_connectivity(G) < 2 * k:
         raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
-    y_set = set(Y)
-    for v in y_set:
-        if not 0 <= v < D.n:
-            raise InvalidArgumentError(f"vertex {v} out of range")
+    y_set = {_check_vertex(v, D.n) for v in Y}
     return _extend(D, G, k, y_set)
 
 

@@ -356,7 +356,9 @@ def _forced_parity_refuted(D, G, k, simple, span):
     k-arc-strong orientation, which forces the parity of flipped simple
     edges across S.  If some XOR of these constraint vectors is
     orthogonal to the whole span while its parities XOR to 1, no family
-    can work."""
+    can work.  Such an XOR is exactly a way to write the parity-only
+    vector (bit 0) as a sum of rows, so one basis and one solve decide
+    it."""
     n = D.n
     cut = _cut_sizes(G)
     span_vecs = [v for v, _ in span.rows]
@@ -383,11 +385,9 @@ def _forced_parity_refuted(D, G, k, simple, span):
                 sig |= 1 << (j + 1)
         rows.append(sig | pi)  # parity bit lives at position 0
     full = Gf2Basis()
-    nosig = Gf2Basis()
     for r in rows:
         full.add(r, 0)
-        nosig.add(r & ~1, 0)
-    return full.dim > nosig.dim
+    return full.solve(1) is not None
 
 
 def orientation_bfs_reachable(D, k, p, mode="exact-size"):

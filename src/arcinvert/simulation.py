@@ -17,19 +17,23 @@ Size recipes (n >= p+2 throughout):
   >= 3, otherwise UnsupportedError.
 * p even >= 4: inverting one arc e is solved as a GF(2) system over the
   p-subsets of a small window containing e and a digon or non-adjacent
-  pair (a digon-free tournament is UnsupportedError); the window starts
-  at p+2 vertices and grows on failure.
+  pair (a digon-free tournament is UnsupportedError); a window of p+2
+  vertices always suffices (see simulate_pair).
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InversionFamily, MultiDigraph, _check_p, apply_inversions
+from .core import InversionFamily, MultiDigraph, _check_p, _check_vertex, apply_inversions
 from .errors import (
     InvalidArgumentError,
     PreconditionViolatedError,
     UnsupportedError,
 )
+from .oracles import Gf2Basis
+
+# independent_triple scans every triple up to this many vertices
+_INDEPENDENT_SCAN_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,9 @@ def _validate_common(D, S, size, p, p_residues):
         raise InvalidArgumentError("expected a MultiDigraph")
     if not D.is_digraph():
         raise InvalidArgumentError("input has parallel arcs; a digraph is required")
-    s = sorted(set(S))
+    s = sorted({_check_vertex(v, D.n) for v in S})
     if len(s) != size:
         raise InvalidArgumentError(f"target must have exactly {size} distinct vertices")
-    for v in s:
-        if not 0 <= v < D.n:
-            raise InvalidArgumentError(f"vertex {v} out of range")
     _check_p(p)
     if p % 2 == 0 and 1 in p_residues:
         raise InvalidArgumentError(f"p must be odd, got {p}")
@@ -91,13 +92,14 @@ def _checked(plan, D):
     return plan
 
 
-def independent_triple(G, scan_limit=30):
+def independent_triple(G):
     """Lexicographically smallest 3-set with no edges inside, or None.
 
-    Full scan up to scan_limit vertices; beyond that a greedy sweep
-    with one restart per start vertex (can miss, never lies)."""
+    Full scan up to _INDEPENDENT_SCAN_LIMIT vertices; beyond that a
+    greedy sweep with one restart per start vertex (can miss, never
+    lies)."""
     n = G.n
-    if n <= scan_limit:
+    if n <= _INDEPENDENT_SCAN_LIMIT:
         for trip in combinations(range(n), 3):
             a, b, c = trip
             if not (G.adjacent(a, b) or G.adjacent(a, c) or G.adjacent(b, c)):
@@ -132,12 +134,9 @@ def simulate_disjoint_triples(D, R, R2, p):
     inside R are flipped once, pairs inside R2 three times, cross pairs
     twice, which is exactly Inv(R) followed by Inv(R2)."""
     r = _validate_common(D, R, 3, p, {1})
-    r2 = sorted(set(R2))
+    r2 = sorted({_check_vertex(v, D.n) for v in R2})
     if len(r2) != 3:
         raise InvalidArgumentError("companion must have exactly 3 distinct vertices")
-    for v in r2:
-        if not 0 <= v < D.n:
-            raise InvalidArgumentError(f"vertex {v} out of range")
     if set(r) & set(r2):
         raise InvalidArgumentError("the two triples must be disjoint")
     parts = []
@@ -175,9 +174,12 @@ def simulate_triple(D, S, p):
 
 
 def _triple_via_independent(D, s, ind, p):
+    """Plan for the triple s through the independent triple ind.
+
+    s meets ind in at most 2 vertices: simulate_triple returns before
+    this for an independent s, and the recursion below passes a triple
+    that meets ind in exactly 2."""
     overlap = len(set(s) & set(ind))
-    if overlap == 3:
-        return SimulationPlan(target=tuple(s), p=p, sets=())
     if overlap == 0:
         inner = simulate_disjoint_triples(D, s, ind, p)
         return SimulationPlan(target=tuple(s), p=p, sets=inner.sets)
@@ -200,8 +202,19 @@ def simulate_pair(D, e, p):
     """Plan of (=p)-sets equal to inverting the pair e; p even >= 4.
 
     A digon or non-adjacent pair is a no-op to invert, so e itself being
-    one yields the empty plan; otherwise such a pair is needed in the
-    window and a tournament without digons is UnsupportedError."""
+    one yields the empty plan; otherwise such a pair, the anchor, is
+    needed in the window and a tournament without digons is
+    UnsupportedError.
+
+    The window W holds e, the first anchor and the smallest other
+    vertices up to N = p + 2, an even number.  Over GF(2), write e_yz
+    for the simple arc between y and z (0 for a digon or no arc), A for
+    the sum of all simple arcs in W and s_y for those at y.  The p-set
+    W - {y, z} inverts I_yz = A + s_y + s_z + e_yz.  Summing over the
+    N - 1 (odd) choices of z gives R_y = A + s_y, as the stars sum to
+    0, so I_yz + R_y + R_z = A + e_yz.  The anchor has e_ab = 0, so A
+    lies in the span of the p-sets, and then so does e = (A + e) + A:
+    the solve below never fails."""
     if not isinstance(p, int) or p % 2 == 1:
         raise InvalidArgumentError(f"p must be even, got {p!r}")
     if p < 4:
@@ -229,42 +242,22 @@ def simulate_pair(D, e, p):
             window.append(w)
     window.sort()
     simple = D.simple_arcs()
-    while True:
-        wset = set(window)
-        positions = [i for i, (t, h) in enumerate(simple) if t in wset and h in wset]
-        index_of = {pos: j for j, pos in enumerate(positions)}
-        target_bit = None
-        for i, (t, h) in enumerate(simple):
-            if {t, h} == {u, v}:
-                target_bit = index_of[i]
-        from .oracles import Gf2Basis
-
-        basis = Gf2Basis()
-        cands = list(combinations(window, p))
-        for ci, xs in enumerate(cands):
-            xset = set(xs)
-            ind = 0
-            for i in positions:
-                t, h = simple[i]
-                if t in xset and h in xset:
-                    ind |= 1 << index_of[i]
-            basis.add(ind, 1 << ci)
-        combo = basis.solve(1 << target_bit)
-        if combo is not None:
-            sets = tuple(
-                frozenset(cands[ci]) for ci in range(len(cands)) if (combo >> ci) & 1
-            )
-            plan = SimulationPlan(target=(u, v), p=p, sets=sets)
-            return _checked(plan, D)
-        grown = False
-        for w in range(n):
-            if w not in wset:
-                window.append(w)
-                window.sort()
-                grown = True
-                break
-        if not grown:
-            raise RuntimeError(
-                "internal error: no (=p)-plan for a single arc although a digon "
-                "or non-adjacent pair exists"
-            )
+    wset = set(window)
+    positions = [i for i, (t, h) in enumerate(simple) if t in wset and h in wset]
+    index_of = {pos: j for j, pos in enumerate(positions)}
+    target_bit = index_of[simple.index((u, v) if D.has_arc(u, v) else (v, u))]
+    basis = Gf2Basis()
+    cands = list(combinations(window, p))
+    for ci, xs in enumerate(cands):
+        xset = set(xs)
+        ind = 0
+        for i in positions:
+            t, h = simple[i]
+            if t in xset and h in xset:
+                ind |= 1 << index_of[i]
+        basis.add(ind, 1 << ci)
+    combo = basis.solve(1 << target_bit)
+    if combo is None:
+        raise RuntimeError("internal error: no (=p)-plan for a single arc inside its window")
+    sets = tuple(frozenset(cands[ci]) for ci in range(len(cands)) if (combo >> ci) & 1)
+    return _checked(SimulationPlan(target=(u, v), p=p, sets=sets), D)

@@ -22,24 +22,52 @@ from arcinvert.core import (
     edge_connectivity,
     is_k_arc_strong,
 )
-from arcinvert.errors import PreconditionViolatedError
+from arcinvert.errors import InvalidArgumentError, PreconditionViolatedError
 from arcinvert.oracles import exact_inv_kp, gf2_reachable
 
 from conftest import rand_2kec_digraph, rand_digraph
 
 
+def _cycles_digraph(rng, k, n, bundles):
+    """k random Hamilton cycles plus a few chords, each edge oriented at
+    random, so the underlying multigraph is 2k-edge-connected.  A
+    repeated pair becomes a digon, or with bundles a parallel arc when
+    both copies point the same way."""
+    edges = []
+    for _ in range(k):
+        order = rng.sample(range(n), n)
+        edges += [(order[i], order[i - 1]) for i in range(n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n // 2))]
+    mult = {}
+    for u, v in edges:
+        t, h = (u, v) if rng.random() < 0.5 else (v, u)
+        if not bundles and (t, h) in mult:
+            t, h = h, t
+        mult[t, h] = mult.get((t, h), 0) + 1
+    return MultiDigraph(n, [(t, h, m) for (t, h), m in mult.items()])
+
+
 def test_min_k2_matches_the_generic_exact_solver():
+    # the pair search branches on positive-gain pairs only, the generic
+    # solver on every crossing pair with unequal arc counts; both order
+    # their branches by (-gain, set), so the first family is the same
     rng = random.Random(501)
-    for _ in range(40):
-        D = rand_2kec_digraph(rng, 1, rng.randint(4, 7))
-        mine = min_k2_inversion_set(D, 1)
-        generic = exact_inv_kp(D, 1, 2, mode="exact-size", l_max=4)
-        assert mine is not None
+    sizes = Counter()
+    for _ in range(80):
+        k = rng.choice((1, 2))
+        D = _cycles_digraph(rng, k, rng.randint(4, 8), bundles=rng.random() < 0.4)
+        mine = min_k2_inversion_set(D, k)
+        generic = exact_inv_kp(D, k, 2, mode="exact-size", l_max=4)
         if generic is not None:
-            assert len(mine.sets) == len(generic.sets)
-        else:
+            assert mine == generic
+        elif mine is not None:
             assert len(mine.sets) > 4
-        assert is_k_arc_strong(apply_inversions(D, mine.sets), 1)
+        if mine is not None:
+            assert is_k_arc_strong(apply_inversions(D, mine.sets), k)
+        sizes[D.is_digraph(), None if mine is None else min(len(mine.sets), 2)] += 1
+    # digraphs and multidigraphs, with families of two or more pairs and
+    # (with parallel arcs) none at all
+    assert sizes[True, 2] > 5 and sizes[False, 2] > 5 and sizes[False, None] > 0
 
 
 def test_min_k2_handles_parallel_class_parity():
@@ -362,3 +390,10 @@ def test_pair_families_exist_on_every_2k_edge_connected_digraph():
             D = rand_2kec_digraph(rng, k, rng.randint(2 * k + 1, 8))
             assert gf2_reachable(D, k, 2, mode="exact-size") is not None
             assert min_k2_inversion_set(D, k) is not None
+
+
+def test_min_k2_rejects_non_int_support_vertices():
+    D = _cycles_digraph(random.Random(503), 1, 5, bundles=False)
+    for support in ({0, 2.5}, {0, True}, {0, 5}):
+        with pytest.raises(InvalidArgumentError):
+            min_k2_inversion_set(D, 1, support=support)

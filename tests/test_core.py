@@ -309,3 +309,33 @@ def test_apply_inversions_checks_each_inverted_vertex_once(monkeypatch):
         assert list(R._m.items()) == [((h, t), m) for (t, h), m in D._m.items()]
     with pytest.raises(AttributeError):
         F.n = 0
+
+
+def test_max_flow_matches_the_brute_force_min_cut():
+    # max flow = min cut: the fewest arcs (edges) leaving a set that
+    # holds s and not t
+    rng = random.Random(50)
+    for _ in range(40):
+        D = rand_multidigraph(rng, n_max=7)
+        G = D.underlying()
+        s, t = rng.sample(range(D.n), 2)
+        rest = [v for v in range(D.n) if v not in (s, t)]
+        sides = [{s, *c} for r in range(len(rest) + 1) for c in combinations(rest, r)]
+        assert core.max_flow(D, s, t) == min(dicut(D, S).out_size for S in sides)
+        assert core.max_flow(G, s, t) == min(G.cut_size(S) for S in sides)
+    with pytest.raises(InvalidArgumentError):
+        core.max_flow(D, 0, 0)
+
+
+def test_induced_keeps_the_arcs_inside_and_renumbers_by_rank():
+    rng = random.Random(51)
+    for _ in range(30):
+        D = rand_multidigraph(rng, n_max=8, n_min=3)
+        keep = rng.sample(range(D.n), rng.randint(1, D.n))
+        sub, ids = D.induced(keep)
+        assert ids == sorted(keep) and sub.n == len(ids)
+        assert sorted((ids[t], ids[h], m) for t, h, m in sub.arcs()) == sorted(
+            (t, h, m) for t, h, m in D.arcs() if t in keep and h in keep
+        )
+    with pytest.raises(InvalidArgumentError):
+        D.induced([0, D.n])

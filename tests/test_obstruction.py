@@ -11,6 +11,7 @@ from arcinvert.obstruction import (
     certificate_to_text,
     doubled_clique_obstruction,
     exhaustive_obstruction_search,
+    extend_to_certificate,
     is_k_obstruction,
     k_regular_partition,
     star_matching_obstruction,
@@ -146,3 +147,34 @@ def test_is_k_obstruction_computes_connectivity_once(monkeypatch):
         calls.clear()
         is_k_obstruction(D, 1)
         assert calls == [n]
+
+
+def test_extend_to_certificate_completes_the_hub_of_a_star_matching():
+    for m in (3, 4):
+        D, cert = star_matching_obstruction(m)
+        found = extend_to_certificate(D, 1, {2 * m})
+        # every pair vertex has degree 2, so the singletons are parts too
+        assert found.y == cert.y and found.x_parts == tuple((v,) for v in range(2 * m))
+        assert verify_certificate(D, found)
+        # vertex 0 is joined to its partner and the hub only
+        assert extend_to_certificate(D, 1, {0}) is None
+
+
+def test_exhaustive_search_returns_a_verified_certificate():
+    for D, k in (star_matching_obstruction(3)[0], 1), (doubled_clique_obstruction(1, 4)[0], 1):
+        cert = exhaustive_obstruction_search(D, k)
+        assert cert is not None and verify_certificate(D, cert)
+
+
+def test_k_regular_partition_rejects_non_int_vertices():
+    G = star_matching_obstruction(3)[0].underlying()
+    for bad in (2.5, True, 7):
+        with pytest.raises(InvalidArgumentError):
+            k_regular_partition(G, 2, [0, bad])
+
+
+def test_extend_to_certificate_rejects_non_int_vertices():
+    D, _cert = star_matching_obstruction(3)
+    for bad in (2.5, True, 7):
+        with pytest.raises(InvalidArgumentError):
+            extend_to_certificate(D, 1, {bad})

@@ -124,3 +124,38 @@ def test_parameter_validation():
         simulate_quintuple(D, (0, 1, 2, 3, 4), 7)  # p = 3 mod 4
     with pytest.raises(PreconditionViolatedError):
         simulate_triple(D, (0, 1, 2), 11)  # n < p + 2
+
+
+def test_pair_plans_stay_inside_one_window():
+    # a window of p + 2 vertices around the arc and an anchor always
+    # suffices: the plan of every simple arc uses no other vertex
+    rng = random.Random(407)
+    checked = 0
+    for p in (4, 6):
+        for _ in range(12):
+            D = rand_digraph(rng, n_max=10, n_min=max(6, p + 2), density=0.5)
+            for t, h in D.simple_arcs():
+                try:
+                    plan = simulate_pair(D, (t, h), p)
+                except UnsupportedError:
+                    break
+                assert plan.sets and all(len(x) == p for x in plan.sets)
+                assert len(frozenset((t, h)).union(*plan.sets)) <= p + 2
+                checked += 1
+    assert checked > 100
+
+
+def test_targets_reject_non_int_vertices():
+    D = rand_digraph(random.Random(408), n_max=9, n_min=9)
+    for bad in (2.5, True, 9):
+        with pytest.raises(InvalidArgumentError):
+            simulate_triple(D, (0, 1, bad), 3)
+        with pytest.raises(InvalidArgumentError):
+            simulate_pair(D, (0, bad), 4)
+
+
+def test_disjoint_triples_reject_a_non_int_companion_vertex():
+    D = rand_digraph(random.Random(409), n_max=9, n_min=9)
+    for bad in (5.0, True, 9):
+        with pytest.raises(InvalidArgumentError):
+            simulate_disjoint_triples(D, (0, 1, 2), (3, 4, bad), 5)
