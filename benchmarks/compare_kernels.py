@@ -13,7 +13,8 @@ median per backend, so that drift of the host shows in every row
 alike instead of in whichever row ran during it.  The compiled
 backend is the installed extension when there is one; otherwise, when
 gcc and Python.h are present, the checked-in _cimpl.c is built into a
-temporary directory and loaded from there.  Usage:
+temporary directory, with warnings as errors, and loaded from there.
+Usage:
 
     python3 benchmarks/compare_kernels.py [--sizes 10,20,40,60,128]
                                           [--samples 40] [--seed 7]
@@ -43,7 +44,8 @@ FAMILY_SIZES = (64, 128, 256)
 def load_cimpl(build_dir):
     """The compiled backend: the installed extension when there is one,
     else the checked-in _cimpl.c built with gcc into ``build_dir`` and
-    loaded from there; None without gcc and Python.h."""
+    loaded from there; None without gcc and Python.h.  The build uses
+    -Wall -Werror, so a new compiler warning fails it."""
     try:
         return importlib.import_module("arcinvert._kernels._cimpl")
     except ImportError:
@@ -55,7 +57,8 @@ def load_cimpl(build_dir):
     source = Path(_kernels.__file__).with_name("_cimpl.c")
     target = Path(build_dir) / ("_cimpl" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run(
-        [gcc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        [gcc, "-O2", "-Wall", "-Werror", "-shared", "-fPIC", f"-I{include}", str(source),
+         "-o", str(target)],
         check=True,
         capture_output=True,
     )

@@ -24,6 +24,7 @@ from math import comb
 
 from . import _kernels
 from .core import (
+    _check_digraph,
     _check_k,
     _check_p,
     _check_vertex,
@@ -38,8 +39,7 @@ from .errors import InvalidArgumentError, PreconditionViolatedError
 
 
 def _check_connected(D, k, what):
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError(f"{what} expects a MultiDigraph")
+    _check_digraph(D, what)
     _check_k(k)
     if edge_connectivity(D.underlying()) < 2 * k:
         raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
@@ -217,8 +217,7 @@ def minimally_k_arc_strong(D, k):
     A unit t->h whose tail has at most k arcs out, or whose head at
     most k arcs in, stays without a flow: dropping it leaves the cut
     {t} or the complement of {h} below k."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("minimally_k_arc_strong expects a MultiDigraph")
+    _check_digraph(D, "minimally_k_arc_strong")
     _check_k(k)
     if not is_k_arc_strong(D, k):
         raise PreconditionViolatedError("input digraph is not k-arc-strong")
@@ -339,12 +338,8 @@ def approx_kp(D, k, p, heuristic=False):
     is at most eta(p, k) * OPT + len(leftover); heuristic=True swaps in
     the greedy pair repair and voids the guarantee (flagged in the
     trace).  The returned family is verified before being returned."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("approx_kp expects a MultiDigraph")
-    _check_k(k)
     _check_p(p, 3)
-    if edge_connectivity(D.underlying()) < 2 * k:
-        raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
+    _check_connected(D, k, "approx_kp")
     base = _greedy_pairs(D, k) if heuristic else _min_pairs(D, k)
     if base is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")

@@ -29,6 +29,11 @@ def _check_vertex(v, n, what="vertex"):
     return v
 
 
+def _check_count(n):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InvalidArgumentError(f"vertex count must be a non-negative int, got {n!r}")
+
+
 def _check_k(k):
     # bool is an int subclass, but True is no connectivity
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -40,14 +45,22 @@ def _check_p(p, least=2):
         raise InvalidArgumentError(f"p must be an int >= {least}, got {p!r}")
 
 
+def _check_digraph(D, what, simple=False):
+    """Reject D unless it is a MultiDigraph, and with simple=True also
+    when it has parallel arcs."""
+    if not isinstance(D, MultiDigraph):
+        raise InvalidArgumentError(f"{what} expects a MultiDigraph")
+    if simple and not D.is_digraph():
+        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+
+
 class MultiDigraph:
     """Directed graph with parallel arcs allowed, no loops."""
 
-    __slots__ = ("n", "_m", "_hash")
+    __slots__ = ("n", "_m", "_hash", "_ug")
 
     def __init__(self, n, arcs=()):
-        if not isinstance(n, int) or n < 0:
-            raise InvalidArgumentError(f"vertex count must be a non-negative int, got {n!r}")
+        _check_count(n)
         m = {}
         for arc in arcs:
             if len(arc) == 2:
@@ -61,12 +74,13 @@ class MultiDigraph:
             _check_vertex(h, n, "head")
             if t == h:
                 raise InvalidArgumentError(f"loop at vertex {t} not allowed")
-            if not isinstance(mult, int) or mult < 1:
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise InvalidArgumentError(f"multiplicity must be a positive int, got {mult!r}")
             m[(t, h)] = m.get((t, h), 0) + mult
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ug", None)
 
     @classmethod
     def _trusted(cls, n, m):
@@ -76,6 +90,7 @@ class MultiDigraph:
         object.__setattr__(D, "n", n)
         object.__setattr__(D, "_m", m)
         object.__setattr__(D, "_hash", None)
+        object.__setattr__(D, "_ug", None)
         return D
 
     def __setattr__(self, *a):
@@ -132,28 +147,26 @@ class MultiDigraph:
 
     def underlying(self):
         """Underlying multigraph: each arc becomes an edge (digons give
-        two parallel edges)."""
-        edges = {}
-        for (t, h), m in self._m.items():
-            key = (t, h) if t < h else (h, t)
-            edges[key] = edges.get(key, 0) + m
-        return Multigraph._trusted(self.n, edges)
+        two parallel edges).  Built on the first call and kept, so every
+        caller gets the same Multigraph and its memoised
+        edge_connectivity."""
+        if self._ug is None:
+            edges = {}
+            for (t, h), m in self._m.items():
+                key = (t, h) if t < h else (h, t)
+                edges[key] = edges.get(key, 0) + m
+            object.__setattr__(self, "_ug", Multigraph._trusted(self.n, edges))
+        return self._ug
 
     def reverse(self):
         return MultiDigraph._trusted(self.n, {(h, t): m for (t, h), m in self._m.items()})
 
     def induced(self, vertices):
         """(sub-multidigraph, sorted id list); ids reindexed by rank."""
-        ids = sorted(set(vertices))
-        for v in ids:
-            _check_vertex(v, self.n)
+        ids = sorted(_check_vertex(v, self.n) for v in set(vertices))
         pos = {v: i for i, v in enumerate(ids)}
-        arcs = [
-            (pos[t], pos[h], m)
-            for (t, h), m in self._m.items()
-            if t in pos and h in pos
-        ]
-        return MultiDigraph(len(ids), arcs), ids
+        m = {(pos[t], pos[h]): mm for (t, h), mm in self._m.items() if t in pos and h in pos}
+        return MultiDigraph._trusted(len(ids), m), ids
 
     def caps_flat(self):
         n = self.n
@@ -183,11 +196,10 @@ class MultiDigraph:
 class Multigraph:
     """Undirected graph with parallel edges allowed, no loops."""
 
-    __slots__ = ("n", "_m", "_hash")
+    __slots__ = ("n", "_m", "_hash", "_lam")
 
     def __init__(self, n, edges=()):
-        if not isinstance(n, int) or n < 0:
-            raise InvalidArgumentError(f"vertex count must be a non-negative int, got {n!r}")
+        _check_count(n)
         m = {}
         for edge in edges:
             if len(edge) == 2:
@@ -201,13 +213,14 @@ class Multigraph:
             _check_vertex(v, n)
             if u == v:
                 raise InvalidArgumentError(f"loop at vertex {u} not allowed")
-            if not isinstance(mult, int) or mult < 1:
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise InvalidArgumentError(f"multiplicity must be a positive int, got {mult!r}")
             key = (min(u, v), max(u, v))
             m[key] = m.get(key, 0) + mult
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lam", None)
 
     @classmethod
     def _trusted(cls, n, m):
@@ -217,6 +230,7 @@ class Multigraph:
         object.__setattr__(G, "n", n)
         object.__setattr__(G, "_m", m)
         object.__setattr__(G, "_hash", None)
+        object.__setattr__(G, "_lam", None)
         return G
 
     def __setattr__(self, *a):
@@ -251,16 +265,11 @@ class Multigraph:
         return sorted(out)
 
     def induced(self, vertices):
-        ids = sorted(set(vertices))
-        for v in ids:
-            _check_vertex(v, self.n)
+        # ranks keep the order, so each key keeps u < v
+        ids = sorted(_check_vertex(v, self.n) for v in set(vertices))
         pos = {v: i for i, v in enumerate(ids)}
-        edges = [
-            (pos[u], pos[v], m)
-            for (u, v), m in self._m.items()
-            if u in pos and v in pos
-        ]
-        return Multigraph(len(ids), edges), ids
+        m = {(pos[u], pos[v]): mm for (u, v), mm in self._m.items() if u in pos and v in pos}
+        return Multigraph._trusted(len(ids), m), ids
 
     def contract(self, groups):
         """Contract each group to one vertex (group i -> vertex i).
@@ -397,18 +406,20 @@ def edge_connectivity(G):
 
     Only the value is needed, and it is unique, so this calls the
     value-only kernel ``min_cut_value`` (no max flows in the pure
-    backend)."""
+    backend).  The value is kept on G, which never changes, so the
+    kernel runs once per Multigraph; with the memoised
+    MultiDigraph.underlying, once per digraph."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("edge_connectivity expects a Multigraph")
-    if G.n <= 1:
-        return INFINITY
-    return _kernels.min_cut_value(G.n, G.caps_flat())
+    if G._lam is None:
+        lam = INFINITY if G.n <= 1 else _kernels.min_cut_value(G.n, G.caps_flat())
+        object.__setattr__(G, "_lam", lam)
+    return G._lam
 
 
 def violating_dicut(D, k):
     """A dicut of D with out-size < k, or None if D is k-arc-strong."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("violating_dicut expects a MultiDigraph")
+    _check_digraph(D, "violating_dicut")
     _check_k(k)
     n = D.n
     if n <= 1:
@@ -517,8 +528,7 @@ def _coerce_family(family):
 
 def apply_inversions(D, family):
     """Apply each set of the family in order; see module docstring."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("apply_inversions expects a MultiDigraph")
+    _check_digraph(D, "apply_inversions")
     fam = _coerce_family(family)
     n = D.n
     m = dict(D._m)
@@ -545,18 +555,11 @@ def apply_inversions(D, family):
 
 def push(D, X):
     """Reverse every arc with exactly one endpoint in X."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("push expects a MultiDigraph")
-    s = set(X)
-    for v in s:
-        _check_vertex(v, D.n)
-    arcs = []
-    for (t, h), m in D._m.items():
-        if (t in s) != (h in s):
-            arcs.append((h, t, m))
-        else:
-            arcs.append((t, h, m))
-    return MultiDigraph(D.n, arcs)
+    _check_digraph(D, "push")
+    s = {_check_vertex(v, D.n) for v in X}
+    # a crossing arc and its opposite swap keys, so no two arcs collide
+    m = {((h, t) if (t in s) != (h in s) else (t, h)): mm for (t, h), mm in D._m.items()}
+    return MultiDigraph._trusted(D.n, m)
 
 
 # -- frames -----------------------------------------------------------

@@ -22,15 +22,15 @@ from dataclasses import dataclass
 
 from .approx import _min_pairs
 from .core import (
+    _check_digraph,
     _check_k,
     _check_p,
     InversionFamily,
-    MultiDigraph,
     apply_inversions,
     edge_connectivity,
     is_k_arc_strong,
 )
-from .errors import InvalidArgumentError, PreconditionViolatedError, UnsupportedError
+from .errors import PreconditionViolatedError, UnsupportedError
 from .obstruction import ObstructionCertificate, _obstruction_scan
 from .oracles import _gf2_search
 from .simulation import simulate_pair, simulate_triple
@@ -71,17 +71,13 @@ def is_kp_invertible(D, k, p, witness=False):
 
     Returns a FeasibilityVerdict.  With witness=True a verified family
     is attached to feasible verdicts."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("expected a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("feasibility analysis expects a digraph without parallel arcs")
+    _check_digraph(D, "is_kp_invertible", simple=True)
     _check_k(k)
     _check_p(p)
-    G = D.underlying()
-    if edge_connectivity(G) < 2 * k:
+    if edge_connectivity(D.underlying()) < 2 * k:
         return FeasibilityVerdict(False, REASON_NOT_CONNECTED)
     if D.n < threshold(k, p):
-        fam = _gf2_search(D, k, p, "exact-size", G)
+        fam = _gf2_search(D, k, p, "exact-size", refute=True)
         if fam is None:
             return FeasibilityVerdict(False, REASON_KERNEL)
         fam = _finish(D, k, p, fam)
@@ -89,7 +85,7 @@ def is_kp_invertible(D, k, p, witness=False):
     if p % 2 == 0:
         reason = REASON_THEOREM_EVEN
     else:
-        cert = _obstruction_scan(D, G, k)
+        cert = _obstruction_scan(D, k)
         if cert is not None:
             return FeasibilityVerdict(False, REASON_OBSTRUCTION, certificate=cert)
         reason = REASON_THEOREM_ODD

@@ -19,6 +19,7 @@ checker over all partitions backs it up at n <= 9.
 from dataclasses import dataclass
 
 from .core import (
+    _check_digraph,
     _check_k,
     _check_vertex,
     Multigraph,
@@ -66,7 +67,7 @@ def verify_certificate(D, cert):
         if not part:
             return False
         for v in part:
-            if not isinstance(v, int) or not 0 <= v < D.n or v in seen:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < D.n or v in seen:
                 return False
             seen.add(v)
     if len(seen) != D.n:
@@ -143,10 +144,7 @@ def _k_regular_partition(G, k, xs):
 
 
 def _check_obstruction_input(D, k, what):
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError(f"{what} expects a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+    _check_digraph(D, what, simple=True)
     _check_k(k)
     if D.n < 4 * k + 2:
         raise PreconditionViolatedError(f"need n >= 4k+2 = {4 * k + 2}, got n = {D.n}")
@@ -159,22 +157,22 @@ def extend_to_certificate(D, k, Y):
     multigraph and n >= 4k+2; these are the hypotheses under which the
     singleton/high-degree scan in is_k_obstruction is complete."""
     _check_obstruction_input(D, k, "extend_to_certificate")
-    G = D.underlying()
-    if edge_connectivity(G) < 2 * k:
+    if edge_connectivity(D.underlying()) < 2 * k:
         raise PreconditionViolatedError(f"underlying multigraph is not {2 * k}-edge-connected")
     y_set = {_check_vertex(v, D.n) for v in Y}
-    return _extend(D, G, k, y_set)
+    return _extend(D, k, y_set)
 
 
-def _extend(D, G, k, y_set):
-    """extend_to_certificate with G the 2k-edge-connected UG(D) and y_set
-    a set of vertices; conditions (ii) and (iii) are tested before any flow."""
+def _extend(D, k, y_set):
+    """extend_to_certificate with UG(D) 2k-edge-connected and y_set a
+    set of vertices; conditions (ii) and (iii) are tested before any flow."""
     if not y_set or len(y_set) == D.n:
         return None
     x_set = set(range(D.n)) - y_set
     cross = len(x_set) * len(y_set)
     if cross % 2 == 1:
         return None
+    G = D.underlying()
     if any(G.mult(x, y) != 1 for y in y_set for x in x_set):
         return None
     out_across = _out_across(D, x_set)
@@ -202,25 +200,24 @@ def is_k_obstruction(D, k):
     n >= 4k+2 these candidates are exhaustive: in any obstruction either
     |Y| = 1, or Y is exactly the high-degree set."""
     _check_obstruction_input(D, k, "is_k_obstruction")
-    G = D.underlying()
-    if edge_connectivity(G) < 2 * k:
+    if edge_connectivity(D.underlying()) < 2 * k:
         return None
-    return _obstruction_scan(D, G, k)
+    return _obstruction_scan(D, k)
 
 
-def _obstruction_scan(D, G, k):
+def _obstruction_scan(D, k):
     """is_k_obstruction for a digraph D on n >= 4k+2 vertices whose
-    underlying multigraph G is 2k-edge-connected."""
+    underlying multigraph is 2k-edge-connected."""
     candidates = [{v} for v in range(D.n)]
     degree = [0] * D.n
-    for u, v, mm in G.edges():
+    for u, v, mm in D.underlying().edges():
         degree[u] += mm
         degree[v] += mm
     high = {v for v in range(D.n) if degree[v] >= 2 * k + 1}
     if 2 <= len(high) < D.n:
         candidates.append(high)
     for y in candidates:
-        cert = _extend(D, G, k, y)
+        cert = _extend(D, k, y)
         if cert is not None:
             return cert
     return None
@@ -246,10 +243,7 @@ def exhaustive_obstruction_search(D, k):
 
     Reference oracle for n <= 9 (Bell(8) = 4140 partitions per Y is
     fine); no connectivity or n >= 4k+2 hypotheses needed."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("exhaustive_obstruction_search expects a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+    _check_digraph(D, "exhaustive_obstruction_search", simple=True)
     if D.n > 9:
         raise InvalidArgumentError("exhaustive search is limited to n <= 9")
     _check_k(k)

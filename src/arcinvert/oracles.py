@@ -19,8 +19,11 @@ from itertools import combinations
 
 from . import _kernels
 from .core import (
+    _check_count,
+    _check_digraph,
     _check_k,
     _check_p,
+    _check_vertex,
     INFINITY,
     InversionFamily,
     MultiDigraph,
@@ -151,25 +154,21 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     search runs with the refutation for sub-threshold decisions in
     feasibility, and without it for witnesses above the threshold,
     whose existence the decision has already proved."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("gf2_reachable expects a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+    _check_digraph(D, "gf2_reachable", simple=True)
     _validate_kp(k, p, mode)
-    G = D.underlying()
-    if edge_connectivity(G) < 2 * k:
+    if edge_connectivity(D.underlying()) < 2 * k:
         return None  # inversions keep the underlying multigraph
-    fam = _gf2_search(D, k, p, mode, G)
+    fam = _gf2_search(D, k, p, mode, refute=True)
     if fam is not None and not is_k_arc_strong(apply_inversions(D, fam), k):
         raise RuntimeError("internal error: reconstructed family does not verify")
     return fam
 
 
-def _gf2_search(D, k, p, mode, G=None):
+def _gf2_search(D, k, p, mode, refute=False):
     """The coset search of gf2_reachable on a checked digraph D whose
     underlying graph is 2k-edge-connected; the family it returns is not
-    verified.  G, the underlying graph, is given when the answer can be
-    "no", and turns on the forced-parity refutation for n <= 16."""
+    verified.  refute is set when the answer can be "no", and turns on
+    the forced-parity refutation for n <= 16."""
     if is_k_arc_strong(D, k):
         return InversionFamily([])
     n = D.n
@@ -190,7 +189,7 @@ def _gf2_search(D, k, p, mode, G=None):
     for i, (_xs, ind) in enumerate(cands):
         span.add(ind, 1 << i)
 
-    if G is not None and n <= 16 and _forced_parity_refuted(D, G, k, simple, span):
+    if refute and n <= 16 and _forced_parity_refuted(D, k, simple, span):
         return None
 
     # complement constraints, echelonized by highest bit so that during
@@ -348,7 +347,7 @@ def _cut_sizes(G):
     return cut
 
 
-def _forced_parity_refuted(D, G, k, simple, span):
+def _forced_parity_refuted(D, k, simple, span):
     """Provable-'no' check: find tight cuts whose forced flip parities
     are GF(2)-inconsistent with the candidate span.
 
@@ -360,7 +359,7 @@ def _forced_parity_refuted(D, G, k, simple, span):
     vector (bit 0) as a sum of rows, so one basis and one solve decide
     it."""
     n = D.n
-    cut = _cut_sizes(G)
+    cut = _cut_sizes(D.underlying())
     span_vecs = [v for v, _ in span.rows]
     rows = []
     for mask in range(1, (1 << n) - 1):
@@ -395,10 +394,7 @@ def orientation_bfs_reachable(D, k, p, mode="exact-size"):
     moves are single (=p or <=p) inversions.  True iff some reachable
     orientation is k-arc-strong.  Exponential in the number of simple
     arcs; use at n <= 6."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("orientation_bfs_reachable expects a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+    _check_digraph(D, "orientation_bfs_reachable", simple=True)
     _validate_kp(k, p, mode)
     n = D.n
     simple = D.simple_arcs()
@@ -738,16 +734,17 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     it is skipped as it is read.
 
     lambda(UG(D)) >= 2k is necessary, as inversions keep UG(D), but it
-    can only change the answer of a search that fails.  It is computed
-    once, at the first child that fails or before the second budget,
-    whichever comes first, and the call returns None at once when it is
-    below 2k.  A call whose first descent finds a family never computes
-    it, and at most one descent (l_max + 1 nodes) runs before it.
+    can only change the answer of a search that fails.  It is asked for
+    at the first child that fails or before the second budget, whichever
+    comes first, and the call returns None at once when it is below 2k.
+    A call whose first descent finds a family never asks for it, and at
+    most one descent (l_max + 1 nodes) runs before it.  The value is
+    memoised on D's underlying multigraph, so it is computed once per
+    digraph.
 
     Pruned subtrees hold no family and the other candidates keep their
     order, so the first family found stays the same."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("exact_inv_kp expects a MultiDigraph")
+    _check_digraph(D, "exact_inv_kp")
     _validate_kp(k, p, mode)
     if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 0:
         raise InvalidArgumentError(f"l_max must be a non-negative int, got {l_max!r}")
@@ -779,14 +776,6 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             outdeg[b] += ab - ba
             indeg[a] += ab - ba
 
-    connected = None  # lambda(UG(D)) >= 2k, once the search has failed
-
-    def well_connected():
-        nonlocal connected
-        if connected is None:
-            connected = edge_connectivity(D.underlying()) >= 2 * k
-        return connected
-
     chain = []
     found = []
 
@@ -811,13 +800,13 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
                 return True
             chain.pop()
             apply_set(xs)
-            if not well_connected():
+            if edge_connectivity(D.underlying()) < 2 * k:
                 return False  # no family at any budget
         return False
 
     start = -(-first // p)
     for budget in range(start, l_max + 1):
-        if budget > start and not well_connected():
+        if budget > start and edge_connectivity(D.underlying()) < 2 * k:
             return None  # inversions keep the underlying multigraph
         if dfs(budget):
             fam = InversionFamily(found[0])
@@ -892,14 +881,12 @@ class Hypergraph:
     edges: tuple
 
     def __init__(self, n, edges):
-        if not isinstance(n, int) or n < 0:
-            raise InvalidArgumentError(f"vertex count must be a non-negative int, got {n!r}")
+        _check_count(n)
         es = []
         for e in edges:
             fe = frozenset(e)
             for v in fe:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise InvalidArgumentError(f"hyperedge vertex {v!r} out of range")
+                _check_vertex(v, n, "hyperedge vertex")
             if len(fe) < 2:
                 raise InvalidArgumentError("hyperedges must have >= 2 vertices")
             es.append(fe)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import (
+    _check_digraph,
     _check_k,
     InversionFamily,
     MultiDigraph,
@@ -314,8 +315,7 @@ def gen_push_n1(D):
     does.  The planted family comes from a brute-force search over
     vertex subsets (vertex 0 can be fixed outside since a set and its
     complement flip identically)."""
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("gen_push_n1 expects a MultiDigraph")
+    _check_digraph(D, "gen_push_n1")
     if not D.is_oriented():
         raise InvalidArgumentError("an oriented graph (no digons, no parallel arcs) is required")
     n = D.n

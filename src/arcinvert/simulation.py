@@ -24,7 +24,7 @@ Size recipes (n >= p+2 throughout):
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InversionFamily, MultiDigraph, _check_p, _check_vertex, apply_inversions
+from .core import InversionFamily, _check_digraph, _check_p, _check_vertex, apply_inversions
 from .errors import (
     InvalidArgumentError,
     PreconditionViolatedError,
@@ -32,7 +32,8 @@ from .errors import (
 )
 from .oracles import Gf2Basis
 
-# independent_triple scans every triple up to this many vertices
+# up to this many vertices independent_triple returns the first
+# independent triple in lexicographic order, above it the greedy sweep's
 _INDEPENDENT_SCAN_LIMIT = 30
 
 
@@ -56,10 +57,7 @@ class SimulationPlan:
 
 
 def _validate_common(D, S, size, p, p_residues):
-    if not isinstance(D, MultiDigraph):
-        raise InvalidArgumentError("expected a MultiDigraph")
-    if not D.is_digraph():
-        raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+    _check_digraph(D, "simulation", simple=True)
     s = sorted({_check_vertex(v, D.n) for v in S})
     if len(s) != size:
         raise InvalidArgumentError(f"target must have exactly {size} distinct vertices")
@@ -93,18 +91,15 @@ def _checked(plan, D):
 
 
 def independent_triple(G):
-    """Lexicographically smallest 3-set with no edges inside, or None.
+    """A sorted 3-set with no edges inside, or None when G has none.
 
-    Full scan up to _INDEPENDENT_SCAN_LIMIT vertices; beyond that a
-    greedy sweep with one restart per start vertex (can miss, never
-    lies)."""
+    Up to _INDEPENDENT_SCAN_LIMIT vertices it is the lexicographically
+    smallest one.  Beyond that a greedy sweep with one restart per start
+    vertex answers first, and the exact scan only where the sweep finds
+    none, so a triple is returned whenever one exists."""
     n = G.n
     if n <= _INDEPENDENT_SCAN_LIMIT:
-        for trip in combinations(range(n), 3):
-            a, b, c = trip
-            if not (G.adjacent(a, b) or G.adjacent(a, c) or G.adjacent(b, c)):
-                return list(trip)
-        return None
+        return _first_independent_triple(G)
     for start in range(n):
         picked = [start]
         for u in range(n):
@@ -114,6 +109,27 @@ def independent_triple(G):
                 picked.append(u)
                 if len(picked) == 3:
                     return sorted(picked)
+    return _first_independent_triple(G)
+
+
+def _first_independent_triple(G):
+    """Lexicographically smallest independent triple of G, or None.
+
+    Each vertex keeps the mask of its later non-neighbours; a is the
+    first vertex whose mask holds some b that shares a later
+    non-neighbour c with a."""
+    n = G.n
+    later = [((1 << n) - 1) >> (v + 1) << (v + 1) for v in range(n)]
+    for (u, v) in G._m:
+        later[u] &= ~(1 << v)  # u < v
+    for a in range(n):
+        rest = later[a]
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            common = rest & later[b]
+            if common:
+                return [a, b, (common & -common).bit_length() - 1]
     return None
 
 
@@ -152,8 +168,8 @@ def simulate_triple(D, S, p):
     """Plan of (=p)-sets equal to inverting the 3-set S; p odd >= 3.
 
     For p = 1 mod 4 an independent triple I is fixed and S is reduced to
-    the disjoint-triples case by |S n I|; independence number < 3 (as
-    far as the scan can tell) raises UnsupportedError."""
+    the disjoint-triples case by |S n I|; independence number < 3
+    raises UnsupportedError."""
     s = _validate_common(D, S, 3, p, {1, 3})
     if p % 4 == 3:
         ext = _smallest_disjoint(D.n, s, p - 1)

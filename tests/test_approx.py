@@ -23,6 +23,7 @@ from arcinvert.core import (
     is_k_arc_strong,
 )
 from arcinvert.errors import InvalidArgumentError, PreconditionViolatedError
+from arcinvert.feasibility import is_kp_invertible
 from arcinvert.oracles import exact_inv_kp, gf2_reachable
 
 from conftest import rand_2kec_digraph, rand_digraph
@@ -299,6 +300,23 @@ def test_approx_kp_tests_strongness_twice(monkeypatch):
             calls.clear()
             approx_kp(D, 1, 3, heuristic=heuristic)
             assert len(calls) == 2
+
+
+def test_entry_points_share_one_lambda_per_digraph(monkeypatch):
+    # is_kp_invertible and approx_kp both need lambda(UG(D)) >= 2k; the
+    # kernel computes it for the first and the second reads the memo
+    calls = []
+    cut_value = _kernels.min_cut_value
+    monkeypatch.setattr(_kernels, "min_cut_value", lambda *a: calls.append(a[0]) or cut_value(*a))
+    rng = random.Random(512)
+    for _ in range(8):
+        # a copy: the generator has already computed its lambda
+        E = rand_2kec_digraph(rng, 1, rng.randint(6, 9))
+        D = MultiDigraph(E.n, list(E.arcs()))
+        calls.clear()
+        assert is_kp_invertible(D, 1, 3).reason != "not-2k-edge-connected"
+        approx_kp(D, 1, 3)
+        assert calls == [D.n]
 
 
 def test_pairs_independent_cases():

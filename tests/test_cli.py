@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+from arcinvert import _kernels
 from arcinvert.cli import cli_dispatch
 from arcinvert.core import (
     InversionFamily,
@@ -12,6 +13,7 @@ from arcinvert.core import (
     write_mdg,
 )
 from arcinvert.obstruction import certificate_from_text, star_matching_obstruction
+from arcinvert.reductions import rotative_tournament
 
 
 def run(capsys, *argv):
@@ -113,6 +115,26 @@ def test_single_vertex_approx_and_exact_report_value_zero(tmp_path, capsys):
         code, out, _err = run(capsys, *argv, str(f))
         assert code == 0
         assert "value: 0" in out
+
+
+def test_each_command_computes_lambda_once(tmp_path, capsys, monkeypatch):
+    # the report's lambda line and the library call read the same
+    # memoised edge connectivity of UG(D)
+    f = str(tmp_path / "rt9.mdg")
+    write_mdg(f, rotative_tournament(9))
+    calls = []
+    cut_value = _kernels.min_cut_value
+    monkeypatch.setattr(_kernels, "min_cut_value", lambda *a: calls.append(a[0]) or cut_value(*a))
+    for argv in (
+        ("feasible", "--k", "1", "--p", "3"),
+        ("obstruction", "--k", "1"),
+        ("approx", "--k", "1", "--p", "3"),
+        ("exact", "--k", "1", "--p", "3"),
+    ):
+        calls.clear()
+        code, out, _err = run(capsys, *argv, f)
+        assert code in (0, 1) and "lambda: 8" in out
+        assert calls == [9]
 
 
 def test_gen_sidecar_round_trip(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcinvert import core, oracles
+from arcinvert import _kernels, core, oracles
 from arcinvert.core import (
     INFINITY,
     InversionFamily,
@@ -23,6 +23,11 @@ from arcinvert.core import (
     violating_dicut,
 )
 from arcinvert.errors import InvalidArgumentError, ParseError
+from arcinvert.obstruction import (
+    ObstructionCertificate,
+    star_matching_obstruction,
+    verify_certificate,
+)
 
 from conftest import rand_digraph, rand_family, rand_multidigraph, rand_multigraph
 from test_kernels import _dense_global_min_cut
@@ -339,3 +344,89 @@ def test_induced_keeps_the_arcs_inside_and_renumbers_by_rank():
         )
     with pytest.raises(InvalidArgumentError):
         D.induced([0, D.n])
+
+
+def test_push_and_induced_match_the_checked_construction(monkeypatch):
+    # push() and both induced() build their results from arc dicts
+    # without the per-arc checks of the constructors: only the caller's
+    # vertices are checked
+    calls = []
+    check = core._check_vertex
+    monkeypatch.setattr(core, "_check_vertex", lambda *a: calls.append(a) or check(*a))
+    rng = random.Random(52)
+    for _ in range(40):
+        D = rand_multidigraph(rng, n_max=8)
+        X = rng.sample(range(D.n), rng.randint(1, D.n))
+        del calls[:]
+        P = push(D, X)
+        assert len(calls) == len(X)
+        ref = MultiDigraph(
+            D.n, [(h, t, m) if (t in X) != (h in X) else (t, h, m) for (t, h), m in D._m.items()]
+        )
+        assert list(P._m.items()) == list(ref._m.items())
+        assert P == ref and hash(P) == hash(ref)
+        keep = rng.sample(range(D.n), rng.randint(1, D.n))
+        for graph in (D, D.underlying()):
+            del calls[:]
+            sub, ids = graph.induced(keep)
+            assert len(calls) == len(keep)
+            pos = {v: i for i, v in enumerate(ids)}
+            edges = [(pos[a], pos[b], m) for (a, b), m in graph._m.items() if a in pos and b in pos]
+            ref = type(graph)(len(ids), edges)
+            assert list(sub._m.items()) == list(ref._m.items())
+            assert sub == ref and hash(sub) == hash(ref)
+    with pytest.raises(InvalidArgumentError):
+        push(D, [0, D.n])
+    with pytest.raises(InvalidArgumentError):
+        D.underlying().induced([0, D.n])
+
+
+def test_underlying_and_lambda_are_computed_once_per_graph(monkeypatch):
+    calls = []
+    cut_value = _kernels.min_cut_value
+    monkeypatch.setattr(_kernels, "min_cut_value", lambda *a: calls.append(a[0]) or cut_value(*a))
+    rng = random.Random(53)
+    for _ in range(30):
+        D = rand_multidigraph(rng, n_max=8)
+        G = D.underlying()
+        assert D.underlying() is G
+        del calls[:]
+        lam = edge_connectivity(G)
+        assert edge_connectivity(D.underlying()) == lam and calls == [D.n]
+        # inversions keep UG(D), yet each result is a new digraph whose
+        # memo starts empty
+        F = apply_inversions(D, rand_family(rng, D.n))
+        assert F._ug is None
+        assert F.underlying() == G and F.underlying() is not G
+        assert edge_connectivity(F.underlying()) == lam and calls == [D.n, D.n]
+
+
+def _star_matching_verified(one):
+    """verify_certificate on star_matching_obstruction(3) with vertex 1
+    of its certificate written as one."""
+    D, cert = star_matching_obstruction(3)
+    parts = tuple(tuple(one if v == 1 else v for v in part) for part in cert.x_parts)
+    return verify_certificate(D, ObstructionCertificate(k=cert.k, x_parts=parts, y=cert.y))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda one: MultiDigraph(one),
+        lambda one: Multigraph(one),
+        lambda one: MultiDigraph(2, [(0, 1, one)]),
+        lambda one: Multigraph(2, [(0, 1, one)]),
+        lambda one: oracles.Hypergraph(3, [(one, 2)]),
+        _star_matching_verified,
+    ],
+    ids=["digraph-n", "graph-n", "arc-mult", "edge-mult", "hyperedge-vertex", "certificate-vertex"],
+)
+def test_bool_is_rejected_where_an_int_is_expected(build):
+    # True == 1, but a count, multiplicity or vertex id given as a bool
+    # is rejected (raises, or fails verification) like k and p are
+    assert build(1)
+    try:
+        accepted = build(True)
+    except InvalidArgumentError:
+        accepted = False
+    assert accepted is False

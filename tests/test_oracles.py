@@ -529,13 +529,22 @@ def _split_with_sinks(rng, k, half, sinks):
 
 
 def test_exact_inv_kp_gives_up_after_one_descent_below_2k(monkeypatch):
-    # lambda(UG(D)) < 2k rules out every family; it is computed at the
+    # lambda(UG(D)) < 2k rules out every family; it is asked for at the
     # first failed child, so at most one descent of l_max + 1 nodes runs
-    # before it and nothing after it
+    # before it and nothing but lambda requests after it.  The check
+    # below memoises D's lambda, so the requests are logged where
+    # exact_inv_kp makes them; the kernel never runs again
     log = _logging_kernels(monkeypatch)
+    request = oracles.edge_connectivity
+
+    def requested(G):
+        log.append("request")
+        return request(G)
+
+    monkeypatch.setattr(oracles, "edge_connectivity", requested)
     rng = random.Random(324)
     l_max = 3
-    computed = 0
+    asked = 0
     for _ in range(30):
         k = rng.choice((1, 2))
         D = _split_with_sinks(rng, k, 6, rng.randint(4, 7))
@@ -545,9 +554,9 @@ def test_exact_inv_kp_gives_up_after_one_descent_below_2k(monkeypatch):
                 log.clear()
                 assert exact_inv_kp(D, k, p, mode=mode, l_max=l_max) is None
                 karc = log.count("karc")
-                assert karc <= l_max + 1 and log[karc:] in ([], ["lambda"])
-                computed += len(log) - karc
-    assert computed > 100
+                assert karc <= l_max + 1 and set(log[karc:]) <= {"request"}
+                asked += len(log) - karc
+    assert asked > 100
 
 
 def _degree_bounded_three_uniform(rng, m):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from arcinvert.core import MultiDigraph, apply_inversions
+from arcinvert.core import MultiDigraph, Multigraph, apply_inversions
 from arcinvert.errors import (
     InvalidArgumentError,
     PreconditionViolatedError,
@@ -112,6 +112,32 @@ def test_independent_triple_scan():
     assert not (G.adjacent(a, b) or G.adjacent(a, c) or G.adjacent(b, c))
     T = rotative_tournament(5).underlying()
     assert independent_triple(T) is None
+
+
+def _complete_without(n, missing):
+    """K_n less the edges (u, v), u < v, in missing."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in missing]
+    return Multigraph(n, edges)
+
+
+def test_independent_triple_keeps_the_greedy_answer_above_the_scan_limit():
+    # 0 and 1 lie on no independent triple; the lexicographically first
+    # one is {2, 5, 7}.  The greedy sweep fails from starts 0, 1 and 2
+    # (each first picks a vertex outside every triple) and answers
+    # {3, 4, 6} from start 3, which it keeps above 30 vertices
+    missing = {(0, 2), (2, 5), (2, 7), (5, 7), (3, 4), (3, 6), (4, 6)}
+    assert independent_triple(_complete_without(30, missing)) == [2, 5, 7]
+    assert independent_triple(_complete_without(32, missing)) == [3, 4, 6]
+
+
+def test_independent_triple_is_found_where_the_greedy_sweep_misses():
+    # every start of the sweep first picks a partner outside {4, 5, 6}
+    # and gets stuck, so the exact scan finds the only triple
+    missing = {(4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)}
+    assert independent_triple(_complete_without(32, missing)) == [4, 5, 6]
+    D = MultiDigraph(32, [(u, v) for u, v, _m in _complete_without(32, missing).edges()])
+    plan = simulate_triple(D, (0, 1, 2), 5)
+    assert plan.verify(D) and all(len(s) == 5 for s in plan.sets)
 
 
 def test_parameter_validation():
