@@ -44,8 +44,10 @@ FAMILY_SIZES = (64, 128, 256)
 def load_cimpl(build_dir):
     """The compiled backend: the installed extension when there is one,
     else the checked-in _cimpl.c built with gcc into ``build_dir`` and
-    loaded from there; None without gcc and Python.h.  The build uses
-    -Wall -Werror, so a new compiler warning fails it."""
+    loaded from there; None without gcc and Python.h.  This fallback
+    build alone uses -Wall -Werror, so a new compiler warning fails it
+    and its message carries gcc's output; setup.py builds the installed
+    extension without -Werror."""
     try:
         return importlib.import_module("arcinvert._kernels._cimpl")
     except ImportError:
@@ -56,12 +58,14 @@ def load_cimpl(build_dir):
         return None
     source = Path(_kernels.__file__).with_name("_cimpl.c")
     target = Path(build_dir) / ("_cimpl" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(
+    build = subprocess.run(
         [gcc, "-O2", "-Wall", "-Werror", "-shared", "-fPIC", f"-I{include}", str(source),
          "-o", str(target)],
-        check=True,
         capture_output=True,
+        text=True,
     )
+    if build.returncode != 0:
+        raise RuntimeError(f"gcc failed to build {source.name}:\n{build.stderr}")
     spec = importlib.util.spec_from_file_location("arcinvert._kernels._cimpl", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

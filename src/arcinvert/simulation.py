@@ -32,10 +32,6 @@ from .errors import (
 )
 from .oracles import Gf2Basis
 
-# up to this many vertices independent_triple returns the first
-# independent triple in lexicographic order, above it the greedy sweep's
-_INDEPENDENT_SCAN_LIMIT = 30
-
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -91,28 +87,6 @@ def _checked(plan, D):
 
 
 def independent_triple(G):
-    """A sorted 3-set with no edges inside, or None when G has none.
-
-    Up to _INDEPENDENT_SCAN_LIMIT vertices it is the lexicographically
-    smallest one.  Beyond that a greedy sweep with one restart per start
-    vertex answers first, and the exact scan only where the sweep finds
-    none, so a triple is returned whenever one exists."""
-    n = G.n
-    if n <= _INDEPENDENT_SCAN_LIMIT:
-        return _first_independent_triple(G)
-    for start in range(n):
-        picked = [start]
-        for u in range(n):
-            if u == start:
-                continue
-            if all(not G.adjacent(u, w) for w in picked):
-                picked.append(u)
-                if len(picked) == 3:
-                    return sorted(picked)
-    return _first_independent_triple(G)
-
-
-def _first_independent_triple(G):
     """Lexicographically smallest independent triple of G, or None.
 
     Each vertex keeps the mask of its later non-neighbours; a is the

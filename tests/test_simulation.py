@@ -120,19 +120,15 @@ def _complete_without(n, missing):
     return Multigraph(n, edges)
 
 
-def test_independent_triple_keeps_the_greedy_answer_above_the_scan_limit():
-    # 0 and 1 lie on no independent triple; the lexicographically first
-    # one is {2, 5, 7}.  The greedy sweep fails from starts 0, 1 and 2
-    # (each first picks a vertex outside every triple) and answers
-    # {3, 4, 6} from start 3, which it keeps above 30 vertices
+def test_independent_triple_is_the_lexicographically_smallest():
+    # 0 and 1 lie on no independent triple; {2, 5, 7} comes before {3, 4, 6}
     missing = {(0, 2), (2, 5), (2, 7), (5, 7), (3, 4), (3, 6), (4, 6)}
     assert independent_triple(_complete_without(30, missing)) == [2, 5, 7]
-    assert independent_triple(_complete_without(32, missing)) == [3, 4, 6]
 
 
-def test_independent_triple_is_found_where_the_greedy_sweep_misses():
-    # every start of the sweep first picks a partner outside {4, 5, 6}
-    # and gets stuck, so the exact scan finds the only triple
+def test_independent_triple_is_found_above_30_vertices():
+    # a greedy sweep that first picks a partner outside {4, 5, 6} from
+    # every start gets stuck here; {4, 5, 6} is the only triple
     missing = {(4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)}
     assert independent_triple(_complete_without(32, missing)) == [4, 5, 6]
     D = MultiDigraph(32, [(u, v) for u, v, _m in _complete_without(32, missing).edges()])
