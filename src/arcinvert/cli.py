@@ -132,8 +132,6 @@ def _cmd_simulate(args):
         )
     body = _digest_lines(D)
     body.append("target: " + " ".join(str(v) for v in sorted(target)))
-    if plan.companion is not None:
-        body.append("companion: " + " ".join(str(v) for v in sorted(plan.companion)))
     body.append(f"sets: {len(plan.sets)}")
     body.extend(plan.family().to_lines() if plan.sets else [])
     ok = plan.verify(D)

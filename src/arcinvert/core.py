@@ -96,6 +96,11 @@ class MultiDigraph:
     def __setattr__(self, *a):
         raise AttributeError("MultiDigraph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checking constructor (a
+        # pickle is outside input); the memo slots start empty again
+        return MultiDigraph, (self.n, [(t, h, m) for (t, h), m in self._m.items()])
+
     # -- queries ------------------------------------------------------
 
     def mult(self, t, h):
@@ -235,6 +240,11 @@ class Multigraph:
 
     def __setattr__(self, *a):
         raise AttributeError("Multigraph is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the checking constructor (a
+        # pickle is outside input); the memo slots start empty again
+        return Multigraph, (self.n, [(u, v, m) for (u, v), m in self._m.items()])
 
     def mult(self, u, v):
         if u == v:
@@ -462,6 +472,9 @@ class InversionFamily:
 
     def __setattr__(self, *a):
         raise AttributeError("InversionFamily is immutable")
+
+    def __reduce__(self):
+        return InversionFamily, (self.sets,)
 
     def __len__(self):
         return len(self.sets)

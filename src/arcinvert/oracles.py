@@ -81,34 +81,6 @@ class Gf2Basis:
         return len(self.rows)
 
 
-def _nullspace(rows, width):
-    """Basis of {w : row . w = 0 for all rows}, vectors as bitmasks."""
-    basis = Gf2Basis()
-    for r in rows:
-        basis.add(r, 0)
-    pivots = []
-    reduced = []
-    for v, _c in basis.rows:
-        reduced.append(v)
-        pivots.append(v.bit_length() - 1)
-    # back-substitute to RREF so each pivot occurs in exactly one row
-    for i in range(len(reduced)):
-        for j in range(len(reduced)):
-            if i != j and (reduced[j] >> pivots[i]) & 1:
-                reduced[j] ^= reduced[i]
-    pivot_set = set(pivots)
-    out = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        w = 1 << f
-        for v, p in zip(reduced, pivots):
-            if (v >> f) & 1:
-                w |= 1 << p
-        out.append(w)
-    return out
-
-
 # -- GF(2) reachability of a k-arc-strong orientation -------------------
 
 
@@ -141,17 +113,20 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     The effect of any family on the simple arcs (arcs without an
     opposite arc; digons never change) is the GF(2) sum of the flip
     indicators of its sets, so the reachable orientations form a coset
-    of the indicator span.  The search walks exactly that coset: the
-    orthogonal complement of the span is echelonized so that each of
-    its constraints forces one bit during the DFS.  The DFS prunes a
-    branch once a vertex can no longer reach k arcs out or in; where
-    every family flips an even number of a vertex's simple arcs (its
-    star lies in the complement), its degrees keep their parity, and it
-    must reach the least value >= k of that parity.  For n <= 16 a
-    refutation over forced-parity cuts (every cut of underlying size 2k
-    must end up with exactly k arcs out) first proves most "no"
-    instances, k-obstructions included, without search.  The same
-    search runs with the refutation for sub-threshold decisions in
+    of the indicator span.  The search walks exactly that coset, one
+    simple arc after another: arc i is bit m - 1 - i of the flip
+    vector, so the DFS meets the bits from the highest down, the order
+    in which the span basis is echelonized.  An arc is free, and tries
+    both directions, when a basis row has its leading bit there;
+    otherwise the arcs placed before it fix its flip, and it is forced.
+    The DFS prunes a branch once a vertex can no longer reach k arcs out
+    or in; where every family flips an even number of a vertex's simple
+    arcs (its star is orthogonal to the span), its degrees keep their
+    parity, and it must reach the least value >= k of that parity.  For
+    n <= 16 a refutation over forced-parity cuts (every cut of
+    underlying size 2k must end up with exactly k arcs out) first proves
+    most "no" instances, k-obstructions included, without search.  The
+    same search runs with the refutation for sub-threshold decisions in
     feasibility, and without it for witnesses above the threshold,
     whose existence the decision has already proved."""
     _check_digraph(D, "gf2_reachable", simple=True)
@@ -168,7 +143,15 @@ def _gf2_search(D, k, p, mode, refute=False):
     """The coset search of gf2_reachable on a checked digraph D whose
     underlying graph is 2k-edge-connected; the family it returns is not
     verified.  refute is set when the answer can be "no", and turns on
-    the forced-parity refutation for n <= 16."""
+    the forced-parity refutation for n <= 16.
+
+    The search keeps x, the span element the placed arcs fix, and
+    combo, the candidates whose indicators sum to x.  A free arc whose
+    tried flip differs from x's bit XORs its basis row into both; that
+    row leads at the arc's own bit, so the placed bits stay.  The first
+    k-arc-strong leaf is the least such x, and since only candidates
+    that enlarged the span get a combo bit, its combo names the one
+    family."""
     if is_k_arc_strong(D, k):
         return InversionFamily([])
     n = D.n
@@ -176,7 +159,7 @@ def _gf2_search(D, k, p, mode, refute=False):
     m = len(simple)
     bit = [0] * (n * n)  # flip bit of the simple arc on each vertex pair
     for i, (t, h) in enumerate(simple):
-        bit[t * n + h] = bit[h * n + t] = 1 << i
+        bit[t * n + h] = bit[h * n + t] = 1 << (m - 1 - i)
 
     def indicator(xs):
         ind = 0
@@ -184,42 +167,25 @@ def _gf2_search(D, k, p, mode, refute=False):
             ind |= bit[a * n + b]
         return ind
 
-    cands = _candidate_sets(n, p, mode, indicator)
     span = Gf2Basis()
-    for i, (_xs, ind) in enumerate(cands):
-        span.add(ind, 1 << i)
+    kept = []  # candidate sets that enlarged the span, by combo bit
+    for xs, ind in _candidate_sets(n, p, mode, indicator):
+        if span.add(ind, 1 << len(kept)):
+            kept.append(xs)
 
     if refute and n <= 16 and _forced_parity_refuted(D, k, simple, span):
         return None
-
-    # complement constraints, echelonized by highest bit so that during
-    # the DFS (bits assigned in ascending order) each constraint fires
-    # exactly when its last bit is reached
-    complement = _nullspace([v for v, _ in span.rows], m)
-    forced_by = {}
-    cbasis = Gf2Basis()
-    for w in complement:
-        cbasis.add(w, 0)
-    for w, _ in cbasis.rows:
-        forced_by[w.bit_length() - 1] = w
 
     caps = [0] * (n * n)
     for (t, h), mm in D._m.items():
         if not bit[t * n + h]:  # digon arcs are fixed
             caps[t * n + h] = mm
     # still-needed out- and in-degree, capped at 0
-    out_need, in_need = _degree_needs(n, k, caps, simple, cbasis)
+    out_need, in_need = _degree_needs(n, k, caps, simple, span)
     remaining = [0] * n
     for t, h in simple:
         remaining[t] += 1
         remaining[h] += 1
-
-    def choices(i, diff):
-        """Bits to try for arc i, the first one last."""
-        w = forced_by.get(i)
-        if w is None:
-            return [1, 0]
-        return [bin(diff & w).count("1") & 1]
 
     def unplace(i, flipped, saved):
         t, h = simple[i]
@@ -232,20 +198,21 @@ def _gf2_search(D, k, p, mode, refute=False):
 
     if m == 0:
         return None  # D is not k-arc-strong and no arc can flip
+    pivot = span._pivot
     # depth-first over the arcs in index order with an explicit stack:
-    # path holds (bit, saved needs) of every placed arc, pending the
-    # untried bits of every arc up to the one being placed
+    # path holds (bit, saved needs, x and combo before it) of every
+    # placed arc, pending the untried bits of every arc up to the one
+    # being placed, the first one last
     path = []
-    pending = [choices(0, 0)]
-    diff = 0
+    pending = [[1, 0] if m - 1 in pivot else [0]]
+    x = combo = 0
     while pending:
         i = len(path)
         if not pending[-1]:
             pending.pop()
             if path:
-                b, saved = path.pop()
+                b, saved, (x, combo) = path.pop()
                 unplace(i - 1, b, saved)
-                diff ^= b << (i - 1)
             continue
         b = pending[-1].pop()
         t0, h0 = simple[i]
@@ -266,51 +233,54 @@ def _gf2_search(D, k, p, mode, refute=False):
         ):
             unplace(i, b, saved)
             continue
-        diff |= b << i
-        if i + 1 < m:
-            path.append((b, saved))
-            pending.append(choices(i + 1, diff))
+        before = (x, combo)
+        at = m - 1 - i
+        if (x >> at) & 1 != b:  # a free arc: forced ones take x's bit
+            row, row_combo = pivot[at]
+            x ^= row
+            combo ^= row_combo
+        if at:
+            path.append((b, saved, before))
+            pending.append([1, 0] if at - 1 in pivot else [(x >> (at - 1)) & 1])
         elif _kernels.karc_deficient_cut(n, caps, k) == -1:
-            combo = span.solve(diff)
-            if combo is None:
-                raise RuntimeError("internal error: parity-feasible leaf outside span")
-            return InversionFamily([cands[c][0] for c in range(len(cands)) if (combo >> c) & 1])
+            return InversionFamily([xs for j, xs in enumerate(kept) if (combo >> j) & 1])
         else:
             unplace(i, b, saved)
-            diff ^= b << i
+            x, combo = before
     return None
 
 
-def _degree_needs(n, k, caps, simple, cbasis):
+def _degree_needs(n, k, caps, simple, span):
     """Out- and in-degree each vertex needs from its simple arcs in a
     k-arc-strong leaf of the coset search, given the fixed digon arcs
-    in caps and the basis cbasis of the orthogonal complement of the
-    candidate span; values below 0 are 0.
+    in caps and the basis span of the candidate indicators, with simple
+    arc i as bit m - 1 - i; values below 0 are 0.
 
-    A vertex whose simple-arc star lies in that complement, i.e. is
-    orthogonal to every candidate indicator, has an even number of its
-    simple arcs flipped by every family.  Each flip moves its
-    out-degree by one, so its out-degree keeps its parity, and so does
-    its in-degree: it needs the least value >= k of that parity, k or
-    k + 1.  Tournaments under odd-size inversions are the common case
-    (a set of odd size spans an even number of arcs at each member).
-    The bound cuts only subtrees without a k-arc-strong leaf and leaves
-    the DFS order alone, so the first family found stays the same."""
+    A vertex whose simple-arc star is orthogonal to every candidate
+    indicator has an even number of its simple arcs flipped by every
+    family.  Each flip moves its out-degree by one, so its out-degree
+    keeps its parity, and so does its in-degree: it needs the least
+    value >= k of that parity, k or k + 1.  Tournaments under odd-size
+    inversions are the common case (a set of odd size spans an even
+    number of arcs at each member).  The bound cuts only subtrees
+    without a k-arc-strong leaf and leaves the DFS order alone, so the
+    first family found stays the same."""
+    m = len(simple)
     out_have = [sum(caps[v * n:v * n + n]) for v in range(n)]
     in_have = [sum(caps[v::n]) for v in range(n)]
     star = [0] * n
     simple_out = [0] * n
     simple_in = [0] * n
     for i, (t, h) in enumerate(simple):
-        star[t] |= 1 << i
-        star[h] |= 1 << i
+        star[t] |= 1 << (m - 1 - i)
+        star[h] |= 1 << (m - 1 - i)
         simple_out[t] += 1
         simple_in[h] += 1
     out_need = [0] * n
     in_need = [0] * n
     for v in range(n):
         out_want = in_want = k
-        if cbasis.solve(star[v]) is not None:
+        if not any(bin(star[v] & row).count("1") & 1 for row, _c in span.rows):
             out_want += (out_have[v] + simple_out[v] - k) % 2
             in_want += (in_have[v] + simple_in[v] - k) % 2
         out_need[v] = max(0, out_want - out_have[v])
@@ -359,6 +329,7 @@ def _forced_parity_refuted(D, k, simple, span):
     vector (bit 0) as a sum of rows, so one basis and one solve decide
     it."""
     n = D.n
+    m = len(simple)
     cut = _cut_sizes(D.underlying())
     span_vecs = [v for v, _ in span.rows]
     rows = []
@@ -368,7 +339,7 @@ def _forced_parity_refuted(D, k, simple, span):
         delta = 0
         for i, (t, h) in enumerate(simple):
             if ((mask >> t) & 1) != ((mask >> h) & 1):
-                delta |= 1 << i
+                delta |= 1 << (m - 1 - i)
         digon_cross = 0
         simple_out = 0
         for (t, h), mm in D._m.items():

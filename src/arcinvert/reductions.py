@@ -11,6 +11,7 @@ instances double as solver tests.
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from . import _kernels
 from .core import (
     _check_digraph,
     _check_k,
@@ -332,8 +333,7 @@ def gen_push_n1(D):
                 for u in range(n):
                     a, b = caps[v * n + u], caps[u * n + v]
                     caps[v * n + u], caps[u * n + v] = b, a
-            arcs = [(t, h, caps[t * n + h]) for t in range(n) for h in range(n) if caps[t * n + h]]
-            if is_k_arc_strong(MultiDigraph(n, arcs), 1):
+            if _kernels.karc_deficient_cut(n, caps, 1) == -1:
                 flip_set = chosen
                 break
         if flip_set is not None:

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 
+import pytest
+
 from arcinvert import _kernels
 from arcinvert.cli import cli_dispatch
 from arcinvert.core import (
@@ -88,6 +90,44 @@ def test_simulate_reports_verified(tmp_path, capsys):
     code, out, _err = run(capsys, "simulate", "--p", "3", "--set", "0,2,4", f)
     assert code == 0
     assert "verified: true" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("simulate", "--p", "4", "--set", "0,1"), 0),
+        (("simulate", "--p", "5", "--set", "0,1,2,3,4"), 0),
+        (("simulate", "--p", "5", "--set", "0,1,2,3"), 2),
+        (("gen", "hm"), 0),
+        (("gen", "do-m22inv"), 0),
+        (("gen", "psi-ksi"), 0),
+        (("gen", "npsi-22"), 0),
+    ],
+    ids=["simulate-pair", "simulate-quintuple", "simulate-four", "hm", "do-m22inv", "psi-ksi", "npsi-22"],
+)
+def test_simulate_set_sizes_and_gen_kinds(tmp_path, capsys, argv, code):
+    if argv[0] == "simulate":
+        f, D = _write_obstruction(tmp_path / "obs.mdg")
+        got, out, err = run(capsys, *argv, f)
+        assert got == code
+        target = [int(v) for v in argv[-1].split(",")]
+        if code == 2:
+            assert out == [] and "--set must name 2, 3, or 5 vertices, got 4" in err
+            return
+        assert f"target: {' '.join(map(str, target))}" in out and "verified: true" in out
+        plan = InversionFamily.from_lines([ln for ln in out if ln.startswith("inv:")])
+        assert all(len(s) == int(argv[2]) for s in plan.sets)
+        assert apply_inversions(D, plan.sets) == apply_inversions(D, [target])
+        return
+    out_path = str(tmp_path / "g.mdg")
+    got, out, _err = run(capsys, *argv, "--seed", "3", "-o", out_path)
+    assert got == code
+    D = read_mdg(out_path)
+    with open(out_path + ".meta.json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    assert meta["kind"] == argv[1] and f"kind: {argv[1]}" in out
+    assert f"planted: {len(meta['planted'])}" in out
+    assert is_k_arc_strong(apply_inversions(D, meta["planted"]), meta["params"]["k"])
 
 
 def test_approx_reports_valid(tmp_path, capsys):

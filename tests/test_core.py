@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -399,6 +401,29 @@ def test_underlying_and_lambda_are_computed_once_per_graph(monkeypatch):
         assert F._ug is None
         assert F.underlying() == G and F.underlying() is not G
         assert edge_connectivity(F.underlying()) == lam and calls == [D.n, D.n]
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_value_classes_survive_pickle_and_copy(route):
+    rng = random.Random(54)
+    for _ in range(10):
+        D = rand_multidigraph(rng, n_max=7)
+        G = D.underlying()
+        lam = edge_connectivity(G)
+        fam = InversionFamily(rand_family(rng, D.n))
+        for obj in (D, G, fam):
+            # rebuilt by the checking constructor, memo slots empty
+            assert obj.__reduce__()[0] is type(obj)
+            twin = route(obj)
+            assert twin == obj and hash(twin) == hash(obj)
+        D2, G2 = route(D), route(G)
+        assert D2._ug is None and G2._lam is None
+        assert D2.underlying() == G and edge_connectivity(D2.underlying()) == lam
+        assert edge_connectivity(G2) == lam
 
 
 def _star_matching_verified(one):

@@ -7,6 +7,7 @@ import pytest
 
 from arcinvert import _kernels
 from arcinvert._kernels import _pyimpl
+from arcinvert.core import Multigraph
 from arcinvert.oracles import brute_edge_connectivity
 
 from conftest import rand_multidigraph, rand_multigraph
@@ -429,6 +430,16 @@ def test_min_cut_value_matches_brute_force():
     for _ in range(300):
         G = rand_multigraph(rng, n_max=8, mult_max=3, density=rng.choice((None, 0.15, 0.3)))
         assert _pyimpl.min_cut_value(G.n, G.caps_flat()) == brute_edge_connectivity(G)
+
+
+@pytest.mark.parametrize("bridged, value", [(False, 0), (True, 1)])
+def test_min_cut_value_of_two_k4s(cimpl, bridged, value):
+    # every vertex has three neighbours, so no degree-2 contraction
+    # applies and the first maximum-adjacency scan meets the split
+    edges = [(u + o, v + o) for o in (0, 4) for u in range(4) for v in range(u + 1, 4)]
+    G = Multigraph(8, edges + [(3, 4)] * bridged)
+    for backend in (_pyimpl, cimpl):
+        assert backend.min_cut_value(8, G.caps_flat()) == value
 
 
 def test_min_cut_value_matches_global_min_cut():

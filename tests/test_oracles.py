@@ -589,12 +589,20 @@ def test_degree_two_hypergraphs_have_large_matchings():
         assert 9 * size >= H.n
 
 
-def _plain_degree_needs(n, k, caps, simple, _cbasis):
+def _plain_degree_needs(n, k, caps, simple, _span):
     """The coset search's degree needs without the parity bound: k
     minus the fixed digon degree, for every vertex."""
     out_need = [max(0, k - sum(caps[v * n:v * n + n])) for v in range(n)]
     in_need = [max(0, k - sum(caps[v::n])) for v in range(n)]
     return out_need, in_need
+
+
+def _tournament_with_digons(rng, n, share):
+    """Random tournament on n vertices with about share of its arcs
+    doubled into digons."""
+    T = rand_digraph(rng, n_max=n, n_min=n, density=1.0, oriented=True)
+    arcs = [(t, h) for t, h, _m in T.arcs()]
+    return MultiDigraph(n, arcs + [(h, t) for t, h in arcs if rng.random() < share])
 
 
 def _broken_at_a_vertex(rng, D):
@@ -625,9 +633,7 @@ def test_parity_needs_keep_every_answer(monkeypatch):
         if rng.random() < 0.5:
             # a tournament (odd sets span an even number of arcs at each
             # vertex) with a few digons
-            T = rand_digraph(rng, n_max=n, n_min=n, density=1.0, oriented=True)
-            arcs = [(t, h) for t, h, _m in T.arcs()]
-            D = MultiDigraph(n, arcs + [(h, t) for t, h in arcs if rng.random() < 0.1])
+            D = _tournament_with_digons(rng, n, 0.1)
         else:
             D = rand_2kec_digraph(rng, k, n)
         D = _broken_at_a_vertex(rng, D)
@@ -642,6 +648,62 @@ def test_parity_needs_keep_every_answer(monkeypatch):
             assert (got is not None) == orientation_bfs_reachable(D, k, p, mode=mode)
             bfs_checked += 1
     assert sum(raised) > 20 and bfs_checked > 50
+
+
+def _least_strong_span_element(D, k, p, mode):
+    """Reference for the coset search: scan x = 0, 1, 2, ... with simple
+    arc i as bit m - 1 - i.  Returns the candidate sets that sum to the
+    first x in their span whose orientation is k-arc-strong (None if no
+    x is), and the dimension of the span."""
+    simple = D.simple_arcs()
+    m = len(simple)
+    sizes = [p] if mode == "exact-size" else range(2, p + 1)
+    cands = []
+    for size in sizes:
+        for xs in combinations(range(D.n), size):
+            ind = sum(1 << (m - 1 - i) for i, (t, h) in enumerate(simple) if t in xs and h in xs)
+            if ind:
+                cands.append((xs, ind))
+    span = Gf2Basis()
+    for c, (_xs, ind) in enumerate(cands):
+        span.add(ind, 1 << c)
+    digons = [(t, h) for t, h, _m in D.arcs() if D.has_arc(h, t)]
+    for x in range(1 << m):
+        combo = span.solve(x)
+        if combo is None:
+            continue
+        arcs = [(h, t) if (x >> (m - 1 - i)) & 1 else (t, h) for i, (t, h) in enumerate(simple)]
+        if is_k_arc_strong(MultiDigraph(D.n, digons + arcs), k):
+            return [frozenset(cands[c][0]) for c in range(len(cands)) if (combo >> c) & 1], span.dim
+    return None, span.dim
+
+
+def test_coset_search_finds_the_least_strong_span_element():
+    # free arcs try 0 then 1 and forced arcs take the only value in the
+    # span, so the first leaf is the least k-arc-strong span element
+    rng = random.Random(316)
+    checked = forced = found = 0
+    while checked < 300:
+        k = rng.choice((1, 2))
+        n = rng.randint(2 * k + 1, 6)
+        if rng.random() < 0.5:
+            D = _tournament_with_digons(rng, n, 0.2)
+        else:
+            D = rand_2kec_digraph(rng, k, n)
+        D = _broken_at_a_vertex(rng, D)
+        m = len(D.simple_arcs())
+        if m > 12 or edge_connectivity(D.underlying()) < 2 * k:
+            continue
+        p = rng.randint(2, min(5, n))
+        mode = rng.choice(("exact-size", "at-most"))
+        want, dim = _least_strong_span_element(D, k, p, mode)
+        for refute in (False, True):
+            got = oracles._gf2_search(D, k, p, mode, refute=refute)
+            assert (None if got is None else list(got.sets)) == want
+        checked += 1
+        forced += dim < m
+        found += want is not None
+    assert forced >= 40 and found > 60
 
 
 def test_cut_sizes_match_the_cut_scan():
