@@ -1,0 +1,197 @@
+"""Wall time of public entry points on a fixed ladder of instance sizes.
+
+Each rung is one call on one seeded instance built from the recipes of
+perfbench/workloads.py.  The rungs so far are the odd-p witnesses
+``is_kp_invertible(D, 1, p, witness=True)`` for p = 3 and 5 on cycle
+unions at n = 64, 128 and 256: ``cycle_union(rng, n, 1, n)`` broken by
+``break_by_triples(rng, D, 1, 4)``, with rng ``random.Random(1)``.
+
+Every call runs in a child interpreter of its own under a wall-clock
+cap, which bounds the whole child (import, instance and call).  A rung
+whose call hits the cap is recorded as ``capped`` with the cap, and is
+not repeated; the others get the median of REPEAT calls, timed inside
+the child around the call alone.  The child checks the witness
+itself (every set has size p and the inverted digraph is 1-arc-strong)
+and reports a hash of it, so runs on two checkouts show whether they
+returned the same family.  Rungs run under the pure backend, and under
+the compiled one when benchmarks/compare_kernels.py can load it (the
+installed extension, or _cimpl.c built with gcc into a temporary
+directory).
+
+Results go to BENCH_<label>.json at the repository root, under the
+run's name; runs of other names already in the file are kept, so the
+parent of a change and the change can share one file:
+
+    python3 benchmarks/ladder.py --label span_stop --run parent \\
+        --src ../parent/src
+    python3 benchmarks/ladder.py --label span_stop --run change
+
+``--src`` names the package source to measure (default: this
+checkout's ``src``); the recipes always come from this checkout.  The
+standard library is all it needs.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNGS = [(n, p) for n in (64, 128, 256) for p in (3, 5)]
+SEED = 1
+REPEAT = 3
+CAP_S = 120.0  # seconds per child: the n = 64 rungs take about 25 s
+
+
+def child(src, n, p, cimpl_path):
+    """Builds the rung's instance, times the witness call once and
+    returns its record."""
+    sys.path[:0] = [src, str(ROOT / "perfbench")]
+    sys.dont_write_bytecode = True
+    import arcinvert as A
+    import workloads
+
+    if cimpl_path:
+        spec = importlib.util.spec_from_file_location("arcinvert._kernels._cimpl", cimpl_path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        A._kernels._impl = module
+    rng = random.Random(SEED)
+    D = workloads.break_by_triples(rng, workloads.cycle_union(rng, n, 1, n), 1, 4)
+    start = time.perf_counter()
+    verdict = A.is_kp_invertible(D, 1, p, witness=True)
+    wall = time.perf_counter() - start
+    fam = verdict.witness
+    sets = [] if fam is None else [sorted(s) for s in fam.sets]
+    verified = fam is not None and all(len(s) == p for s in sets) and A.is_k_arc_strong(
+        A.apply_inversions(D, fam), 1
+    )
+    return {
+        "backend": A._kernels._impl.BACKEND,
+        "instance": workloads.digest(D),
+        "reason": verdict.reason,
+        "sets": len(sets),
+        "family_sha256": hashlib.sha256(repr(sets).encode()).hexdigest()[:16],
+        "verified": verified,
+        "wall_s": wall,
+    }
+
+
+def run_call(src, n, p, cimpl_path):
+    """The child's record, or None when it hit the cap."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(n), str(p),
+           "--src", src]
+    if cimpl_path:
+        cmd += ["--cimpl", cimpl_path]
+    env = dict(os.environ, ARCINVERT_KERNEL="py", PYTHONHASHSEED="0")
+    try:
+        out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=CAP_S,
+                             check=True)
+    except subprocess.TimeoutExpired:
+        return None
+    except subprocess.CalledProcessError as exc:
+        raise RuntimeError(f"rung n={n} p={p} failed:\n{exc.stderr}") from None
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def run_rung(src, n, p, cimpl_path):
+    """One rung's entry: medians over the calls, or capped."""
+    records = []
+    for _ in range(REPEAT):
+        rec = run_call(src, n, p, cimpl_path)
+        if rec is None:
+            return {"n": n, "p": p, "capped": True, "cap_s": CAP_S, "verified": None}
+        records.append(rec)
+    first = records[0]
+    if any(r["family_sha256"] != first["family_sha256"] for r in records):
+        raise RuntimeError(f"rung n={n} p={p} returned different families")
+    if first["backend"] != ("c" if cimpl_path else "py"):
+        raise RuntimeError(f"rung n={n} p={p} ran on the {first['backend']} backend")
+    walls = [r["wall_s"] for r in records]
+    return {
+        "n": n, "p": p, "capped": False, "cap_s": CAP_S,
+        "verified": all(r["verified"] for r in records),
+        "median_s": statistics.median(walls), "wall_s": walls,
+        **{key: first[key] for key in ("reason", "sets", "family_sha256", "instance")},
+    }
+
+
+def compiled_kernel(src, build_dir):
+    """Path of the compiled kernel for the package at src, as
+    compare_kernels.py loads it, or None."""
+    sys.path[:0] = [src, str(ROOT / "benchmarks")]
+    sys.dont_write_bytecode = True
+    import compare_kernels
+
+    module = compare_kernels.load_cimpl(build_dir)
+    return None if module is None else module.__file__
+
+
+def source_commit(src):
+    """The git commit of the checkout holding src, with ``-dirty``
+    appended when its tracked files differ from it, or None."""
+    try:
+        out = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", default="ladder", help="writes BENCH_<label>.json")
+    ap.add_argument("--run", default="change", help="name of this run in the file")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="package source to measure")
+    ap.add_argument("--child", nargs=2, type=int, metavar=("N", "P"), help=argparse.SUPPRESS)
+    ap.add_argument("--cimpl", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    if args.child:
+        print(json.dumps(child(src, *args.child, args.cimpl)))
+        return 0
+
+    with tempfile.TemporaryDirectory() as build_dir:
+        kernels = {"py": None}
+        path = compiled_kernel(src, build_dir)
+        if path is None:
+            print("compiled kernel not built and no gcc to build it; timing py only")
+        else:
+            kernels["c"] = path
+        rungs = {}
+        for backend, cimpl_path in kernels.items():
+            rungs[backend] = []
+            for n, p in RUNGS:
+                entry = run_rung(src, n, p, cimpl_path)
+                rungs[backend].append(entry)
+                shown = "capped" if entry["capped"] else f"{entry['median_s']:.4f} s"
+                print(f"{backend} odd-p witness n={n} p={p}: {shown}", flush=True)
+
+    out = ROOT / f"BENCH_{args.label}.json"
+    data = json.loads(out.read_text()) if out.exists() else {"label": args.label, "runs": {}}
+    data["runs"][args.run] = {
+        "commit": source_commit(src),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "seed": SEED,
+        "repeat": REPEAT,
+        "call": "is_kp_invertible(D, 1, p, witness=True)",
+        "rungs": rungs,
+    }
+    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

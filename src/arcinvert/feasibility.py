@@ -3,8 +3,8 @@
 Above a vertex threshold the answer is structural: for even p it is
 exactly 2k-edge-connectivity of the underlying graph, for odd p
 additionally the digraph must not carry a k-obstruction partition.
-Below the threshold the exhaustive parity-space search of
-oracles.gf2_reachable decides, with its forced-parity refutation for
+Below the threshold the exhaustive parity-space search
+oracles._gf2_search decides, with its forced-parity refutation for
 n <= 16.  The threshold is max(p + 2, 2k + 2) for even p and
 max(p + 2, 4k + 2) for odd p.
 

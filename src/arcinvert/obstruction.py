@@ -12,8 +12,9 @@ Such digraphs stay k-obstructions under inversions of odd-size sets and
 can never be made k-arc-strong, which is what makes them the complete
 certificate of infeasibility for odd fixed inversion size (see
 feasibility module).  Recognition for n >= 4k+2 tries each singleton
-candidate for Y and then the high-degree vertex set; an exhaustive
-checker over all partitions backs it up at n <= 9.
+candidate for Y whose vertex has degree n - 1, and then the
+high-degree vertex set; an exhaustive checker over all partitions
+backs it up at n <= 9.
 """
 
 from dataclasses import dataclass
@@ -198,7 +199,10 @@ def is_k_obstruction(D, k):
     Candidate Y sets: each singleton in vertex order, then the set of
     vertices of degree >= 2k+1; the first completion wins.  For
     n >= 4k+2 these candidates are exhaustive: in any obstruction either
-    |Y| = 1, or Y is exactly the high-degree set."""
+    |Y| = 1, or Y is exactly the high-degree set.  A singleton {y} is
+    tried only when y has degree n - 1 in the underlying multigraph:
+    condition (ii) joins y to each of the other n - 1 vertices by
+    exactly one edge, so no other singleton can complete."""
     _check_obstruction_input(D, k, "is_k_obstruction")
     if edge_connectivity(D.underlying()) < 2 * k:
         return None
@@ -207,14 +211,21 @@ def is_k_obstruction(D, k):
 
 def _obstruction_scan(D, k):
     """is_k_obstruction for a digraph D on n >= 4k+2 vertices whose
-    underlying multigraph is 2k-edge-connected."""
-    candidates = [{v} for v in range(D.n)]
-    degree = [0] * D.n
+    underlying multigraph is 2k-edge-connected.
+
+    A singleton {y} passes condition (ii) only if y is joined to every
+    other vertex by exactly one edge, so only if its degree is n - 1.
+    Only those singletons are tried, still in vertex order and before
+    the high-degree set; every other one would fail in _extend, so the
+    first certificate found is the same."""
+    n = D.n
+    degree = [0] * n
     for u, v, mm in D.underlying().edges():
         degree[u] += mm
         degree[v] += mm
-    high = {v for v in range(D.n) if degree[v] >= 2 * k + 1}
-    if 2 <= len(high) < D.n:
+    candidates = [{v} for v in range(n) if degree[v] == n - 1]
+    high = {v for v in range(n) if degree[v] >= 2 * k + 1}
+    if 2 <= len(high) < n:
         candidates.append(high)
     for y in candidates:
         cert = _extend(D, k, y)

@@ -85,17 +85,15 @@ class Gf2Basis:
 
 
 def _candidate_sets(n, p, mode, indicator):
-    """Vertex sets with a nonzero flip indicator, ordered canonically."""
-    sizes = [p] if mode == "exact-size" else list(range(2, p + 1))
-    cands = []
+    """Vertex sets with a nonzero flip indicator, in canonical order,
+    each with its indicator; a generator, so that a caller that stops
+    early computes no further indicator."""
+    sizes = [p] if mode == "exact-size" else range(2, p + 1)
     for size in sizes:
-        if size > n:
-            continue
         for xs in combinations(range(n), size):
             ind = indicator(xs)
             if ind:
-                cands.append((xs, ind))
-    return cands
+                yield xs, ind
 
 
 def _validate_kp(k, p, mode):
@@ -113,12 +111,16 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     The effect of any family on the simple arcs (arcs without an
     opposite arc; digons never change) is the GF(2) sum of the flip
     indicators of its sets, so the reachable orientations form a coset
-    of the indicator span.  The search walks exactly that coset, one
-    simple arc after another: arc i is bit m - 1 - i of the flip
-    vector, so the DFS meets the bits from the highest down, the order
-    in which the span basis is echelonized.  An arc is free, and tries
-    both directions, when a basis row has its leading bit there;
-    otherwise the arcs placed before it fix its flip, and it is forced.
+    of the indicator span.  The span is built from the candidate sets
+    in canonical order and stops at full rank, once m of them have
+    enlarged it: past that point no candidate can change the basis, so
+    the search and its family are those of the whole span.  The search
+    walks exactly that coset, one simple arc after another: arc i is
+    bit m - 1 - i of the flip vector, so the DFS meets the bits from
+    the highest down, the order in which the span basis is echelonized.
+    An arc is free, and tries both directions, when a basis row has its
+    leading bit there; otherwise the arcs placed before it fix its
+    flip, and it is forced.
     The DFS prunes a branch once a vertex can no longer reach k arcs out
     or in; where every family flips an even number of a vertex's simple
     arcs (its star is orthogonal to the span), its degrees keep their
@@ -151,12 +153,21 @@ def _gf2_search(D, k, p, mode, refute=False):
     row leads at the arc's own bit, so the placed bits stay.  The first
     k-arc-strong leaf is the least such x, and since only candidates
     that enlarged the span get a combo bit, its combo names the one
-    family."""
+    family.
+
+    The span is built only up to full rank: once m candidates have
+    enlarged it, every later indicator reduces to 0 and Gf2Basis.add
+    would leave the rows, the pivots and the kept sets as they are, so
+    the rest of the candidates are neither generated nor reduced.  When
+    D has no simple arc, nothing can flip, and the search returns None
+    before building any span."""
     if is_k_arc_strong(D, k):
         return InversionFamily([])
     n = D.n
     simple = D.simple_arcs()
     m = len(simple)
+    if m == 0:
+        return None  # D is not k-arc-strong and no arc can flip
     bit = [0] * (n * n)  # flip bit of the simple arc on each vertex pair
     for i, (t, h) in enumerate(simple):
         bit[t * n + h] = bit[h * n + t] = 1 << (m - 1 - i)
@@ -172,6 +183,8 @@ def _gf2_search(D, k, p, mode, refute=False):
     for xs, ind in _candidate_sets(n, p, mode, indicator):
         if span.add(ind, 1 << len(kept)):
             kept.append(xs)
+            if len(kept) == m:
+                break  # full rank: no later candidate enlarges the span
 
     if refute and n <= 16 and _forced_parity_refuted(D, k, simple, span):
         return None
@@ -196,8 +209,6 @@ def _gf2_search(D, k, p, mode, refute=False):
         caps[t * n + h] -= 1
         out_need[t], in_need[h] = saved
 
-    if m == 0:
-        return None  # D is not k-arc-strong and no arc can flip
     pivot = span._pivot
     # depth-first over the arcs in index order with an explicit stack:
     # path holds (bit, saved needs, x and combo before it) of every
@@ -264,7 +275,11 @@ def _degree_needs(n, k, caps, simple, span):
     inversions are the common case (a set of odd size spans an even
     number of arcs at each member).  The bound cuts only subtrees
     without a k-arc-strong leaf and leaves the DFS order alone, so the
-    first family found stays the same."""
+    first family found stays the same.
+
+    At full rank (span.dim == m) the span holds every unit vector, so a
+    star is orthogonal to it exactly when it is empty: only vertices
+    without simple arcs keep their parity, and no row is scanned."""
     m = len(simple)
     out_have = [sum(caps[v * n:v * n + n]) for v in range(n)]
     in_have = [sum(caps[v::n]) for v in range(n)]
@@ -278,9 +293,14 @@ def _degree_needs(n, k, caps, simple, span):
         simple_in[h] += 1
     out_need = [0] * n
     in_need = [0] * n
+    full = span.dim == m  # then the span holds every unit vector
     for v in range(n):
         out_want = in_want = k
-        if not any(bin(star[v] & row).count("1") & 1 for row, _c in span.rows):
+        if full:
+            even = not star[v]
+        else:
+            even = not any(bin(star[v] & row).count("1") & 1 for row, _c in span.rows)
+        if even:
             out_want += (out_have[v] + simple_out[v] - k) % 2
             in_want += (in_have[v] + simple_in[v] - k) % 2
         out_need[v] = max(0, out_want - out_have[v])

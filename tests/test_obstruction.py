@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arcinvert import obstruction
-from arcinvert.core import MultiDigraph, apply_inversions, is_k_arc_strong
+from arcinvert.core import MultiDigraph, apply_inversions, edge_connectivity, is_k_arc_strong
 from arcinvert.errors import InvalidArgumentError, PreconditionViolatedError
 from arcinvert.obstruction import (
     ObstructionCertificate,
@@ -178,3 +178,88 @@ def test_extend_to_certificate_rejects_non_int_vertices():
     for bad in (2.5, True, 7):
         with pytest.raises(InvalidArgumentError):
             extend_to_certificate(D, 1, {bad})
+
+
+def _scan_every_singleton(D, k):
+    """The obstruction scan with every singleton tried, in vertex order,
+    and then the high-degree set."""
+    G = D.underlying()
+    degree = [sum(G.mult(u, v) for v in range(D.n) if v != u) for u in range(D.n)]
+    candidates = [{v} for v in range(D.n)]
+    high = {v for v in range(D.n) if degree[v] >= 2 * k + 1}
+    if 2 <= len(high) < D.n:
+        candidates.append(high)
+    for y in candidates:
+        cert = obstruction._extend(D, k, y)
+        if cert is not None:
+            return cert
+    return None
+
+
+def _relabelled(rng, D):
+    perm = rng.sample(range(D.n), D.n)
+    return MultiDigraph(D.n, [(perm[t], perm[h], m) for t, h, m in D.arcs()])
+
+
+def _with_universal_vertices(rng, D, count):
+    """D with `count` random vertices joined to every other vertex by
+    exactly one arc, in a random direction."""
+    arcs = {(t, h) for t, h, _m in D.arcs()}
+    for u in rng.sample(range(D.n), count):
+        for x in range(D.n):
+            if x != u:
+                arcs -= {(u, x), (x, u)}
+                arcs.add((u, x) if rng.random() < 0.5 else (x, u))
+    return MultiDigraph(D.n, sorted(arcs))
+
+
+def test_obstruction_scan_tries_only_universal_singletons(monkeypatch):
+    # a singleton {y} needs y joined to every other vertex by exactly
+    # one edge, so degree n - 1; the scan finds the first certificate of
+    # the scan over every singleton with one _extend per vertex of that
+    # degree, plus one for the high-degree set
+    rng = random.Random(407)
+    cases = []
+    for _ in range(12):
+        cases.append((1, star_matching_obstruction(rng.randint(3, 9))[0]))
+        k = rng.choice((1, 2))
+        cases.append((k, doubled_clique_obstruction(k, rng.randint(4, 6))[0]))
+    inputs = []
+    for k, D in cases:
+        # odd-size inversions keep the certificate; an extra digon arc
+        # may break it
+        D = apply_inversions(D, [rng.sample(range(D.n), 3) for _ in range(2)])
+        if rng.random() < 0.5:
+            t, h, _m = rng.choice(list(D.arcs()))
+            if not D.has_arc(h, t):
+                D = MultiDigraph(D.n, [a[:2] for a in D.arcs()] + [(h, t)])
+        inputs.append((k, _relabelled(rng, D)))
+    for _ in range(60):
+        k = rng.choice((1, 2))
+        n = rng.randint(max(7, 4 * k + 2), 20)
+        D = _with_universal_vertices(rng, rand_2kec_digraph(rng, k, n), rng.randint(0, 2))
+        if edge_connectivity(D.underlying()) >= 2 * k:
+            inputs.append((k, D))
+    original = obstruction._extend
+    calls = []
+
+    def counted(D, k, y_set):
+        calls.append(y_set)
+        return original(D, k, y_set)
+
+    found = universal_seen = 0
+    for k, D in inputs:
+        want = _scan_every_singleton(D, k)
+        G = D.underlying()
+        universal = sum(
+            sum(G.mult(u, v) for v in range(D.n) if v != u) == D.n - 1 for u in range(D.n)
+        )
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(obstruction, "_extend", counted)
+            got = obstruction._obstruction_scan(D, k)
+        assert got == want
+        assert len(calls) <= universal + 1
+        found += got is not None
+        universal_seen += universal > 0
+    assert found >= 12 and universal_seen >= 40 and len(inputs) >= 70

@@ -650,11 +650,9 @@ def test_parity_needs_keep_every_answer(monkeypatch):
     assert sum(raised) > 20 and bfs_checked > 50
 
 
-def _least_strong_span_element(D, k, p, mode):
-    """Reference for the coset search: scan x = 0, 1, 2, ... with simple
-    arc i as bit m - 1 - i.  Returns the candidate sets that sum to the
-    first x in their span whose orientation is k-arc-strong (None if no
-    x is), and the dimension of the span."""
+def _nonzero_candidates(D, p, mode):
+    """(set, flip indicator) of every candidate set in canonical order
+    whose indicator is nonzero, with simple arc i as bit m - 1 - i."""
     simple = D.simple_arcs()
     m = len(simple)
     sizes = [p] if mode == "exact-size" else range(2, p + 1)
@@ -664,6 +662,17 @@ def _least_strong_span_element(D, k, p, mode):
             ind = sum(1 << (m - 1 - i) for i, (t, h) in enumerate(simple) if t in xs and h in xs)
             if ind:
                 cands.append((xs, ind))
+    return cands
+
+
+def _least_strong_span_element(D, k, p, mode):
+    """Reference for the coset search: scan x = 0, 1, 2, ... with simple
+    arc i as bit m - 1 - i.  Returns the candidate sets that sum to the
+    first x in their span whose orientation is k-arc-strong (None if no
+    x is), and the dimension of the span."""
+    simple = D.simple_arcs()
+    m = len(simple)
+    cands = _nonzero_candidates(D, p, mode)
     span = Gf2Basis()
     for c, (_xs, ind) in enumerate(cands):
         span.add(ind, 1 << c)
@@ -704,6 +713,142 @@ def test_coset_search_finds_the_least_strong_span_element():
         forced += dim < m
         found += want is not None
     assert forced >= 40 and found > 60
+
+
+class _SpanBuilt(Exception):
+    """Raised in place of the coset search's DFS once its span is built."""
+
+
+def _span_of_the_search(monkeypatch, D, k, p, mode):
+    """The Gf2Basis _gf2_search(D, k, p, mode) builds; the DFS is not
+    run."""
+    def stop(n, k, caps, simple, span):
+        raise _SpanBuilt(span)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_degree_needs", stop)
+        with pytest.raises(_SpanBuilt) as built:
+            oracles._gf2_search(D, k, p, mode)
+    return built.value.args[0]
+
+
+def _span_of_every_candidate(D, p, mode):
+    """The span of every candidate indicator, in canonical order, each
+    set that enlarges it numbered by the next combo bit, as the coset
+    search numbers them."""
+    span = Gf2Basis()
+    kept = 0
+    for _xs, ind in _nonzero_candidates(D, p, mode):
+        if span.add(ind, 1 << kept):
+            kept += 1
+    return span
+
+
+def test_span_stops_at_full_rank_with_the_rows_of_the_whole_span(monkeypatch):
+    # once the span has full rank no later candidate enlarges it, so the
+    # rows and pivots the search builds are those of every candidate
+    rng = random.Random(317)
+    checked = full = 0
+    while checked < 120:
+        k = rng.choice((1, 2))
+        n = rng.randint(max(5, 2 * k + 1), 12)
+        if rng.random() < 0.5:
+            D = _tournament_with_digons(rng, n, 0.15)
+        else:
+            D = rand_2kec_digraph(rng, k, n)
+        D = _broken_at_a_vertex(rng, D)
+        if is_k_arc_strong(D, k) or not D.simple_arcs():
+            continue
+        p = rng.randint(2, min(5, n))
+        mode = rng.choice(("exact-size", "at-most"))
+        got = _span_of_the_search(monkeypatch, D, k, p, mode)
+        want = _span_of_every_candidate(D, p, mode)
+        assert got.rows == want.rows and got._pivot == want._pivot
+        checked += 1
+        full += want.dim == len(D.simple_arcs())
+    assert 20 <= full <= checked - 20
+
+
+def test_span_stop_skips_most_candidates(monkeypatch):
+    # a k = 1 cycle union reaches full rank after a few dozen of its
+    # about 1,500 nonzero triples
+    rng = random.Random(318)
+    n = 24
+    order = rng.sample(range(n), n)
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    while len(arcs) < 2 * n:
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in arcs:
+            arcs.add((u, v))
+    D = _broken_at_a_vertex(rng, MultiDigraph(n, sorted(arcs)))
+    assert not is_k_arc_strong(D, 1)
+    nonzero = sum(
+        1 for xs in combinations(range(n), 3) if any(D.has_arc(a, b) for a in xs for b in xs)
+    )
+    calls = []
+    original = Gf2Basis.add
+
+    def counted(self, vec, combo):
+        calls.append(vec)
+        return original(self, vec, combo)
+
+    monkeypatch.setattr(Gf2Basis, "add", counted)
+    fam = oracles._gf2_search(D, 1, 3, "exact-size")
+    assert fam is not None and is_k_arc_strong(apply_inversions(D, fam), 1)
+    assert 3 * len(calls) < nonzero
+
+
+def _orthogonal_scan_needs(n, k, caps, simple, span):
+    """_degree_needs with the orthogonality test run against every span
+    row, whatever the span's rank."""
+    m = len(simple)
+    out_need, in_need = [0] * n, [0] * n
+    for v in range(n):
+        out_have = sum(caps[v * n:v * n + n])
+        in_have = sum(caps[v::n])
+        star = sum(1 << (m - 1 - i) for i, arc in enumerate(simple) if v in arc)
+        out_want = in_want = k
+        if all(bin(star & row).count("1") % 2 == 0 for row, _c in span.rows):
+            out_want += (out_have + sum(t == v for t, _h in simple) - k) % 2
+            in_want += (in_have + sum(h == v for _t, h in simple) - k) % 2
+        out_need[v] = max(0, out_want - out_have)
+        in_need[v] = max(0, in_want - in_have)
+    return out_need, in_need
+
+
+def test_degree_needs_at_full_rank_match_the_orthogonality_scan():
+    rng = random.Random(319)
+    seen = {True: 0, False: 0}
+    bare = 0
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        k = rng.choice((1, 2))
+        # vertices outside `touched` get no simple arc
+        touched = rng.sample(range(n), rng.randint(2, n))
+        simple, caps = [], [0] * (n * n)
+        for a, b in combinations(range(n), 2):
+            if a in touched and b in touched and rng.random() < 0.6:
+                simple.append((a, b) if rng.random() < 0.5 else (b, a))
+            elif rng.random() < 0.3:
+                caps[a * n + b] = caps[b * n + a] = 1  # a digon
+        m = len(simple)
+        if not m:
+            continue
+        span = Gf2Basis()
+        if rng.random() < 0.5:
+            # full rank: random vectors, then the unit vectors in turn
+            for vec in [rng.getrandbits(m) for _ in range(m)] + [1 << i for i in range(m)]:
+                span.add(vec, 0)
+        else:
+            for _ in range(rng.randint(0, m - 1)):
+                span.add(rng.getrandbits(m), 0)
+        full = span.dim == m
+        assert oracles._degree_needs(n, k, caps, simple, span) == _orthogonal_scan_needs(
+            n, k, caps, simple, span
+        )
+        seen[full] += 1
+        bare += len({v for arc in simple for v in arc}) < n
+    assert min(seen.values()) >= 100 and bare >= 100
 
 
 def test_cut_sizes_match_the_cut_scan():
