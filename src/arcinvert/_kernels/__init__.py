@@ -5,6 +5,22 @@ the pure backend, ARCINVERT_KERNEL=c requires the compiled one
 (ImportError if it was not built), anything else / unset picks the
 compiled backend when present.  Both take the same arguments and return
 the same values at every size.
+
+karc_deficient_cut keeps the last matrix its backend proved k-arc-strong
+(answer -1): the backend object, n, k and a copy of caps.  A call with
+the same backend object, n and k and a caps list equal to that copy
+answers -1 without the backend.  Every search that finds a strong
+digraph re-verifies it through apply_inversions and is_k_arc_strong, so
+the verification asks this question a second time about the same
+matrix; the memo answers it.  It is exact: both backends are
+deterministic functions of (n, caps, k), and the verification still
+builds its matrix independently, so a search whose own flips disagree
+with apply_inversions hands the backend a different matrix.  The memo
+never answers across backends (a swapped _impl misses), holds one
+matrix, copies caps only on strong answers, and compares entries by
+value.  Threads share it safely: the entry is one tuple, replaced whole
+and read once per call, and its copy of caps never changes, so a thread
+that reads another thread's entry hits only on an equal matrix.
 """
 
 import importlib
@@ -27,13 +43,24 @@ elif _requested != "py":
 
 backend_name = _impl.BACKEND
 
+# (backend, n, k, caps copy) of the last strong answer, or None
+_strong = None
+
 
 def st_max_flow(n, caps, s, t, limit=-1):
     return _impl.st_max_flow(n, caps, s, t, limit)
 
 
 def karc_deficient_cut(n, caps, k):
-    return _impl.karc_deficient_cut(n, caps, k)
+    global _strong
+    impl = _impl
+    last = _strong
+    if last is not None and last[0] is impl and last[1] == n and last[2] == k and last[3] == caps:
+        return -1
+    side = impl.karc_deficient_cut(n, caps, k)
+    if side == -1:
+        _strong = (impl, n, k, list(caps))
+    return side
 
 
 def min_cut_value(n, caps):

@@ -128,19 +128,26 @@ def _min_pairs(D, k, sup=None):
 
     chain = []
     found = []
+    # deficient side of each flipped-pair set tested so far, kept across
+    # budgets: pair flips commute, so the set fixes caps, and budget b + 1
+    # re-tests no state that budget b tested
+    sides = {}
 
     def dfs(budget, failed):
         # a pair flip touches two vertices; a k-arc-strong digraph has no
         # deficient vertex, so this bound goes before the flows
         if deficient() > 2 * budget:
             return False
-        side = _kernels.karc_deficient_cut(n, caps, k)
-        if side == -1:
-            found.append(list(chain))
-            return True
+        key = frozenset(chain)
+        side = sides.get(key)
+        if side is None:
+            side = _kernels.karc_deficient_cut(n, caps, k)
+            if side == -1:
+                found.append(list(chain))
+                return True
+            sides[key] = side
         if budget == 0:
             return False
-        key = frozenset(chain)
         if failed.get(key, -1) >= budget:
             return False
         for _g, pr in _gaining_pairs(n, caps, side, allowed):
@@ -241,12 +248,8 @@ def _minimal_core(D, k):
                 continue
             caps[t * n + h] += 1
             break
-    arcs = []
-    for t in range(n):
-        for h in range(n):
-            if caps[t * n + h]:
-                arcs.append((t, h, caps[t * n + h]))
-    return MultiDigraph(n, arcs)
+    # units are only removed, so every arc left is an arc of D
+    return MultiDigraph._trusted(n, {(t, h): caps[t * n + h] for (t, h) in D._m if caps[t * n + h]})
 
 
 def pairs_independent(e, f, G):

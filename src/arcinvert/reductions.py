@@ -9,6 +9,7 @@ instances double as solver tests.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import _kernels
@@ -62,16 +63,31 @@ def rotative_tournament(m):
     if not isinstance(m, int) or m < 1:
         raise InvalidArgumentError(f"order must be a positive int, got {m!r}")
     if m % 2 == 1:
-        return MultiDigraph(m, [(i, (i + d) % m) for i in range(m) for d in range(1, m // 2 + 1)])
+        # 1 <= d <= m // 2 < m: no loop, and no arc twice
+        return MultiDigraph._trusted(
+            m, {(i, (i + d) % m): 1 for i in range(m) for d in range(1, m // 2 + 1)}
+        )
     big = rotative_tournament(m + 1)
-    return MultiDigraph(m, [(t, h) for (t, h, _m) in big.arcs() if t < m and h < m])
+    return MultiDigraph._trusted(m, {(t, h): 1 for (t, h, _m) in big.arcs() if t < m and h < m})
 
 
+# the gadget generators ask for a few (order, k) walls, many times over
+@lru_cache(maxsize=32)
 def _strong_tournament(m, k):
     T = rotative_tournament(m)
     if not is_k_arc_strong(T, k):
         raise RuntimeError(f"internal error: order-{m} tournament is not {k}-arc-strong")
     return T
+
+
+def _gadget(n, arcs):
+    """The digraph of a gadget's single arcs.  Every end is a vertex id
+    the generator numbered itself, and no arc joins a vertex to itself,
+    so only a repeated arc, which would be a parallel pair, is checked."""
+    m = dict.fromkeys(arcs, 1)
+    if len(m) != len(arcs):
+        raise RuntimeError("internal error: a gadget arc repeats")
+    return MultiDigraph._trusted(n, m)
 
 
 def _bipartition(G):
@@ -149,7 +165,7 @@ def gen_p3p(G, k):
     for (u, v, _m) in G.edges():
         a, b = (u, v) if color[u] == 0 else (v, u)
         arcs.append((a, b))
-    D = MultiDigraph(total, arcs)
+    D = _gadget(total, arcs)
 
     y, packing = max_p3_packing(G)
     covered = {u for tri in packing for u in tri}
@@ -213,7 +229,7 @@ def gen_hm(H, k):
         arcs.append((wv, v))
     for (v, i), wv in w4.items():
         arcs.append((v, wv))
-    D = MultiDigraph(total, arcs)
+    D = _gadget(total, arcs)
 
     x, matching = max_hypergraph_matching(H)
     covered = {v for e in matching for v in e}

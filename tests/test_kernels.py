@@ -1,5 +1,7 @@
 import random
 import signal
+import sys
+import threading
 from collections import deque
 from types import SimpleNamespace
 
@@ -7,10 +9,18 @@ import pytest
 
 from arcinvert import _kernels
 from arcinvert._kernels import _pyimpl
-from arcinvert.core import Multigraph
-from arcinvert.oracles import brute_edge_connectivity
+from arcinvert.approx import min_k2_inversion_set
+from arcinvert.core import (
+    InversionFamily,
+    MultiDigraph,
+    Multigraph,
+    apply_inversions,
+    is_k_arc_strong,
+)
+from arcinvert.feasibility import is_kp_invertible
+from arcinvert.oracles import brute_edge_connectivity, exact_inv_kp, exists_k_arc_strong_orientation
 
-from conftest import rand_multidigraph, rand_multigraph
+from conftest import rand_2kec_digraph, rand_multidigraph, rand_multigraph
 
 
 def test_st_max_flow_backends_agree(cimpl):
@@ -525,3 +535,182 @@ def test_dispatch_sends_every_size_to_the_compiled_backend(cimpl, monkeypatch):
         assert side > 0 and side != (1 << n) - 1
         assert _kernels.min_cut_value(n, sym) == _pyimpl.min_cut_value(n, sym) == 4
     assert sorted(set(seen)) == sorted((name, n) for name in names for n in (64, 128))
+
+
+# -- the dispatcher's memo of the last strong answer ----------------------
+
+
+@pytest.fixture(params=["py", "c"])
+def backend(request):
+    return _pyimpl if request.param == "py" else request.getfixturevalue("cimpl")
+
+
+def _recording(backend):
+    """A backend object that logs each karc_deficient_cut matrix it is
+    asked about and answers through ``backend``."""
+    seen = []
+
+    def karc(n, caps, k):
+        seen.append((n, tuple(caps), k))
+        return backend.karc_deficient_cut(n, caps, k)
+
+    rec = SimpleNamespace(
+        karc_deficient_cut=karc,
+        st_max_flow=backend.st_max_flow,
+        min_cut_value=backend.min_cut_value,
+        BACKEND=backend.BACKEND,
+    )
+    return rec, seen
+
+
+def _two_way_ring(n):
+    caps = [0] * (n * n)
+    for i in range(n):
+        caps[i * n + (i + 1) % n] = 1
+        caps[((i + 1) % n) * n + i] = 1
+    return caps
+
+
+def test_memo_answers_only_the_same_strong_matrix(backend, monkeypatch):
+    rec, seen = _recording(backend)
+    monkeypatch.setattr(_kernels, "_impl", rec)
+    n = 6
+    caps = _two_way_ring(n)
+    assert _kernels.karc_deficient_cut(n, caps, 2) == -1
+    assert _kernels.karc_deficient_cut(n, list(caps), 2) == -1
+    assert len(seen) == 1
+    # another k is another question
+    side = _kernels.karc_deficient_cut(n, caps, 3)
+    assert side == _pyimpl.karc_deficient_cut(n, caps, 3) != -1
+    assert len(seen) == 2
+    # the memo holds a copy: a list changed in place after its strong
+    # answer goes to the backend and gets its own side
+    assert _kernels.karc_deficient_cut(n, caps, 2) == -1
+    calls = len(seen)
+    caps[0 * n + 1] = 0
+    side = _kernels.karc_deficient_cut(n, caps, 2)
+    assert len(seen) == calls + 1
+    assert side == _pyimpl.karc_deficient_cut(n, caps, 2) == 1
+    # a deficient answer leaves the memo as it was
+    caps[0 * n + 1] = 1
+    assert _kernels.karc_deficient_cut(n, caps, 2) == -1
+    assert len(seen) == calls + 1
+
+
+def test_memo_never_answers_for_another_backend(backend, monkeypatch):
+    old, old_seen = _recording(backend)
+    new, new_seen = _recording(backend)
+    n = 7
+    caps = _two_way_ring(n)
+    monkeypatch.setattr(_kernels, "_impl", old)
+    assert _kernels.karc_deficient_cut(n, caps, 2) == -1
+    monkeypatch.setattr(_kernels, "_impl", new)
+    assert _kernels.karc_deficient_cut(n, caps, 2) == -1
+    assert len(old_seen) == 1 and len(new_seen) == 1
+
+
+def _feasible_instances(rng):
+    """2k-edge-connected digraphs that are not k-arc-strong: dense
+    random ones, and Hamilton cycles with 3n/10 arcs reversed and n/2
+    chords, which need several pairs."""
+    out = []
+    while len(out) < 8:
+        k = rng.choice((1, 1, 2))
+        D = rand_2kec_digraph(rng, k, rng.randint(4 * k + 1, 4 * k + 4))
+        if not is_k_arc_strong(D, k):
+            out.append((D, k))
+    while len(out) < 14:
+        n = rng.randint(10, 14)
+        order = rng.sample(range(n), n)
+        arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+        for t, h in rng.sample(sorted(arcs), 3 * n // 10):
+            arcs.remove((t, h))
+            arcs.add((h, t))
+        while len(arcs) < n + n // 2:
+            t, h = rng.sample(range(n), 2)
+            if (t, h) not in arcs and (h, t) not in arcs:
+                arcs.add((t, h))
+        D = MultiDigraph(n, sorted(arcs))
+        if not is_k_arc_strong(D, 1):
+            out.append((D, 1))
+    return out
+
+
+def test_verification_reuses_the_search_proof(backend, monkeypatch):
+    """The matrix a search returns reaches the backend once: the
+    search proved it k-arc-strong, and the verification that follows
+    gets that answer from the memo."""
+    rng = random.Random(0x5EED)
+
+    def asked_once(D, k, search):
+        # a fresh backend object per search, whose memo starts empty
+        rec, seen = _recording(backend)
+        monkeypatch.setattr(_kernels, "_impl", rec)
+        final = search()
+        if isinstance(final, InversionFamily):
+            final = apply_inversions(D, final)
+        assert seen.count((D.n, tuple(final.caps_flat()), k)) == 1
+
+    witnesses = 0
+    for D, k in _feasible_instances(rng):
+        asked_once(D, k, lambda: min_k2_inversion_set(D, k))
+        asked_once(D, k, lambda: exact_inv_kp(D, k, 3, "at-most", l_max=8))
+        for p in (3, 4):
+            if is_kp_invertible(D, k, p).feasible:
+                witnesses += 1
+                asked_once(D, k, lambda: is_kp_invertible(D, k, p, witness=True).witness)
+        asked_once(D, k, lambda: exists_k_arc_strong_orientation(D.underlying(), k))
+    assert witnesses >= 10
+
+
+def test_pair_search_asks_once_per_flipped_pair_set(backend, monkeypatch):
+    """Pair flips commute, so a flipped-pair set fixes the matrix; no
+    matrix reaches the backend twice in one pair search, across all of
+    its deepening budgets and its verification."""
+    rng = random.Random(0xB0D6E7)
+    rec, seen = _recording(backend)
+    monkeypatch.setattr(_kernels, "_impl", rec)
+    sizes = []
+    for D, k in _feasible_instances(rng):
+        del seen[:]
+        sizes.append(len(min_k2_inversion_set(D, k).sets))
+        assert len(seen) == len(set(seen))
+    assert max(sizes) >= 3
+
+
+def test_memo_answers_threads_as_the_backend_does(backend, monkeypatch):
+    """Threads that share the memo, on matrices some of which they
+    share, each get the backend's own answer."""
+    monkeypatch.setattr(_kernels, "_impl", backend)
+    rng = random.Random(0x7EAD)
+    jobs = []
+    for _ in range(24):
+        n = rng.randint(5, 9)
+        caps = _two_way_ring(n)
+        for _drop in range(rng.randint(0, 3)):
+            caps[rng.randrange(n * n)] = 0
+        jobs.append((n, caps, rng.choice((1, 2))))
+    want = [_pyimpl.karc_deficient_cut(n, caps, k) for n, caps, k in jobs]
+    assert -1 in want and any(side != -1 for side in want)
+    wrong = []
+
+    def work(seed):
+        order = random.Random(seed)
+        for _ in range(300):
+            i = order.randrange(len(jobs))
+            n, caps, k = jobs[i]
+            if _kernels.karc_deficient_cut(n, caps, k) != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

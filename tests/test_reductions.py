@@ -14,6 +14,8 @@ from arcinvert.errors import InvalidArgumentError
 from arcinvert.oracles import Hypergraph, exact_inv_kp, max_hypergraph_matching, max_p3_packing
 from arcinvert.reductions import (
     ReductionInstance,
+    _gadget,
+    _strong_tournament,
     gen_do_m22inv,
     gen_hm,
     gen_npsi_22,
@@ -35,6 +37,46 @@ def test_rotative_tournament_connectivity():
         assert T.arc_count() == m * (m - 1) // 2
         assert is_k_arc_strong(T, (m - 1) // 2)
         assert m <= 4 or not is_k_arc_strong(T, (m - 1) // 2 + 1)
+
+
+def test_rotative_tournament_matches_the_checking_constructor():
+    def reference(m):
+        if m % 2 == 1:
+            return MultiDigraph(m, [(i, (i + d) % m) for i in range(m) for d in range(1, m // 2 + 1)])
+        big = reference(m + 1)
+        return MultiDigraph(m, [(t, h) for (t, h, _m) in big.arcs() if t < m and h < m])
+
+    for m in range(1, 41):
+        T = rotative_tournament(m)
+        assert T == reference(m)
+        assert list(T.arcs()) == list(reference(m).arcs())
+
+
+def test_strong_tournament_is_built_once_per_order_and_k():
+    assert _strong_tournament(9, 3) is _strong_tournament(9, 3)
+    assert _strong_tournament(9, 2) is not _strong_tournament(9, 3)
+    assert _strong_tournament(9, 2) == _strong_tournament(9, 3) == rotative_tournament(9)
+
+
+def test_gadget_rejects_a_repeated_arc():
+    assert _gadget(3, [(0, 1), (1, 2), (2, 0)]) == MultiDigraph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(RuntimeError):
+        _gadget(3, [(0, 1), (1, 2), (0, 1)])
+
+
+def test_gadget_digraphs_pass_the_checking_constructor():
+    rng = random.Random(0x6AD6E7)
+    instances = [gen_p3p(Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), k) for k in (1, 2, 3)]
+    H = Hypergraph(7, [frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({4, 5, 6})])
+    instances += [gen_hm(H, k) for k in (1, 2)]
+    for _ in range(6):
+        n = rng.randint(3, 7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u + v) % 2 and rng.random() < 0.6]
+        instances.append(gen_p3p(Multigraph(n, edges or [(0, 1)]), rng.randint(1, 2)))
+    for inst in instances:
+        D = inst.digraph
+        assert D == MultiDigraph(D.n, [(t, h, m) for (t, h, m) in D.arcs()])
+        assert D.is_digraph()
 
 
 def test_planted_families_are_verified_at_construction():
