@@ -1,30 +1,35 @@
 """Wall time of public entry points on a fixed ladder of instance sizes.
 
-Each rung is one call on one seeded instance built from the recipes of
-perfbench/workloads.py.  The rungs so far are the odd-p witnesses
-``is_kp_invertible(D, 1, p, witness=True)`` for p = 3 and 5 on cycle
-unions at n = 64, 128 and 256: ``cycle_union(rng, n, 1, n)`` broken by
-``break_by_triples(rng, D, 1, 4)``, with rng ``random.Random(1)``.
+Each rung is one call on one seeded instance.  There are two call
+groups:
+
+- ``witness``: ``is_kp_invertible(D, 1, p, witness=True)`` for p = 3
+  and 5 on cycle unions at n = 64, 128 and 256, built from the recipes
+  of perfbench/workloads.py: ``cycle_union(rng, n, 1, n)`` broken by
+  ``break_by_triples(rng, D, 1, 4)``, with rng ``random.Random(1)``.
+- ``pairs``: ``min_k2_inversion_set(D, 1)`` on broken cycles at n = 40
+  and 50, seeds 1 and 2, built by ``reversed_chorded_cycle`` below.
 
 Every call runs in a child interpreter of its own under a wall-clock
 cap, which bounds the whole child (import, instance and call).  A rung
 whose call hits the cap is recorded as ``capped`` with the cap, and is
 not repeated; the others get the median of REPEAT calls, timed inside
-the child around the call alone.  The child checks the witness
-itself (every set has size p and the inverted digraph is 1-arc-strong)
-and reports a hash of it, so runs on two checkouts show whether they
-returned the same family.  Rungs run under the pure backend, and under
-the compiled one when benchmarks/compare_kernels.py can load it (the
-installed extension, or _cimpl.c built with gcc into a temporary
-directory).
+the child around the call alone, and the median of the children's
+peak RSS (``ru_maxrss``, which counts the import and the instance
+too).  The child checks the family itself (every set has the rung's
+size and the inverted digraph is 1-arc-strong) and reports a hash of
+it, so runs on two checkouts show whether they returned the same
+family.  Rungs run under the pure backend, and under the compiled one
+when benchmarks/compare_kernels.py can load it (the installed
+extension, or _cimpl.c built with gcc into a temporary directory).
 
 Results go to BENCH_<label>.json at the repository root, under the
 run's name; runs of other names already in the file are kept, so the
 parent of a change and the change can share one file:
 
-    python3 benchmarks/ladder.py --label span_stop --run parent \\
+    python3 benchmarks/ladder.py --label pair_memo --run parent \\
         --src ../parent/src
-    python3 benchmarks/ladder.py --label span_stop --run change
+    python3 benchmarks/ladder.py --label pair_memo --run change
 
 ``--src`` names the package source to measure (default: this
 checkout's ``src``); the recipes always come from this checkout.  The
@@ -38,6 +43,7 @@ import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,15 +52,39 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNGS = [(n, p) for n in (64, 128, 256) for p in (3, 5)]
-SEED = 1
+CALLS = {
+    "witness": "is_kp_invertible(D, 1, p, witness=True)",
+    "pairs": "min_k2_inversion_set(D, 1)",
+}
+# (call group, n, set size, seed)
+RUNGS = [("witness", n, p, 1) for n in (64, 128, 256) for p in (3, 5)] + [
+    ("pairs", n, 2, seed) for n in (40, 50) for seed in (1, 2)
+]
 REPEAT = 3
-CAP_S = 120.0  # seconds per child: the n = 64 rungs take about 25 s
+CAP_S = 120.0  # seconds per child: the slowest rungs take about 25 s
 
 
-def child(src, n, p, cimpl_path):
-    """Builds the rung's instance, times the witness call once and
-    returns its record."""
+def reversed_chorded_cycle(A, n, seed):
+    """A random Hamilton dicycle with 3n/10 of its arcs reversed, plus
+    random chords on new vertex pairs up to n + n/2 arcs."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arcs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    for i in rng.sample(range(n), 3 * n // 10):
+        arcs[i] = arcs[i][::-1]
+    pairs = {frozenset(a) for a in arcs}
+    while len(arcs) < n + n // 2:
+        u, v = rng.sample(range(n), 2)
+        if frozenset((u, v)) not in pairs:
+            pairs.add(frozenset((u, v)))
+            arcs.append((u, v))
+    return A.MultiDigraph(n, arcs)
+
+
+def child(src, call, n, p, seed, cimpl_path):
+    """Builds the rung's instance, times its call once and returns its
+    record."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     sys.dont_write_bytecode = True
     import arcinvert as A
@@ -65,12 +95,18 @@ def child(src, n, p, cimpl_path):
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         A._kernels._impl = module
-    rng = random.Random(SEED)
-    D = workloads.break_by_triples(rng, workloads.cycle_union(rng, n, 1, n), 1, 4)
+    if call == "witness":
+        rng = random.Random(seed)
+        D = workloads.break_by_triples(rng, workloads.cycle_union(rng, n, 1, n), 1, 4)
+    else:
+        D = reversed_chorded_cycle(A, n, seed)
     start = time.perf_counter()
-    verdict = A.is_kp_invertible(D, 1, p, witness=True)
+    if call == "witness":
+        verdict = A.is_kp_invertible(D, 1, p, witness=True)
+        fam, reason = verdict.witness, verdict.reason
+    else:
+        fam, reason = A.min_k2_inversion_set(D, 1), None
     wall = time.perf_counter() - start
-    fam = verdict.witness
     sets = [] if fam is None else [sorted(s) for s in fam.sets]
     verified = fam is not None and all(len(s) == p for s in sets) and A.is_k_arc_strong(
         A.apply_inversions(D, fam), 1
@@ -78,17 +114,18 @@ def child(src, n, p, cimpl_path):
     return {
         "backend": A._kernels._impl.BACKEND,
         "instance": workloads.digest(D),
-        "reason": verdict.reason,
+        "reason": reason,
         "sets": len(sets),
         "family_sha256": hashlib.sha256(repr(sets).encode()).hexdigest()[:16],
         "verified": verified,
         "wall_s": wall,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 
-def run_call(src, n, p, cimpl_path):
+def run_call(src, rung, cimpl_path):
     """The child's record, or None when it hit the cap."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(n), str(p),
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", *map(str, rung),
            "--src", src]
     if cimpl_path:
         cmd += ["--cimpl", cimpl_path]
@@ -99,28 +136,32 @@ def run_call(src, n, p, cimpl_path):
     except subprocess.TimeoutExpired:
         return None
     except subprocess.CalledProcessError as exc:
-        raise RuntimeError(f"rung n={n} p={p} failed:\n{exc.stderr}") from None
+        raise RuntimeError(f"rung {rung} failed:\n{exc.stderr}") from None
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def run_rung(src, n, p, cimpl_path):
+def run_rung(src, rung, cimpl_path):
     """One rung's entry: medians over the calls, or capped."""
+    call, n, p, seed = rung
+    entry = {"call": call, "n": n, "p": p, "seed": seed, "cap_s": CAP_S}
     records = []
     for _ in range(REPEAT):
-        rec = run_call(src, n, p, cimpl_path)
+        rec = run_call(src, rung, cimpl_path)
         if rec is None:
-            return {"n": n, "p": p, "capped": True, "cap_s": CAP_S, "verified": None}
+            return {**entry, "capped": True, "verified": None}
         records.append(rec)
     first = records[0]
     if any(r["family_sha256"] != first["family_sha256"] for r in records):
-        raise RuntimeError(f"rung n={n} p={p} returned different families")
+        raise RuntimeError(f"rung {rung} returned different families")
     if first["backend"] != ("c" if cimpl_path else "py"):
-        raise RuntimeError(f"rung n={n} p={p} ran on the {first['backend']} backend")
+        raise RuntimeError(f"rung {rung} ran on the {first['backend']} backend")
     walls = [r["wall_s"] for r in records]
+    rss = [r["peak_rss_mb"] for r in records]
     return {
-        "n": n, "p": p, "capped": False, "cap_s": CAP_S,
+        **entry, "capped": False,
         "verified": all(r["verified"] for r in records),
         "median_s": statistics.median(walls), "wall_s": walls,
+        "median_rss_mb": statistics.median(rss), "peak_rss_mb": rss,
         **{key: first[key] for key in ("reason", "sets", "family_sha256", "instance")},
     }
 
@@ -152,12 +193,14 @@ def main(argv=None):
     ap.add_argument("--label", default="ladder", help="writes BENCH_<label>.json")
     ap.add_argument("--run", default="change", help="name of this run in the file")
     ap.add_argument("--src", default=str(ROOT / "src"), help="package source to measure")
-    ap.add_argument("--child", nargs=2, type=int, metavar=("N", "P"), help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs=4, metavar=("CALL", "N", "P", "SEED"),
+                    help=argparse.SUPPRESS)
     ap.add_argument("--cimpl", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = str(Path(args.src).resolve())
     if args.child:
-        print(json.dumps(child(src, *args.child, args.cimpl)))
+        call, n, p, seed = args.child
+        print(json.dumps(child(src, call, int(n), int(p), int(seed), args.cimpl)))
         return 0
 
     with tempfile.TemporaryDirectory() as build_dir:
@@ -170,11 +213,13 @@ def main(argv=None):
         rungs = {}
         for backend, cimpl_path in kernels.items():
             rungs[backend] = []
-            for n, p in RUNGS:
-                entry = run_rung(src, n, p, cimpl_path)
+            for rung in RUNGS:
+                entry = run_rung(src, rung, cimpl_path)
                 rungs[backend].append(entry)
-                shown = "capped" if entry["capped"] else f"{entry['median_s']:.4f} s"
-                print(f"{backend} odd-p witness n={n} p={p}: {shown}", flush=True)
+                shown = "capped" if entry["capped"] else (
+                    f"{entry['median_s']:.4f} s, {entry['median_rss_mb']:.1f} MB")
+                call, n, p, seed = rung
+                print(f"{backend} {call} n={n} p={p} seed={seed}: {shown}", flush=True)
 
     out = ROOT / f"BENCH_{args.label}.json"
     data = json.loads(out.read_text()) if out.exists() else {"label": args.label, "runs": {}}
@@ -183,9 +228,8 @@ def main(argv=None):
         "python": platform.python_version(),
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
-        "seed": SEED,
         "repeat": REPEAT,
-        "call": "is_kp_invertible(D, 1, p, witness=True)",
+        "calls": CALLS,
         "rungs": rungs,
     }
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

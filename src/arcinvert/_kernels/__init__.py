@@ -2,9 +2,9 @@
 
 The backend is picked once, at import time.  ARCINVERT_KERNEL=py forces
 the pure backend, ARCINVERT_KERNEL=c requires the compiled one
-(ImportError if it was not built), anything else / unset picks the
-compiled backend when present.  Both take the same arguments and return
-the same values at every size.
+(ImportError if it was not built), auto or unset picks the compiled
+backend when present, and any other value raises RuntimeError.  Both
+take the same arguments and return the same values at every size.
 
 karc_deficient_cut keeps the last matrix its backend proved k-arc-strong
 (answer -1): the backend object, n, k and a copy of caps.  A call with

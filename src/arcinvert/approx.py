@@ -73,9 +73,12 @@ def min_k2_inversion_set(D, k, support=None):
 
 
 def _asymmetric_pairs(n, caps, sup):
-    """The pairs u < v of sup whose two arc counts differ.  A flip swaps
-    the two counts of its pair, so every pair keeps this property."""
-    return {(u, v) for u in sup for v in sup if u < v and caps[u * n + v] != caps[v * n + u]}
+    """The pairs u < v of sup whose two arc counts differ, each mapped to
+    a bit of its own.  A flip swaps the two counts of its pair, so every
+    pair keeps this property.  The bits only tell the pairs apart: the
+    branch order comes from _gaining_pairs' sort."""
+    pairs = [(u, v) for u in sup for v in sup if u < v and caps[u * n + v] != caps[v * n + u]]
+    return {pr: 1 << i for i, pr in enumerate(pairs)}
 
 
 def _gaining_pairs(n, caps, side, pairs):
@@ -103,7 +106,20 @@ def _gaining_pairs(n, caps, side, pairs):
 
 
 def _min_pairs(D, k, sup=None):
-    """min_k2_inversion_set on checked inputs; pairs lie within sup."""
+    """min_k2_inversion_set on checked inputs; pairs lie within sup.
+
+    The search state is the mask of flipped pairs, one bit per allowed
+    pair.  Pair flips commute, so the mask fixes caps, and one memo
+    keeps, for each mask tested, its deficient side and the largest
+    budget under which its subtree failed, across all the deepening
+    budgets: no budget re-tests a state, and no failed subtree is
+    searched again with the same or a smaller budget.  An entry from an
+    earlier budget never cuts a later one: under budget B a state of
+    |mask| flips is always reached with budget B - |mask|, so what
+    failed under B' < B was B' - |mask|, below the budget it meets
+    now.  Within one budget the entry acts as a per-budget failed memo
+    would, so every search meets the same nodes in the same order and
+    returns the same family."""
     n = D.n
     sup = range(n) if sup is None else sup
     caps = D.caps_flat()
@@ -127,44 +143,41 @@ def _min_pairs(D, k, sup=None):
         return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
 
     chain = []
-    found = []
-    # deficient side of each flipped-pair set tested so far, kept across
-    # budgets: pair flips commute, so the set fixes caps, and budget b + 1
-    # re-tests no state that budget b tested
-    sides = {}
+    # mask -> (deficient side, largest budget known to fail); with no
+    # flip left, a state that is not k-arc-strong fails
+    memo = {}
 
-    def dfs(budget, failed):
+    def dfs(mask, budget):
         # a pair flip touches two vertices; a k-arc-strong digraph has no
         # deficient vertex, so this bound goes before the flows
         if deficient() > 2 * budget:
-            return False
-        key = frozenset(chain)
-        side = sides.get(key)
-        if side is None:
+            return None
+        entry = memo.get(mask)
+        if entry is None:
             side = _kernels.karc_deficient_cut(n, caps, k)
             if side == -1:
-                found.append(list(chain))
-                return True
-            sides[key] = side
-        if budget == 0:
-            return False
-        if failed.get(key, -1) >= budget:
-            return False
+                return InversionFamily(chain)
+            entry = memo[mask] = (side, 0)
+        side, failed = entry
+        if budget <= failed:
+            return None
         for _g, pr in _gaining_pairs(n, caps, side, allowed):
-            if pr in chain:
+            bit = allowed[pr]
+            if mask & bit:
                 continue
             flip(*pr)
             chain.append(pr)
-            if dfs(budget - 1, failed):
-                return True
+            fam = dfs(mask | bit, budget - 1)
+            if fam is not None:
+                return fam
             chain.pop()
             flip(*pr)
-        failed[key] = budget
-        return False
+        memo[mask] = (side, budget)
+        return None
 
     for budget in range(len(allowed) + 1):
-        if dfs(budget, {}):
-            fam = InversionFamily(found[0])
+        fam = dfs(0, budget)
+        if fam is not None:
             if not is_k_arc_strong(apply_inversions(D, fam), k):
                 raise RuntimeError("internal error: pair search returned a bad family")
             return fam

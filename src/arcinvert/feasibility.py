@@ -118,9 +118,13 @@ def _witness(D, k, p):
     whole small family.  The small sets themselves never enter the
     merge: each is the target of exactly one plan, so with the targets
     they would cancel in pairs, and they cannot meet a plan set, which
-    has size p >= 4 against their 2 or 3."""
-    if is_k_arc_strong(D, k):
-        return InversionFamily([])
+    has size p >= 4 against their 2 or 3.
+
+    A D that is already k-arc-strong needs no check of its own here: its
+    pair search stops at the root, which has no deficient vertex and
+    gets the backend's -1, and its coset search returns on its first
+    line, so either base is the empty family, whose zero plans merge to
+    the empty family that _finish verifies."""
     if p % 2 == 0:
         base, simulate = _min_pairs(D, k), simulate_pair
     else:

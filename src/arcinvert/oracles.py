@@ -13,7 +13,6 @@ orientation-state oracle decides reachability without the GF(2) span.
 """
 
 import random
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -42,11 +41,16 @@ class Gf2Basis:
 
     Vectors are int bitmasks.  Each stored row remembers which input
     rows (by insertion index bit) combine to it, so membership queries
-    can report a witnessing subset."""
+    can report a witnessing subset.
+
+    The pivot table is the whole basis: each row is filed under its
+    leading bit, and rows lists them by leading bit, highest first.  A
+    row never changes once added and no two rows share a leading bit,
+    so that is the echelon order by decreasing vector in which the rows
+    would be kept sorted on insertion."""
 
     def __init__(self):
-        self.rows = []  # list of (vector, combo), echelon by leading bit
-        self._pivot = {}  # leading bit -> its row
+        self._pivot = {}  # leading bit -> its row (vector, combo)
 
     def _reduce(self, vec, combo=0):
         # XOR in the row of every pivot set in vec, highest first
@@ -65,9 +69,7 @@ class Gf2Basis:
         vec, combo = self._reduce(vec, combo)
         if vec == 0:
             return False
-        row = (vec, combo)
-        self._pivot[vec.bit_length() - 1] = row
-        insort(self.rows, row, key=lambda rc: -rc[0])
+        self._pivot[vec.bit_length() - 1] = (vec, combo)
         return True
 
     def solve(self, target):
@@ -77,8 +79,13 @@ class Gf2Basis:
         return combo if vec == 0 else None
 
     @property
+    def rows(self):
+        """The rows as (vector, combo), echelon by leading bit."""
+        return [self._pivot[top] for top in sorted(self._pivot, reverse=True)]
+
+    @property
     def dim(self):
-        return len(self.rows)
+        return len(self._pivot)
 
 
 # -- GF(2) reachability of a k-arc-strong orientation -------------------
@@ -158,16 +165,18 @@ def _gf2_search(D, k, p, mode, refute=False):
     The span is built only up to full rank: once m candidates have
     enlarged it, every later indicator reduces to 0 and Gf2Basis.add
     would leave the rows, the pivots and the kept sets as they are, so
-    the rest of the candidates are neither generated nor reduced.  When
-    D has no simple arc, nothing can flip, and the search returns None
-    before building any span."""
+    the rest of the candidates are neither generated nor reduced.
+
+    A D past the first line has a simple arc.  A digraph (no parallel
+    arcs) with digons alone has d+(S) = d-(S) = d_UG(S) / 2 at every
+    cut S, which is at least k because every caller checks that UG(D)
+    is 2k-edge-connected first; such a D is k-arc-strong and has
+    returned the empty family."""
     if is_k_arc_strong(D, k):
         return InversionFamily([])
     n = D.n
     simple = D.simple_arcs()
     m = len(simple)
-    if m == 0:
-        return None  # D is not k-arc-strong and no arc can flip
     bit = [0] * (n * n)  # flip bit of the simple arc on each vertex pair
     for i, (t, h) in enumerate(simple):
         bit[t * n + h] = bit[h * n + t] = 1 << (m - 1 - i)
@@ -294,12 +303,13 @@ def _degree_needs(n, k, caps, simple, span):
     out_need = [0] * n
     in_need = [0] * n
     full = span.dim == m  # then the span holds every unit vector
+    rows = () if full else span.rows
     for v in range(n):
         out_want = in_want = k
         if full:
             even = not star[v]
         else:
-            even = not any(bin(star[v] & row).count("1") & 1 for row, _c in span.rows)
+            even = not any(bin(star[v] & row).count("1") & 1 for row, _c in rows)
         if even:
             out_want += (out_have[v] + simple_out[v] - k) % 2
             in_want += (in_have[v] + simple_in[v] - k) % 2
@@ -448,7 +458,9 @@ def exists_k_arc_strong_orientation(G, k):
     degree pruning.  A sample is tested by a flow only when its bits
     give every vertex at least k arcs out and in, which a k-arc-strong
     orientation needs; the others are rejected in O(n) word operations
-    and the random draws stay the same.  Intended for n <= 12."""
+    and the random draws stay the same.  The DFS returns the first
+    bits that pass without undoing its placements: nothing reads its
+    work arrays after it returns.  Intended for n <= 12."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("exists_k_arc_strong_orientation expects a Multigraph")
     _check_k(k)
@@ -547,11 +559,6 @@ def exists_k_arc_strong_orientation(G, k):
             ):
                 got = dfs(i + 1, bits | (bit << i))
                 if got is not None:
-                    work[t * n + h] -= 1
-                    out_have[t] -= 1
-                    in_have[h] -= 1
-                    rem[u] += 1
-                    rem[v] += 1
                     return got
             work[t * n + h] -= 1
             out_have[t] -= 1

@@ -3,9 +3,12 @@
 One test per numbered behaviour contract; each prints a single
 "criterion N: PASS/FAIL" line so a full run reads as a scoreboard.
 All randomised checks run from fixed seeds.  The sub-threshold
-feasibility sweep (criterion 4) additionally writes its comparison
-table to experiments/subthreshold_feasibility.csv; rows there are
-observational and never fail the run.
+feasibility sweep (criterion 4) additionally builds its comparison
+table in a temporary directory and checks it byte for byte against
+experiments/subthreshold_feasibility.csv, so a changed sub-threshold
+verdict fails the run instead of rewriting the checked-in table.  The
+table's agree column is observational: below the threshold the formula
+is not promised to hold, and a disagreeing row is no failure.
 """
 
 import contextlib
@@ -167,7 +170,7 @@ def _formula_verdict(D, k, p):
     return exhaustive_obstruction_search(D, k) is None
 
 
-def test_criterion_4_feasibility_matches_exhaustive_search():
+def test_criterion_4_feasibility_matches_exhaustive_search(tmp_path):
     with _criterion(4):
         rng = random.Random(404)
         csv_rows = []
@@ -202,13 +205,15 @@ def test_criterion_4_feasibility_matches_exhaustive_search():
                     csv_rows.append(
                         [k, p, D.n, idx, exhaustive, formula, exhaustive == formula]
                     )
-        os.makedirs(EXPERIMENTS_DIR, exist_ok=True)
-        out_path = os.path.join(EXPERIMENTS_DIR, "subthreshold_feasibility.csv")
+        assert csv_rows, "no sub-threshold instances were sampled"
+        out_path = tmp_path / "subthreshold_feasibility.csv"
         with open(out_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "p", "n", "index", "exhaustive", "formula", "agree"])
             writer.writerows(csv_rows)
-        assert csv_rows, "no sub-threshold instances were sampled"
+        checked_in = os.path.join(EXPERIMENTS_DIR, "subthreshold_feasibility.csv")
+        with open(checked_in, "rb") as fh:
+            assert out_path.read_bytes() == fh.read()
 
 
 def test_criterion_5_star_obstructions_survive_odd_inversions():

@@ -69,6 +69,19 @@ def test_min_k2_matches_the_generic_exact_solver():
     # digraphs and multidigraphs, with families of two or more pairs and
     # (with parallel arcs) none at all
     assert sizes[True, 2] > 5 and sizes[False, 2] > 5 and sizes[False, None] > 0
+    # digraphs with digons at n = 8-11 whose optimum of 3 or 4 pairs
+    # takes several deepening budgets, so the pair search's memo entries
+    # carry over from one budget to the next
+    deep = Counter()
+    while deep[3] < 4 or deep[4] < 3:
+        k = rng.choice((1, 2))
+        D = _cycles_digraph(rng, k, rng.randint(8, 11), bundles=False)
+        if not any(D.has_arc(h, t) for t, h, _m in D.arcs()):
+            continue
+        generic = exact_inv_kp(D, k, 2, mode="exact-size", l_max=4)
+        if generic is not None and len(generic.sets) >= 3:
+            assert min_k2_inversion_set(D, k) == generic
+            deep[len(generic.sets)] += 1
 
 
 def test_min_k2_handles_parallel_class_parity():

@@ -235,6 +235,10 @@ def test_bench_csv_order_and_threads(tmp_path, capsys):
         del os.environ["ARCINVERT_THREADS"]
     rows2 = list(csv.reader(open(out2_csv)))
     assert [r[:-1] for r in rows] == [r[:-1] for r in rows2]
+    # without -o the same CSV goes to stdout, after the command line
+    code, out, _err = run(capsys, "bench", str(manifest))
+    assert code == 0 and out[0] == f"command: arcinvert bench {manifest}"
+    assert [r[:-1] for r in csv.reader(_strip_millis(out[1:]))] == [r[:-1] for r in rows]
 
 
 def test_bench_rejects_a_non_integer_thread_count(tmp_path, capsys, monkeypatch):

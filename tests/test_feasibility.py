@@ -57,6 +57,7 @@ def test_odd_p_above_threshold_splits_on_obstructions():
             assert verdict.reason == "theorem-odd"
             assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)
             assert all(len(s) == 3 for s in verdict.witness.sets)
+            assert construct_witness(D, 1, 3) == verdict.witness
         else:
             assert verdict.reason == "k-obstruction"
             assert verify_certificate(D, verdict.certificate)

@@ -1,8 +1,11 @@
+import os
 import random
 import signal
+import subprocess
 import sys
 import threading
 from collections import deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +24,29 @@ from arcinvert.feasibility import is_kp_invertible
 from arcinvert.oracles import brute_edge_connectivity, exact_inv_kp, exists_k_arc_strong_orientation
 
 from conftest import rand_2kec_digraph, rand_multidigraph, rand_multigraph
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ("fortran", "RuntimeError: unknown ARCINVERT_KERNEL value: 'fortran'"),
+        ("c", "ImportError: ARCINVERT_KERNEL=c requested but the compiled kernel is not built"),
+    ],
+    ids=["unknown", "c-not-built"],
+)
+def test_kernel_choice_fails_at_import(value, error):
+    """An unknown ARCINVERT_KERNEL, or c without the compiled kernel,
+    stops the import; each runs in a fresh interpreter, since the
+    backend is picked once per process."""
+    src = str(Path(_kernels.__file__).resolve().parents[2])
+    env = dict(os.environ, ARCINVERT_KERNEL=value, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "import arcinvert"], env=env, capture_output=True, text=True
+    )
+    if value == "c" and done.returncode == 0:
+        pytest.skip("the compiled kernel is built")
+    assert done.returncode == 1
+    assert done.stderr.rstrip().endswith(error)
 
 
 def test_st_max_flow_backends_agree(cimpl):

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from arcinvert import obstruction
-from arcinvert.core import MultiDigraph, apply_inversions, edge_connectivity, is_k_arc_strong
+from arcinvert.core import (
+    MultiDigraph,
+    Multigraph,
+    apply_inversions,
+    edge_connectivity,
+    is_k_arc_strong,
+)
 from arcinvert.errors import InvalidArgumentError, PreconditionViolatedError
 from arcinvert.obstruction import (
     ObstructionCertificate,
@@ -100,6 +106,12 @@ def test_k_regular_partition_on_a_cycle():
     assert sorted(v for p in parts for v in p) == X
     for p in parts:
         assert G.cut_size(set(p)) == 2
+    # nested sides merge into one part, the larger side found second or first
+    for edges in (
+        [(0, 1, 2), (1, 2), (1, 4), (2, 3), (3, 4), (2, 4)],
+        [(0, 1, 2), (0, 2), (0, 4), (2, 3), (3, 4), (2, 4)],
+    ):
+        assert k_regular_partition(Multigraph(5, edges), 2, [0, 1]) == [(0, 1)]
 
 
 def test_certificate_text_round_trip():
