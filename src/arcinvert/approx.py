@@ -28,6 +28,8 @@ from .core import (
     _check_k,
     _check_p,
     _check_vertex,
+    _degrees,
+    _verified,
     InversionFamily,
     MultiDigraph,
     Multigraph,
@@ -125,8 +127,7 @@ def _min_pairs(D, k, sup=None):
     caps = D.caps_flat()
     allowed = _asymmetric_pairs(n, caps, sup)
 
-    outdeg = [sum(caps[v * n:v * n + n]) for v in range(n)]
-    indeg = [sum(caps[v::n]) for v in range(n)]
+    outdeg, indeg = _degrees(n, caps)
 
     def flip(u, v):
         uv, vu = caps[u * n + v], caps[v * n + u]
@@ -178,9 +179,7 @@ def _min_pairs(D, k, sup=None):
     for budget in range(len(allowed) + 1):
         fam = dfs(0, budget)
         if fam is not None:
-            if not is_k_arc_strong(apply_inversions(D, fam), k):
-                raise RuntimeError("internal error: pair search returned a bad family")
-            return fam
+            return _verified(D, fam, k, "pair search family")
     return None
 
 
@@ -204,10 +203,7 @@ def _greedy_pairs(D, k):
     while True:
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
-            fam = InversionFamily(sorted(flipped))
-            if not is_k_arc_strong(apply_inversions(D, fam), k):
-                raise RuntimeError("internal error: greedy repair returned a bad family")
-            return fam
+            return _verified(D, InversionFamily(sorted(flipped)), k, "greedy repair family")
         pairs = (pr for _g, pr in _gaining_pairs(n, caps, side, allowed) if pr not in flipped)
         best = next(pairs, None)
         if best is None:
@@ -248,8 +244,7 @@ def _minimal_core(D, k):
     """minimally_k_arc_strong on a D already known to be k-arc-strong."""
     n = D.n
     caps = D.caps_flat()
-    out = [sum(caps[u * n:u * n + n]) for u in range(n)]
-    into = [sum(caps[u::n]) for u in range(n)]
+    out, into = _degrees(n, caps)
     for (t, h, m) in D.arcs():
         for _unit in range(m):
             if out[t] <= k or into[h] <= k:
@@ -362,9 +357,7 @@ def approx_kp(D, k, p, heuristic=False):
     # both pair stages verify apply(D, base) before returning it
     core = _minimal_core(apply_inversions(D, base), k)
     packed, leftover = pack_independent_pairs(base, core.underlying(), p)
-    family = InversionFamily(list(packed) + list(leftover))
-    if not is_k_arc_strong(apply_inversions(D, family), k):
-        raise RuntimeError("internal error: approximation output failed verification")
+    family = _verified(D, InversionFamily(list(packed) + list(leftover)), k, "approximation output")
     trace = ApproxTrace(
         base_pairs=base,
         base_optimal=not heuristic,

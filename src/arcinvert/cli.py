@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from .approx import approx_kp
 from .core import (
     INFINITY,
-    InversionFamily,
     Multigraph,
     MultiDigraph,
     apply_inversions,
@@ -426,7 +425,7 @@ def build_parser():
 
     s = subs.add_parser("bench", help="run a manifest of instances x solvers to CSV")
     s.add_argument("manifest", help="lines of: instance k p solver (# comments allowed)")
-    s.add_argument("-o", "--output", help="CSV path (default stdout)")
+    s.add_argument("-o", "--output", help="CSV path (default: stdout, in the report between command: and millis:)")
     s.set_defaults(func=_cmd_bench)
 
     return parser
@@ -442,18 +441,12 @@ def cli_dispatch(argv):
     start = time.perf_counter()
     try:
         code, body = args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidArgumentError as exc:
+    except (ParseError, InvalidArgumentError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionViolatedError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     millis = int(round((time.perf_counter() - start) * 1000))
     _report(sys.stdout, argv, body, millis)
     return code

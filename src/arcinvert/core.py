@@ -13,7 +13,6 @@ that digon unchanged.
 """
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import _kernels
@@ -54,52 +53,88 @@ def _check_digraph(D, what, simple=False):
         raise InvalidArgumentError("input has parallel arcs; a digraph is required")
 
 
-class MultiDigraph:
-    """Directed graph with parallel arcs allowed, no loops."""
+class _Graph:
+    """Value semantics of MultiDigraph and Multigraph: n vertices and a
+    dict _m from vertex pairs to multiplicities, checked on construction
+    and immutable after it.  A subclass names its pair and its two ends
+    for the error messages (_pair, _ends), says whether a pair keeps its
+    order (_directed; an edge is keyed (min, max)), and names the slot
+    of its memo (_memo), which every new object starts empty."""
 
-    __slots__ = ("n", "_m", "_hash", "_ug")
+    __slots__ = ("n", "_m", "_hash")
 
-    def __init__(self, n, arcs=()):
+    def __init__(self, n, pairs=()):
         _check_count(n)
+        first, second = self._ends
+        directed = self._directed
         m = {}
-        for arc in arcs:
-            if len(arc) == 2:
-                t, h = arc
+        for pair in pairs:
+            if len(pair) == 2:
+                u, v = pair
                 mult = 1
-            elif len(arc) == 3:
-                t, h, mult = arc
+            elif len(pair) == 3:
+                u, v, mult = pair
             else:
-                raise InvalidArgumentError(f"arc must be (tail, head[, mult]), got {arc!r}")
-            _check_vertex(t, n, "tail")
-            _check_vertex(h, n, "head")
-            if t == h:
-                raise InvalidArgumentError(f"loop at vertex {t} not allowed")
+                raise InvalidArgumentError(f"{self._pair}, got {pair!r}")
+            _check_vertex(u, n, first)
+            _check_vertex(v, n, second)
+            if u == v:
+                raise InvalidArgumentError(f"loop at vertex {u} not allowed")
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise InvalidArgumentError(f"multiplicity must be a positive int, got {mult!r}")
-            m[(t, h)] = m.get((t, h), 0) + mult
+            key = (u, v) if directed or u < v else (v, u)
+            m[key] = m.get(key, 0) + mult
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ug", None)
+        object.__setattr__(self, self._memo, None)
 
     @classmethod
     def _trusted(cls, n, m):
-        """MultiDigraph on n vertices with the arc dict m, keys (t, h),
-        whose entries are known to be valid."""
-        D = object.__new__(cls)
-        object.__setattr__(D, "n", n)
-        object.__setattr__(D, "_m", m)
-        object.__setattr__(D, "_hash", None)
-        object.__setattr__(D, "_ug", None)
-        return D
+        """The graph on n vertices with the pair dict m, whose keys and
+        multiplicities are known to be valid."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "_m", m)
+        object.__setattr__(g, "_hash", None)
+        object.__setattr__(g, cls._memo, None)
+        return g
 
     def __setattr__(self, *a):
-        raise AttributeError("MultiDigraph is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild through the checking constructor (a
-        # pickle is outside input); the memo slots start empty again
-        return MultiDigraph, (self.n, [(t, h, m) for (t, h), m in self._m.items()])
+        # pickle is outside input); the memo slot starts empty again
+        return type(self), (self.n, [(u, v, m) for (u, v), m in self._m.items()])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self._m == other._m
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, frozenset(self._m.items()))))
+        return self._hash
+
+    def induced(self, vertices):
+        """(subgraph of the same type, sorted id list); ids reindexed by
+        rank, which keeps every edge key (u, v) with u < v."""
+        ids = sorted(_check_vertex(v, self.n) for v in set(vertices))
+        pos = {v: i for i, v in enumerate(ids)}
+        m = {(pos[u], pos[v]): mm for (u, v), mm in self._m.items() if u in pos and v in pos}
+        return self._trusted(len(ids), m), ids
+
+
+class MultiDigraph(_Graph):
+    """Directed graph with parallel arcs allowed, no loops."""
+
+    __slots__ = ("_ug",)
+    _pair = "arc must be (tail, head[, mult])"
+    _ends = ("tail", "head")
+    _directed = True
+    _memo = "_ug"
 
     # -- queries ------------------------------------------------------
 
@@ -166,13 +201,6 @@ class MultiDigraph:
     def reverse(self):
         return MultiDigraph._trusted(self.n, {(h, t): m for (t, h), m in self._m.items()})
 
-    def induced(self, vertices):
-        """(sub-multidigraph, sorted id list); ids reindexed by rank."""
-        ids = sorted(_check_vertex(v, self.n) for v in set(vertices))
-        pos = {v: i for i, v in enumerate(ids)}
-        m = {(pos[t], pos[h]): mm for (t, h), mm in self._m.items() if t in pos and h in pos}
-        return MultiDigraph._trusted(len(ids), m), ids
-
     def caps_flat(self):
         n = self.n
         caps = [0] * (n * n)
@@ -180,71 +208,18 @@ class MultiDigraph:
             caps[t * n + h] = m
         return caps
 
-    # -- value semantics ----------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiDigraph):
-            return NotImplemented
-        return self.n == other.n and self._m == other._m
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.n, frozenset(self._m.items())))
-            )
-        return self._hash
-
     def __repr__(self):
         return f"MultiDigraph(n={self.n}, arcs={self.arc_count()})"
 
 
-class Multigraph:
+class Multigraph(_Graph):
     """Undirected graph with parallel edges allowed, no loops."""
 
-    __slots__ = ("n", "_m", "_hash", "_lam")
-
-    def __init__(self, n, edges=()):
-        _check_count(n)
-        m = {}
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                mult = 1
-            elif len(edge) == 3:
-                u, v, mult = edge
-            else:
-                raise InvalidArgumentError(f"edge must be (u, v[, mult]), got {edge!r}")
-            _check_vertex(u, n)
-            _check_vertex(v, n)
-            if u == v:
-                raise InvalidArgumentError(f"loop at vertex {u} not allowed")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise InvalidArgumentError(f"multiplicity must be a positive int, got {mult!r}")
-            key = (min(u, v), max(u, v))
-            m[key] = m.get(key, 0) + mult
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lam", None)
-
-    @classmethod
-    def _trusted(cls, n, m):
-        """Multigraph on n vertices with the edge dict m, keys (u, v)
-        with u < v, whose entries are known to be valid."""
-        G = object.__new__(cls)
-        object.__setattr__(G, "n", n)
-        object.__setattr__(G, "_m", m)
-        object.__setattr__(G, "_hash", None)
-        object.__setattr__(G, "_lam", None)
-        return G
-
-    def __setattr__(self, *a):
-        raise AttributeError("Multigraph is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the checking constructor (a
-        # pickle is outside input); the memo slots start empty again
-        return Multigraph, (self.n, [(u, v, m) for (u, v), m in self._m.items()])
+    __slots__ = ("_lam",)
+    _pair = "edge must be (u, v[, mult])"
+    _ends = ("vertex", "vertex")
+    _directed = False
+    _memo = "_lam"
 
     def mult(self, u, v):
         if u == v:
@@ -273,13 +248,6 @@ class Multigraph:
             elif b == v:
                 out.add(a)
         return sorted(out)
-
-    def induced(self, vertices):
-        # ranks keep the order, so each key keeps u < v
-        ids = sorted(_check_vertex(v, self.n) for v in set(vertices))
-        pos = {v: i for i, v in enumerate(ids)}
-        m = {(pos[u], pos[v]): mm for (u, v), mm in self._m.items() if u in pos and v in pos}
-        return Multigraph._trusted(len(ids), m), ids
 
     def contract(self, groups):
         """Contract each group to one vertex (group i -> vertex i).
@@ -315,18 +283,6 @@ class Multigraph:
         """Number of edges with exactly one endpoint in ``side``."""
         s = set(side)
         return sum(m for (u, v), m in self._m.items() if (u in s) != (v in s))
-
-    def __eq__(self, other):
-        if not isinstance(other, Multigraph):
-            return NotImplemented
-        return self.n == other.n and self._m == other._m
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.n, frozenset(self._m.items())))
-            )
-        return self._hash
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, edges={self.edge_count()})"
@@ -387,25 +343,30 @@ def _mask_to_set(mask):
 # -- flows and connectivity -------------------------------------------
 
 
-def max_flow(obj, s, t):
-    """Maximum number of arc-disjoint s->t paths (edge-disjoint for a
-    Multigraph).  s must differ from t."""
+def _degrees(n, caps):
+    """Out- and in-degree lists of the n x n capacity matrix caps."""
+    return [sum(caps[v * n:v * n + n]) for v in range(n)], [sum(caps[v::n]) for v in range(n)]
+
+
+def _st_flow(obj, s, t):
+    """(value, mask of the source side) of an unlimited s->t flow in
+    obj, after the argument checks of max_flow and min_cut."""
     _check_vertex(s, obj.n, "source")
     _check_vertex(t, obj.n, "sink")
     if s == t:
         raise InvalidArgumentError("source and sink must differ")
-    flow, _mask = _kernels.st_max_flow(obj.n, obj.caps_flat(), s, t, -1)
-    return flow
+    return _kernels.st_max_flow(obj.n, obj.caps_flat(), s, t, -1)
+
+
+def max_flow(obj, s, t):
+    """Maximum number of arc-disjoint s->t paths (edge-disjoint for a
+    Multigraph).  s must differ from t."""
+    return _st_flow(obj, s, t)[0]
 
 
 def min_cut(obj, s, t):
     """A minimum s-t cut as a Cut record (side contains s)."""
-    _check_vertex(s, obj.n, "source")
-    _check_vertex(t, obj.n, "sink")
-    if s == t:
-        raise InvalidArgumentError("source and sink must differ")
-    _flow, mask = _kernels.st_max_flow(obj.n, obj.caps_flat(), s, t, -1)
-    side = _mask_to_set(mask)
+    side = _mask_to_set(_st_flow(obj, s, t)[1])
     if isinstance(obj, MultiDigraph):
         return dicut(obj, side)
     return Cut(side=side, undirected_size=obj.cut_size(side))
@@ -573,6 +534,15 @@ def push(D, X):
     # a crossing arc and its opposite swap keys, so no two arcs collide
     m = {((h, t) if (t in s) != (h in s) else (t, h)): mm for (t, h), mm in D._m.items()}
     return MultiDigraph._trusted(D.n, m)
+
+
+def _verified(D, family, k, what):
+    """family, once applying it to D is seen to give a k-arc-strong
+    digraph: the one check every returned family and planted witness
+    passes."""
+    if not is_k_arc_strong(apply_inversions(D, family), k):
+        raise RuntimeError(f"internal error: {what} failed verification")
+    return family
 
 
 # -- frames -----------------------------------------------------------

@@ -25,10 +25,9 @@ from .core import (
     _check_digraph,
     _check_k,
     _check_p,
+    _verified,
     InversionFamily,
-    apply_inversions,
     edge_connectivity,
-    is_k_arc_strong,
 )
 from .errors import PreconditionViolatedError, UnsupportedError
 from .obstruction import ObstructionCertificate, _obstruction_scan
@@ -147,6 +146,4 @@ def _witness(D, k, p):
 def _finish(D, k, p, fam):
     if any(len(s) != p for s in fam.sets):
         raise RuntimeError("internal error: witness contains a set of the wrong size")
-    if not is_k_arc_strong(apply_inversions(D, fam), k):
-        raise RuntimeError("internal error: constructed witness failed verification")
-    return fam
+    return _verified(D, fam, k, "constructed witness")

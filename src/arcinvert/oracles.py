@@ -23,11 +23,12 @@ from .core import (
     _check_k,
     _check_p,
     _check_vertex,
+    _degrees,
+    _verified,
     INFINITY,
     InversionFamily,
     MultiDigraph,
     Multigraph,
-    apply_inversions,
     edge_connectivity,
     is_k_arc_strong,
 )
@@ -143,9 +144,7 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     if edge_connectivity(D.underlying()) < 2 * k:
         return None  # inversions keep the underlying multigraph
     fam = _gf2_search(D, k, p, mode, refute=True)
-    if fam is not None and not is_k_arc_strong(apply_inversions(D, fam), k):
-        raise RuntimeError("internal error: reconstructed family does not verify")
-    return fam
+    return None if fam is None else _verified(D, fam, k, "coset search family")
 
 
 def _gf2_search(D, k, p, mode, refute=False):
@@ -290,8 +289,7 @@ def _degree_needs(n, k, caps, simple, span):
     star is orthogonal to it exactly when it is empty: only vertices
     without simple arcs keep their parity, and no row is scanned."""
     m = len(simple)
-    out_have = [sum(caps[v * n:v * n + n]) for v in range(n)]
-    in_have = [sum(caps[v::n]) for v in range(n)]
+    out_have, in_have = _degrees(n, caps)
     star = [0] * n
     simple_out = [0] * n
     simple_in = [0] * n
@@ -503,8 +501,7 @@ def exists_k_arc_strong_orientation(G, k):
     caps = [0] * (n * n)
     for t, h, mm in arcs:
         caps[t * n + h] = mm
-    out_have = [sum(caps[v * n:v * n + n]) for v in range(n)]
-    in_have = [sum(caps[v::n]) for v in range(n)]
+    out_have, in_have = _degrees(n, caps)
     # bit i of a sample turns free edge i = (u, v) round to v -> u, so
     # v's free arcs out are its edges listed first with the bit clear
     # and those listed second with the bit set
@@ -748,8 +745,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
         raise InvalidArgumentError(f"l_max must be a non-negative int, got {l_max!r}")
     n = D.n
     caps = D.caps_flat()
-    outdeg = [sum(caps[v * n:v * n + n]) for v in range(n)]
-    indeg = [sum(caps[v::n]) for v in range(n)]
+    outdeg, indeg = _degrees(n, caps)
 
     def deficient():
         # a single vertex has no proper cut, so its degrees bound nothing
@@ -807,11 +803,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
         if budget > start and edge_connectivity(D.underlying()) < 2 * k:
             return None  # inversions keep the underlying multigraph
         if dfs(budget):
-            fam = InversionFamily(found[0])
-            check = apply_inversions(D, fam)
-            if not is_k_arc_strong(check, k):
-                raise RuntimeError("internal error: exact search returned a bad family")
-            return fam
+            return _verified(D, InversionFamily(found[0]), k, "exact search family")
     return None
 
 

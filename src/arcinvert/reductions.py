@@ -16,10 +16,10 @@ from . import _kernels
 from .core import (
     _check_digraph,
     _check_k,
+    _verified,
     InversionFamily,
     MultiDigraph,
     Multigraph,
-    apply_inversions,
     is_k_arc_strong,
 )
 from .errors import InvalidArgumentError
@@ -51,9 +51,7 @@ class ReductionInstance:
 
     def __post_init__(self):
         if self.planted is not None:
-            k = self.params["k"]
-            if not is_k_arc_strong(apply_inversions(self.digraph, self.planted), k):
-                raise RuntimeError(f"internal error: planted family for {self.kind} does not verify")
+            _verified(self.digraph, self.planted, self.params["k"], f"planted family for {self.kind}")
 
 
 def rotative_tournament(m):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcinvert import _kernels, approx, oracles
+from arcinvert import _kernels, approx, core, oracles
 from arcinvert.approx import (
     approx_kp,
     eta,
@@ -297,15 +297,16 @@ def test_minimally_k_arc_strong_runs_one_flow_per_unit(monkeypatch):
 
 
 def test_approx_kp_tests_strongness_twice(monkeypatch):
-    # once inside the pair stage, once on the final family: the minimal
-    # core reuses the pair stage's proof instead of testing again
+    # once inside the pair stage, once on the final family, both in
+    # core._verified: the minimal core reuses the pair stage's proof
+    # instead of testing again
     calls = []
 
     def counted(D, k, _fn=is_k_arc_strong):
         calls.append(D.n)
         return _fn(D, k)
 
-    monkeypatch.setattr(approx, "is_k_arc_strong", counted)
+    monkeypatch.setattr(core, "is_k_arc_strong", counted)
     rng = random.Random(511)
     for heuristic in (False, True):
         for _ in range(6):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcinvert import _kernels, core, oracles
+from arcinvert import _kernels, approx, core, oracles
+from arcinvert.approx import approx_kp, greedy_k2_inversion_set, min_k2_inversion_set
 from arcinvert.core import (
     INFINITY,
     InversionFamily,
@@ -25,11 +26,13 @@ from arcinvert.core import (
     violating_dicut,
 )
 from arcinvert.errors import InvalidArgumentError, ParseError
+from arcinvert.feasibility import is_kp_invertible
 from arcinvert.obstruction import (
     ObstructionCertificate,
     star_matching_obstruction,
     verify_certificate,
 )
+from arcinvert.reductions import gen_p3p
 
 from conftest import rand_digraph, rand_family, rand_multidigraph, rand_multigraph
 from test_kernels import _dense_global_min_cut
@@ -292,7 +295,10 @@ def test_underlying_matches_the_checked_construction(D):
     ref = Multigraph(D.n, [(min(t, h), max(t, h), m) for (t, h), m in D._m.items()])
     assert list(G._m.items()) == list(ref._m.items())
     assert G == ref and hash(G) == hash(ref)
-    with pytest.raises(AttributeError):
+    # a digraph on the same pairs is another value, in both orders
+    twin = MultiDigraph(D.n, list(G.edges()))
+    assert twin._m == G._m and G != twin and twin != G
+    with pytest.raises(AttributeError, match="^Multigraph is immutable$"):
         G.n = 0
 
 
@@ -314,7 +320,7 @@ def test_apply_inversions_checks_each_inverted_vertex_once(monkeypatch):
         assert F == ref and hash(F) == hash(ref)
         R = reverse(D)
         assert list(R._m.items()) == [((h, t), m) for (t, h), m in D._m.items()]
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^MultiDigraph is immutable$"):
         F.n = 0
 
 
@@ -375,6 +381,7 @@ def test_push_and_induced_match_the_checked_construction(monkeypatch):
             pos = {v: i for i, v in enumerate(ids)}
             edges = [(pos[a], pos[b], m) for (a, b), m in graph._m.items() if a in pos and b in pos]
             ref = type(graph)(len(ids), edges)
+            assert type(sub) is type(graph)
             assert list(sub._m.items()) == list(ref._m.items())
             assert sub == ref and hash(sub) == hash(ref)
     with pytest.raises(InvalidArgumentError):
@@ -432,6 +439,62 @@ def _star_matching_verified(one):
     D, cert = star_matching_obstruction(3)
     parts = tuple(tuple(one if v == 1 else v for v in part) for part in cert.x_parts)
     return verify_certificate(D, ObstructionCertificate(k=cert.k, x_parts=parts, y=cert.y))
+
+
+@pytest.mark.parametrize(
+    "cls, n, pairs, message",
+    [
+        (MultiDigraph, 3, [(0,)], "arc must be (tail, head[, mult]), got (0,)"),
+        (MultiDigraph, 3, [(0, 1, 1, 1)], "arc must be (tail, head[, mult]), got (0, 1, 1, 1)"),
+        (MultiDigraph, 3, [(3, 0)], "tail id 3 out of range 0..2"),
+        (MultiDigraph, 3, [(0, -1)], "head id -1 out of range 0..2"),
+        (MultiDigraph, 3, [(1, 1)], "loop at vertex 1 not allowed"),
+        (MultiDigraph, 3, [(0, 1, 0)], "multiplicity must be a positive int, got 0"),
+        (MultiDigraph, 3, [(True, 2)], "tail id True out of range 0..2"),
+        (MultiDigraph, 3, [(0, False)], "head id False out of range 0..2"),
+        (MultiDigraph, 3, [(0, 1, True)], "multiplicity must be a positive int, got True"),
+        (MultiDigraph, True, [], "vertex count must be a non-negative int, got True"),
+        (MultiDigraph, -1, [], "vertex count must be a non-negative int, got -1"),
+        (Multigraph, 3, [(0,)], "edge must be (u, v[, mult]), got (0,)"),
+        (Multigraph, 3, [(0, 1, 2, 3)], "edge must be (u, v[, mult]), got (0, 1, 2, 3)"),
+        (Multigraph, 3, [(5, 0)], "vertex id 5 out of range 0..2"),
+        (Multigraph, 3, [(0, 3)], "vertex id 3 out of range 0..2"),
+        (Multigraph, 3, [(2, 2)], "loop at vertex 2 not allowed"),
+        (Multigraph, 3, [(0, 1, -2)], "multiplicity must be a positive int, got -2"),
+        (Multigraph, 3, [(True, 2)], "vertex id True out of range 0..2"),
+        (Multigraph, 3, [(0, 1, True)], "multiplicity must be a positive int, got True"),
+        (Multigraph, True, [], "vertex count must be a non-negative int, got True"),
+    ],
+)
+def test_constructors_reject_each_bad_input_with_its_message(cls, n, pairs, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        cls(n, pairs)
+    assert str(exc.value) == message
+
+
+def test_every_answer_goes_through_the_one_verification(monkeypatch):
+    # with inversions that change nothing, every family a search or a
+    # generator returns fails core._verified; D is 2-edge-connected and
+    # not 1-arc-strong, and one inverted arc mends it
+    D = MultiDigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    G = Multigraph(4, [(0, 1), (1, 2), (2, 3)])
+    calls = [
+        lambda: min_k2_inversion_set(D, 1),
+        lambda: greedy_k2_inversion_set(D, 1),
+        lambda: is_kp_invertible(D, 1, 3, witness=True),
+        lambda: oracles.gf2_reachable(D, 1, 3),
+        lambda: oracles.exact_inv_kp(D, 1, 3),
+        lambda: gen_p3p(G, 1),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(core, "apply_inversions", lambda D, family: D)
+        for call in calls:
+            with pytest.raises(RuntimeError, match="failed verification"):
+                call()
+    # approx_kp's own check on its output, after a pair stage that passed
+    monkeypatch.setattr(approx, "pack_independent_pairs", lambda base, G, p: ([], []))
+    with pytest.raises(RuntimeError, match="approximation output failed verification"):
+        approx_kp(D, 1, 3)
 
 
 @pytest.mark.parametrize(
