@@ -7,6 +7,10 @@ groups:
   and 5 on cycle unions at n = 64, 128 and 256, built from the recipes
   of perfbench/workloads.py: ``cycle_union(rng, n, 1, n)`` broken by
   ``break_by_triples(rng, D, 1, 4)``, with rng ``random.Random(1)``.
+- ``near-tournament``: the same call for p = 3 on the n = 64
+  tournament that ``near_tournament`` below draws from
+  ``random.Random(5)``, where the coset search's span has partial
+  rank.
 - ``pairs``: ``min_k2_inversion_set(D, 1)`` on broken cycles at n = 40
   and 50, seeds 1 and 2, built by ``reversed_chorded_cycle`` below.
 
@@ -49,19 +53,23 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = {
     "witness": "is_kp_invertible(D, 1, p, witness=True)",
+    "near-tournament": "is_kp_invertible(D, 1, p, witness=True)",
     "pairs": "min_k2_inversion_set(D, 1)",
 }
 # (call group, n, set size, seed)
-RUNGS = [("witness", n, p, 1) for n in (64, 128, 256) for p in (3, 5)] + [
-    ("pairs", n, 2, seed) for n in (40, 50) for seed in (1, 2)
-]
+RUNGS = (
+    [("witness", n, p, 1) for n in (64, 128, 256) for p in (3, 5)]
+    + [("near-tournament", 64, 3, 5)]
+    + [("pairs", n, 2, seed) for n in (40, 50) for seed in (1, 2)]
+)
 REPEAT = 3
-CAP_S = 120.0  # seconds per child: the slowest rungs take about 25 s
+CAP_S = 120.0  # seconds per child; no rung has taken more than about 40 s
 
 
 def reversed_chorded_cycle(A, n, seed):
@@ -82,6 +90,18 @@ def reversed_chorded_cycle(A, n, seed):
     return A.MultiDigraph(n, arcs)
 
 
+def near_tournament(A, n, seed):
+    """A random tournament on n vertices, each pair u < v turned u -> v
+    or v -> u with probability 1/2; if it is strong, every arc at
+    vertex 0 is turned out of 0."""
+    rng = random.Random(seed)
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in combinations(range(n), 2)]
+    D = A.MultiDigraph(n, arcs)
+    if A.is_k_arc_strong(D, 1):
+        D = A.MultiDigraph(n, [(h, t) if h == 0 else (t, h) for t, h in arcs])
+    return D
+
+
 def child(src, call, n, p, seed, cimpl_path):
     """Builds the rung's instance, times its call once and returns its
     record."""
@@ -98,10 +118,12 @@ def child(src, call, n, p, seed, cimpl_path):
     if call == "witness":
         rng = random.Random(seed)
         D = workloads.break_by_triples(rng, workloads.cycle_union(rng, n, 1, n), 1, 4)
+    elif call == "near-tournament":
+        D = near_tournament(A, n, seed)
     else:
         D = reversed_chorded_cycle(A, n, seed)
     start = time.perf_counter()
-    if call == "witness":
+    if call != "pairs":
         verdict = A.is_kp_invertible(D, 1, p, witness=True)
         fam, reason = verdict.witness, verdict.reason
     else:

@@ -4,9 +4,10 @@ Above a vertex threshold the answer is structural: for even p it is
 exactly 2k-edge-connectivity of the underlying graph, for odd p
 additionally the digraph must not carry a k-obstruction partition.
 Below the threshold the exhaustive parity-space search
-oracles._gf2_search decides, with its forced-parity refutation for
-n <= 16.  The threshold is max(p + 2, 2k + 2) for even p and
-max(p + 2, 4k + 2) for odd p.
+oracles._gf2_search decides.  For n <= 16 it runs its forced-parity
+refutation once its DFS first backtracks, so a decision whose first
+descent finds a family pays for no refutation.  The threshold is
+max(p + 2, 2k + 2) for even p and max(p + 2, 4k + 2) for odd p.
 
 Witnesses are built from a pair or triple family (small sets are easy
 to find) whose members are then rewritten into exact-size-p families by

@@ -48,10 +48,16 @@ class Gf2Basis:
     leading bit, and rows lists them by leading bit, highest first.  A
     row never changes once added and no two rows share a leading bit,
     so that is the echelon order by decreasing vector in which the rows
-    would be kept sorted on insertion."""
+    would be kept sorted on insertion.
+
+    cycle_rank is set by the coset search when it has proved the span
+    to lie in the projection of a cycle space (see _cycle_rank): the
+    dimension of that projection, which the span equals once it has
+    that many rows; None otherwise."""
 
     def __init__(self):
         self._pivot = {}  # leading bit -> its row (vector, combo)
+        self.cycle_rank = None
 
     def _reduce(self, vec, combo=0):
         # XOR in the row of every pivot set in vec, highest first
@@ -120,10 +126,12 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     opposite arc; digons never change) is the GF(2) sum of the flip
     indicators of its sets, so the reachable orientations form a coset
     of the indicator span.  The span is built from the candidate sets
-    in canonical order and stops at full rank, once m of them have
-    enlarged it: past that point no candidate can change the basis, so
-    the search and its family are those of the whole span.  The search
-    walks exactly that coset, one simple arc after another: arc i is
+    in canonical order and stops at the rank it is known to reach (full
+    rank m, or for exact-size odd p the rank _cycle_rank gives), once
+    that many of them have enlarged it: past that point no candidate can
+    change the basis, so the search and its family are those of the
+    whole span.  The search walks exactly that coset, one simple arc
+    after another: arc i is
     bit m - 1 - i of the flip vector, so the DFS meets the bits from
     the highest down, the order in which the span basis is echelonized.
     An arc is free, and tries both directions, when a basis row has its
@@ -134,11 +142,15 @@ def gf2_reachable(D, k, p, mode="exact-size"):
     arcs (its star is orthogonal to the span), its degrees keep their
     parity, and it must reach the least value >= k of that parity.  For
     n <= 16 a refutation over forced-parity cuts (every cut of
-    underlying size 2k must end up with exactly k arcs out) first proves
-    most "no" instances, k-obstructions included, without search.  The
-    same search runs with the refutation for sub-threshold decisions in
-    feasibility, and without it for witnesses above the threshold,
-    whose existence the decision has already proved."""
+    underlying size 2k must end up with exactly k arcs out) proves most
+    "no" instances, k-obstructions included, once the DFS first
+    backtracks; a descent that meets a k-arc-strong leaf first has
+    answered "yes" without it.  For k = 1 the DFS prunes, from that
+    backtrack on, every placement after which no orientation of the
+    unplaced arcs is strongly connected.  The same search runs with the
+    refutation for sub-threshold decisions in feasibility, and without
+    it for witnesses above the threshold, whose existence the decision
+    has already proved."""
     _check_digraph(D, "gf2_reachable", simple=True)
     _validate_kp(k, p, mode)
     if edge_connectivity(D.underlying()) < 2 * k:
@@ -161,10 +173,23 @@ def _gf2_search(D, k, p, mode, refute=False):
     that enlarged the span get a combo bit, its combo names the one
     family.
 
-    The span is built only up to full rank: once m candidates have
+    The span is built only up to the rank it can reach: m, or the
+    _cycle_rank of exact-size odd p.  Once that many candidates have
     enlarged it, every later indicator reduces to 0 and Gf2Basis.add
     would leave the rows, the pivots and the kept sets as they are, so
     the rest of the candidates are neither generated nor reduced.
+
+    Proofs are paid for only from the DFS's first backtrack (its first
+    failed leaf, or the first node none of whose directions passes): a
+    descent that reaches a k-arc-strong leaf before it has its answer.
+    At that backtrack the refutation runs when refute is set and
+    n <= 16, and for k = 1 the _MixedReach prune switches on.  It is
+    built from the placed arcs, cuts the path back to its longest
+    prefix that some orientation completes to a strong one, and from
+    then on keeps a placement only while the mixed graph stays strongly
+    connected.  Both rules cut only subtrees without a k-arc-strong
+    leaf and neither changes the DFS order, so the family stays the
+    same.
 
     A D past the first line has a simple arc.  A digraph (no parallel
     arcs) with digons alone has d+(S) = d-(S) = d_UG(S) / 2 at every
@@ -187,15 +212,14 @@ def _gf2_search(D, k, p, mode, refute=False):
         return ind
 
     span = Gf2Basis()
+    span.cycle_rank = _cycle_rank(n, p, mode, simple)
+    rank = m if span.cycle_rank is None else span.cycle_rank
     kept = []  # candidate sets that enlarged the span, by combo bit
     for xs, ind in _candidate_sets(n, p, mode, indicator):
         if span.add(ind, 1 << len(kept)):
             kept.append(xs)
-            if len(kept) == m:
-                break  # full rank: no later candidate enlarges the span
-
-    if refute and n <= 16 and _forced_parity_refuted(D, k, simple, span):
-        return None
+            if len(kept) == rank:
+                break  # no later candidate enlarges the span
 
     caps = [0] * (n * n)
     for (t, h), mm in D._m.items():
@@ -207,6 +231,7 @@ def _gf2_search(D, k, p, mode, refute=False):
     for t, h in simple:
         remaining[t] += 1
         remaining[h] += 1
+    prune = None  # the k = 1 _MixedReach, from the first backtrack on
 
     def unplace(i, flipped, saved):
         t, h = simple[i]
@@ -216,6 +241,8 @@ def _gf2_search(D, k, p, mode, refute=False):
             t, h = h, t
         caps[t * n + h] -= 1
         out_need[t], in_need[h] = saved
+        if prune is not None:
+            prune.tail[i] = -1
 
     pivot = span._pivot
     # depth-first over the arcs in index order with an explicit stack:
@@ -225,48 +252,169 @@ def _gf2_search(D, k, p, mode, refute=False):
     path = []
     pending = [[1, 0] if m - 1 in pivot else [0]]
     x = combo = 0
+    backtracked = False
     while pending:
         i = len(path)
-        if not pending[-1]:
+        if pending[-1]:
+            b = pending[-1].pop()
+            t0, h0 = simple[i]
+            t, h = (h0, t0) if b else (t0, h0)
+            saved = (out_need[t], in_need[h])
+            caps[t * n + h] += 1
+            if saved[0]:
+                out_need[t] -= 1
+            if saved[1]:
+                in_need[h] -= 1
+            remaining[t0] -= 1
+            remaining[h0] -= 1
+            if not (
+                out_need[t0] <= remaining[t0]
+                and in_need[t0] <= remaining[t0]
+                and out_need[h0] <= remaining[h0]
+                and in_need[h0] <= remaining[h0]
+                and (prune is None or prune.keeps(i, t, h))
+            ):
+                unplace(i, b, saved)
+                continue
+            before = (x, combo)
+            at = m - 1 - i
+            if (x >> at) & 1 != b:  # a free arc: forced ones take x's bit
+                row, row_combo = pivot[at]
+                x ^= row
+                combo ^= row_combo
+            if at:
+                path.append((b, saved, before))
+                pending.append([1, 0] if at - 1 in pivot else [(x >> (at - 1)) & 1])
+                continue
+            if _kernels.karc_deficient_cut(n, caps, k) == -1:
+                return InversionFamily([xs for j, xs in enumerate(kept) if (combo >> j) & 1])
+            unplace(i, b, saved)  # a failed leaf
+            x, combo = before
+            depth = i  # keep the path, try the leaf's other bit
+        else:
+            depth = i - 1  # every bit of arc i is tried: back to arc i - 1
+        if not backtracked and depth >= 0:
+            backtracked = True
+            if refute and n <= 16 and _forced_parity_refuted(D, k, simple, span):
+                return None
+            if k == 1:
+                prune = _MixedReach(D, simple)
+                for j, (b, _saved, _before) in enumerate(path):
+                    t0, h0 = simple[j]
+                    if not (prune.keeps(j, h0, t0) if b else prune.keeps(j, t0, h0)):
+                        depth = min(depth, j)  # no strong completion through arc j
+                        break
+        # back to arc depth: keep the first depth placements, and the
+        # untried bits of arc depth are pending[-1]
+        while len(pending) > depth + 1:
             pending.pop()
             if path:
                 b, saved, (x, combo) = path.pop()
-                unplace(i - 1, b, saved)
-            continue
-        b = pending[-1].pop()
-        t0, h0 = simple[i]
-        t, h = (h0, t0) if b else (t0, h0)
-        saved = (out_need[t], in_need[h])
-        caps[t * n + h] += 1
-        if saved[0]:
-            out_need[t] -= 1
-        if saved[1]:
-            in_need[h] -= 1
-        remaining[t0] -= 1
-        remaining[h0] -= 1
-        if not (
-            out_need[t0] <= remaining[t0]
-            and in_need[t0] <= remaining[t0]
-            and out_need[h0] <= remaining[h0]
-            and in_need[h0] <= remaining[h0]
-        ):
-            unplace(i, b, saved)
-            continue
-        before = (x, combo)
-        at = m - 1 - i
-        if (x >> at) & 1 != b:  # a free arc: forced ones take x's bit
-            row, row_combo = pivot[at]
-            x ^= row
-            combo ^= row_combo
-        if at:
-            path.append((b, saved, before))
-            pending.append([1, 0] if at - 1 in pivot else [(x >> (at - 1)) & 1])
-        elif _kernels.karc_deficient_cut(n, caps, k) == -1:
-            return InversionFamily([xs for j, xs in enumerate(kept) if (combo >> j) & 1])
-        else:
-            unplace(i, b, saved)
-            x, combo = before
+                unplace(len(path), b, saved)
     return None
+
+
+def _cycle_rank(n, p, mode, simple):
+    """The rank of the exact-size odd-p candidate span, for p = 3, and
+    for odd p >= 5 from n = p + 2 on; None for the other searches.
+
+    A p-set's indicator is the simple-arc part of the edge set of the
+    complete graph K_p on it.  For odd p that is an even subgraph of
+    K_n, and for p = 1 mod 4 it also has an even number of edges.  So
+    the span lies in the projection onto the simple arcs of the cycle
+    space Z of K_n (p = 3 mod 4), or of its even part (p = 1 mod 4).
+    The K_p span all of that space when p = 3 or n >= p + 2; the
+    simulation plans are the constructive proof.
+
+    The vectors of GF(2)^S orthogonal to a projection are those of the
+    orthogonal complement of the space that lie in S.  Let Q be the
+    graph of free pairs: vertex pairs without a simple arc, that is,
+    non-adjacent pairs and digons.  For Z the complement is the cut
+    space, and a cut delta(X) lies in S iff X is a union of components
+    of Q: c(Q) - 1 dimensions.  For the even part, the complements of
+    those cuts join in, and such a complement lies in S iff every free
+    pair crosses X: possible iff Q is bipartite, one more dimension.
+    So the rank is m - c(Q) + 1 for p = 3 mod 4, and m - c(Q) + [Q has
+    an odd cycle] for p = 1 mod 4.
+
+    Where the K_p do not span the whole space (p = 5 at n = 5 or 6, for
+    example) the span stays below this rank, so stopping at it would be
+    safe there too, but the rank would never be reached; those
+    searches get None and stop at m, as every even p and at-most search
+    does."""
+    if mode != "exact-size" or p % 2 == 0 or p == 1 or (p > 3 and n < p + 2):
+        return None
+    everyone = (1 << n) - 1
+    free = [everyone ^ (1 << v) for v in range(n)]  # Q-neighbours of each vertex
+    for t, h in simple:
+        free[t] ^= 1 << h
+        free[h] ^= 1 << t
+    parts = 0
+    odd = False
+    unseen = everyone
+    while unseen:  # breadth-first through each component, a layer at a time
+        parts += 1
+        layer = unseen & -unseen
+        unseen ^= layer
+        while layer:
+            reached = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                odd = odd or bool(free[v] & layer)  # an edge inside a layer
+                reached |= free[v]
+            layer = reached & unseen
+            unseen ^= layer
+    return len(simple) - parts + (1 if p % 4 == 3 else odd)
+
+
+class _MixedReach:
+    """The k = 1 prune of the coset search, on the mixed graph of a DFS
+    prefix: placed simple arcs go one way, unplaced simple arcs and
+    digons both ways.
+
+    A mixed multigraph has a strongly connected orientation iff it is
+    strongly connected and no undirected edge is a bridge (Boesch and
+    Tindell, "Robbins's theorem for mixed multigraphs", Amer. Math.
+    Monthly 87, 1980).  The search never changes the underlying graph,
+    which every caller has checked to be 2-edge-connected, so no bridge
+    appears, and with nothing placed the mixed graph is strongly
+    connected.  From a strongly connected prefix, placing t -> h keeps
+    it so iff h still reaches t.  The test walks neighbour lists and
+    stops when it meets t."""
+
+    def __init__(self, D, simple):
+        m = len(simple)
+        self.tail = [-1] * (m + 1)  # tail of each placed simple arc, else -1
+        # (neighbour, arc index) at each vertex; digons have index m,
+        # whose tail stays -1, so they go both ways
+        self.nbrs = [[] for _ in range(D.n)]
+        for j, (t, h) in enumerate(simple):
+            self.nbrs[t].append((h, j))
+            self.nbrs[h].append((t, j))
+        for t, h in D._m:
+            if D.has_arc(h, t):
+                self.nbrs[t].append((h, m))
+
+    def keeps(self, i, t, h):
+        """Places simple arc i as t -> h and returns True if h still
+        reaches t; otherwise leaves it unplaced and returns False."""
+        tail = self.tail
+        tail[i] = t
+        seen = {h}
+        stack = [h]
+        while stack:
+            u = stack.pop()
+            for v, j in self.nbrs[u]:
+                if v not in seen and (tail[j] < 0 or tail[j] == u):
+                    if v == t:
+                        return True
+                    seen.add(v)
+                    stack.append(v)
+        tail[i] = -1
+        return False
 
 
 def _degree_needs(n, k, caps, simple, span):
@@ -285,30 +433,38 @@ def _degree_needs(n, k, caps, simple, span):
     without a k-arc-strong leaf and leaves the DFS order alone, so the
     first family found stays the same.
 
-    At full rank (span.dim == m) the span holds every unit vector, so a
-    star is orthogonal to it exactly when it is empty: only vertices
-    without simple arcs keep their parity, and no row is scanned."""
-    m = len(simple)
+    Two spans are read without scanning a row.  At full rank (span.dim
+    == m) the span holds every unit vector, so a star is orthogonal to
+    it exactly when it is empty.  At its cycle_rank the span is the
+    projection of a cycle space, and a star is orthogonal to it iff it
+    is a cut of K_n, or for the even part a cut's complement, that lies
+    in the simple arcs (see _cycle_rank).  Inside one vertex's star lie
+    only the empty cut and the vertex's own cut (no cut's complement
+    does once n >= 4), so a vertex keeps its parity iff it has no simple
+    arc or no free pair."""
     out_have, in_have = _degrees(n, caps)
-    star = [0] * n
     simple_out = [0] * n
     simple_in = [0] * n
-    for i, (t, h) in enumerate(simple):
-        star[t] |= 1 << (m - 1 - i)
-        star[h] |= 1 << (m - 1 - i)
+    for t, h in simple:
         simple_out[t] += 1
         simple_in[h] += 1
+    m = len(simple)
+    if span.dim == m:
+        even = [not (simple_out[v] + simple_in[v]) for v in range(n)]
+    elif span.dim == span.cycle_rank:
+        even = [simple_out[v] + simple_in[v] in (0, n - 1) for v in range(n)]
+    else:
+        star = [0] * n
+        for i, (t, h) in enumerate(simple):
+            star[t] |= 1 << (m - 1 - i)
+            star[h] |= 1 << (m - 1 - i)
+        rows = span.rows
+        even = [not any(bin(s & row).count("1") & 1 for row, _c in rows) for s in star]
     out_need = [0] * n
     in_need = [0] * n
-    full = span.dim == m  # then the span holds every unit vector
-    rows = () if full else span.rows
     for v in range(n):
         out_want = in_want = k
-        if full:
-            even = not star[v]
-        else:
-            even = not any(bin(star[v] & row).count("1") & 1 for row, _c in rows)
-        if even:
+        if even[v]:
             out_want += (out_have[v] + simple_out[v] - k) % 2
             in_want += (in_have[v] + simple_in[v] - k) % 2
         out_need[v] = max(0, out_want - out_have[v])

@@ -170,7 +170,8 @@ def test_odd_witness_decides_once(monkeypatch):
 
 def test_sub_threshold_decision_checks_once(monkeypatch):
     # one connectivity check per decision below the threshold too; the
-    # parity search behind it still runs its forced-parity refutation
+    # parity search behind it runs its forced-parity refutation at most
+    # once, from its first backtrack on
     rng = random.Random(606)
     built = 0
     while built < 6:
@@ -184,7 +185,8 @@ def test_sub_threshold_decision_checks_once(monkeypatch):
                 _count_calls(m, module, "edge_connectivity", counts)
             _count_calls(m, oracles, "_forced_parity_refuted", counts)
             verdict = is_kp_invertible(D, 2, 3, witness=True)
-        assert counts == {"edge_connectivity": 1, "_forced_parity_refuted": 1}
+        assert counts.pop("edge_connectivity") == 1
+        assert counts in ({}, {"_forced_parity_refuted": 1})
         assert verdict.reason == "kernel-exhaustive"
         if verdict.feasible:
             built += 1

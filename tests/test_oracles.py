@@ -184,8 +184,9 @@ def test_gf2_exact_size_blocked_by_parity_on_an_obstruction():
 
 
 def test_public_gf2_reachable_runs_the_parity_refutation(monkeypatch):
-    # the public oracle refutes by forced-parity cuts for n <= 16, also
-    # when the answer turns out to be "yes"
+    # the public oracle refutes by forced-parity cuts for n <= 16, at
+    # most once a search and only from its first backtrack: the "no"
+    # runs it once, and a "yes" found by a straight descent not at all
     from arcinvert.obstruction import star_matching_obstruction
 
     calls = []
@@ -198,8 +199,9 @@ def test_public_gf2_reachable_runs_the_parity_refutation(monkeypatch):
     monkeypatch.setattr(oracles, "_forced_parity_refuted", counted)
     D, _cert = star_matching_obstruction(3)
     assert gf2_reachable(D, 1, 3, mode="exact-size") is None
+    assert calls == [True]
     assert gf2_reachable(D, 1, 4, mode="exact-size") is not None
-    assert calls == [True, False]
+    assert calls[1:] in ([], [False])
 
 
 class _NaiveGf2Basis:
@@ -849,6 +851,250 @@ def test_degree_needs_at_full_rank_match_the_orthogonality_scan():
         seen[full] += 1
         bare += len({v for arc in simple for v in arc}) < n
     assert min(seen.values()) >= 100 and bare >= 100
+
+
+def _free_pair_rank(D, p):
+    """m - c(Q) + 1 for p = 3 mod 4 and m - c(Q) + [Q has an odd cycle]
+    for p = 1 mod 4, where Q is the graph of free pairs of D (vertex
+    pairs without a simple arc), by a breadth-first 2-colouring."""
+    n = D.n
+    free = [(a, b) for a, b in combinations(range(n), 2) if D.has_arc(a, b) == D.has_arc(b, a)]
+    colour = {}
+    parts = 0
+    odd = False
+    for s in range(n):
+        if s in colour:
+            continue
+        parts += 1
+        colour[s] = 0
+        queue = [s]
+        for u in queue:
+            for a, b in free:
+                if u in (a, b):
+                    v = b if u == a else a
+                    if v not in colour:
+                        colour[v] = 1 - colour[u]
+                        queue.append(v)
+                    odd = odd or colour[v] == colour[u]
+    return len(D.simple_arcs()) - parts + (1 if p % 4 == 3 else odd)
+
+
+def _digon_caps(D):
+    """The capacity matrix of D's digon arcs alone."""
+    n = D.n
+    caps = [0] * (n * n)
+    for t, h, mm in D.arcs():
+        if D.has_arc(h, t):
+            caps[t * n + h] = mm
+    return caps
+
+
+def test_span_stops_at_its_cycle_rank_with_the_rows_of_the_whole_span(monkeypatch):
+    # exact-size odd p: the span lies in the projection of the cycle
+    # space (its even part for p = 1 mod 4), whose rank the free pairs
+    # give; from n = p + 2 (any n for p = 3) the span reaches it, so
+    # stopping there keeps the rows and pivots of every candidate, and a
+    # vertex keeps its degree parity iff it has no simple arc or no free
+    # pair
+    rng = random.Random(320)
+    checked = applied = short = local = 0
+    vertices = 0
+    while checked < 320:
+        p = rng.choice((3, 5, 5, 7))
+        n = rng.randint(p, p + 6)
+        if rng.random() < 0.4:
+            D = _tournament_with_digons(rng, n, rng.choice((0.0, 0.15)))
+        else:
+            D = rand_digraph(rng, n_max=n, n_min=n, density=rng.uniform(0.3, 0.95))
+        D = _broken_at_a_vertex(rng, D)
+        simple = D.simple_arcs()
+        if is_k_arc_strong(D, 1) or not simple:
+            continue
+        checked += 1
+        # even p and at-most mode keep the full-rank stop
+        assert oracles._cycle_rank(n, rng.choice((2, 4, 6)), "exact-size", simple) is None
+        assert oracles._cycle_rank(n, p, "at-most", simple) is None
+        got = _span_of_the_search(monkeypatch, D, 1, p, "exact-size")
+        want = _span_of_every_candidate(D, p, "exact-size")
+        assert got.rows == want.rows and got._pivot == want._pivot
+        rank = _free_pair_rank(D, p)
+        assert want.dim <= rank
+        if p > 3 and n < p + 2:
+            assert got.cycle_rank is None
+            short += want.dim < rank
+            continue
+        assert got.cycle_rank == rank == want.dim
+        applied += 1
+        local += rank < len(simple)
+        caps = _digon_caps(D)
+        for k in (1, 2):
+            assert oracles._degree_needs(n, k, caps, simple, got) == _orthogonal_scan_needs(
+                n, k, caps, simple, got
+            )
+        vertices += n
+    assert applied >= 200 and local >= 150 and short >= 50 and vertices >= 1500
+
+
+def test_cycle_rank_stop_skips_most_candidates_of_a_tournament(monkeypatch):
+    # a tournament has no free pair, so its triple span stops at rank
+    # m - n + 1 after a small share of its C(n, 3) candidates
+    rng = random.Random(321)
+    n = 24
+    D = _broken_at_a_vertex(rng, _tournament_with_digons(rng, n, 0.0))
+    assert not is_k_arc_strong(D, 1)
+    calls = []
+    original = Gf2Basis.add
+
+    def counted(self, vec, combo):
+        calls.append(vec)
+        return original(self, vec, combo)
+
+    monkeypatch.setattr(Gf2Basis, "add", counted)
+    fam = oracles._gf2_search(D, 1, 3, "exact-size")
+    assert fam is not None and is_k_arc_strong(apply_inversions(D, fam), 1)
+    m = len(D.simple_arcs())
+    assert m == n * (n - 1) // 2
+    assert m - n + 1 <= len(calls) and 3 * len(calls) < len(list(combinations(range(n), 3)))
+
+
+class _Refuted(Exception):
+    """Raised by the eager reference search when the refutation holds."""
+
+
+def _eager_search(monkeypatch, D, k, p, mode, refute):
+    """The coset search with the forced-parity refutation run before the
+    DFS, as the search ran it before the deferral, and with the k = 1
+    prune's test patched to keep every placement."""
+    needs = oracles._degree_needs
+
+    def refuting_needs(n, k, caps, simple, span):
+        if refute and n <= 16 and oracles._forced_parity_refuted(D, k, simple, span):
+            raise _Refuted
+        return needs(n, k, caps, simple, span)
+
+    def placing(self, i, t, h):
+        self.tail[i] = t
+        return True
+
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_degree_needs", refuting_needs)
+        m.setattr(oracles._MixedReach, "keeps", placing)
+        try:
+            return oracles._gf2_search(D, k, p, mode)
+        except _Refuted:
+            return None
+
+
+def _descends_straight(D, k, p, mode):
+    """Whether the coset search's first descent ends at a k-arc-strong
+    leaf: arc after arc it takes the first flip the DFS tries (0, then
+    1, on a free arc; the flip x fixes on a forced one) that leaves both
+    ends able to meet their degree needs, and it never finds none."""
+    n = D.n
+    simple = D.simple_arcs()
+    m = len(simple)
+    span = _span_of_every_candidate(D, p, mode)
+    caps = _digon_caps(D)
+    out_need, in_need = oracles._degree_needs(n, k, caps, simple, span)
+    remaining = [sum(v in arc for arc in simple) for v in range(n)]
+    x = 0
+    for i, (t0, h0) in enumerate(simple):
+        at = m - 1 - i
+        remaining[t0] -= 1
+        remaining[h0] -= 1
+        for b in (0, 1) if at in span._pivot else ((x >> at) & 1,):
+            t, h = (h0, t0) if b else (t0, h0)
+            out = out_need[t] - (out_need[t] > 0)
+            inn = in_need[h] - (in_need[h] > 0)
+            if out <= remaining[t] and inn <= remaining[h] and (
+                in_need[t] <= remaining[t] and out_need[h] <= remaining[h]
+            ):
+                break
+        else:
+            return False
+        out_need[t], in_need[h] = out, inn
+        caps[t * n + h] += 1
+        if (x >> at) & 1 != b:
+            x ^= span._pivot[at][0]
+    return _kernels.karc_deficient_cut(n, caps, k) == -1
+
+
+def _cycles_with_chords(rng, k, n):
+    """2k Hamilton cycles with their arcs turned at random, and up to
+    n / 2 random chords: sparse, so that the coset search backtracks
+    more often than on dense samples."""
+    arcs = set()
+    for _ in range(2 * k):
+        order = rng.sample(range(n), n)
+        for a, b in zip(order, order[1:] + order[:1]):
+            arcs.add((a, b) if rng.random() < 0.5 else (b, a))
+    for _ in range(rng.randint(0, n // 2)):
+        arcs.add(tuple(rng.sample(range(n), 2)))
+    return MultiDigraph(n, sorted(arcs))
+
+
+def test_deferred_refutation_and_prune_keep_every_family(monkeypatch):
+    # the refutation from the first backtrack on, and the k = 1 prune,
+    # cut only subtrees without a k-arc-strong leaf: the search returns
+    # the family of the eager search without the prune, and of the scan
+    # over the span; a straight descent pays for neither, a search that
+    # backtracks for each at most once
+    built, refuted, cut = [], [], []
+    refutation = oracles._forced_parity_refuted
+
+    class CountedReach(oracles._MixedReach):
+        def __init__(self, D, simple):
+            built.append(D)
+            super().__init__(D, simple)
+
+        def keeps(self, i, t, h):
+            kept = super().keeps(i, t, h)
+            cut.extend(() if kept else (i,))
+            return kept
+
+    def counted_refutation(*args):
+        refuted.append(refutation(*args))
+        return refuted[-1]
+
+    rng = random.Random(322)
+    checked = straight = backtracked = scanned = pruned = cutting = 0
+    while checked < 400:
+        k = rng.choice((1, 1, 2))
+        n = rng.randint(2 * k + 1, 9)
+        draw = rng.random()
+        if draw < 0.35:
+            D = _broken_at_a_vertex(rng, _tournament_with_digons(rng, n, rng.choice((0.0, 0.2))))
+        elif draw < 0.6:
+            D = _broken_at_a_vertex(rng, rand_2kec_digraph(rng, k, n))
+        else:
+            D = _cycles_with_chords(rng, k, n)
+        if is_k_arc_strong(D, k) or edge_connectivity(D.underlying()) < 2 * k:
+            continue
+        p = rng.randint(2, min(5, n))
+        mode = rng.choice(("exact-size", "at-most"))
+        refute = rng.random() < 0.5
+        want = _eager_search(monkeypatch, D, k, p, mode, refute)
+        del built[:], refuted[:], cut[:]
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_MixedReach", CountedReach)
+            m.setattr(oracles, "_forced_parity_refuted", counted_refutation)
+            got = oracles._gf2_search(D, k, p, mode, refute=refute)
+        assert got == want
+        if len(D.simple_arcs()) <= 12:
+            least, _dim = _least_strong_span_element(D, k, p, mode)
+            assert (None if got is None else list(got.sets)) == least
+            scanned += 1
+        assert len(built) <= (k == 1) and len(refuted) <= refute
+        if _descends_straight(D, k, p, mode):
+            assert got is not None and not built and not refuted
+            straight += 1
+        else:
+            backtracked += 1
+            pruned += bool(built)
+            cutting += bool(cut)
+        checked += 1
+    assert straight >= 200 and backtracked >= 60 and pruned >= 30 and cutting >= 10
+    assert scanned >= 150
 
 
 def test_cut_sizes_match_the_cut_scan():
