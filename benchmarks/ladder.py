@@ -18,9 +18,11 @@ Every call runs in a child interpreter of its own under a wall-clock
 cap, which bounds the whole child (import, instance and call).  A rung
 whose call hits the cap is recorded as ``capped`` with the cap, and is
 not repeated; the others get the median of REPEAT calls, timed inside
-the child around the call alone, and the median of the children's
+the child around the call alone, and the medians of the children's
 peak RSS (``ru_maxrss``, which counts the import and the instance
-too).  The child checks the family itself (every set has the rung's
+too) and of their floor RSS (``ru_maxrss`` after the import and the
+instance build, just before the call).  Peak minus floor is what the
+call added.  The child checks the family itself (every set has the rung's
 size and the inverted digraph is 1-arc-strong) and reports a hash of
 it, so runs on two checkouts show whether they returned the same
 family.  Rungs run under the pure backend, and under the compiled one
@@ -122,6 +124,7 @@ def child(src, call, n, p, seed, cimpl_path):
         D = near_tournament(A, n, seed)
     else:
         D = reversed_chorded_cycle(A, n, seed)
+    floor_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
     if call != "pairs":
         verdict = A.is_kp_invertible(D, 1, p, witness=True)
@@ -142,6 +145,7 @@ def child(src, call, n, p, seed, cimpl_path):
         "verified": verified,
         "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "floor_rss_mb": floor_rss,
     }
 
 
@@ -179,11 +183,13 @@ def run_rung(src, rung, cimpl_path):
         raise RuntimeError(f"rung {rung} ran on the {first['backend']} backend")
     walls = [r["wall_s"] for r in records]
     rss = [r["peak_rss_mb"] for r in records]
+    floor = [r["floor_rss_mb"] for r in records]
     return {
         **entry, "capped": False,
         "verified": all(r["verified"] for r in records),
         "median_s": statistics.median(walls), "wall_s": walls,
         "median_rss_mb": statistics.median(rss), "peak_rss_mb": rss,
+        "median_floor_rss_mb": statistics.median(floor), "floor_rss_mb": floor,
         **{key: first[key] for key in ("reason", "sets", "family_sha256", "instance")},
     }
 

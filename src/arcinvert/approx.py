@@ -29,11 +29,11 @@ from .core import (
     _check_p,
     _check_vertex,
     _degrees,
+    _strong_after,
     _verified,
     InversionFamily,
     MultiDigraph,
     Multigraph,
-    apply_inversions,
     edge_connectivity,
     is_k_arc_strong,
 )
@@ -69,9 +69,10 @@ def min_k2_inversion_set(D, k, support=None):
     such as k - d, orients the simple arcs to meet every such demand
     at once."""
     _check_connected(D, k, "min_k2_inversion_set")
-    if support is None:
-        return _min_pairs(D, k)
-    return _min_pairs(D, k, {_check_vertex(v, D.n, "support vertex") for v in support})
+    if support is not None:
+        support = {_check_vertex(v, D.n, "support vertex") for v in support}
+    fam = _min_pairs(D, k, support)
+    return None if fam is None else _verified(D, fam, k, "pair search family")
 
 
 def _asymmetric_pairs(n, caps, sup):
@@ -108,7 +109,8 @@ def _gaining_pairs(n, caps, side, pairs):
 
 
 def _min_pairs(D, k, sup=None):
-    """min_k2_inversion_set on checked inputs; pairs lie within sup.
+    """min_k2_inversion_set on checked inputs, before its verification;
+    pairs lie within sup.
 
     The search state is the mask of flipped pairs, one bit per allowed
     pair.  Pair flips commute, so the mask fixes caps, and one memo
@@ -179,7 +181,7 @@ def _min_pairs(D, k, sup=None):
     for budget in range(len(allowed) + 1):
         fam = dfs(0, budget)
         if fam is not None:
-            return _verified(D, fam, k, "pair search family")
+            return fam
     return None
 
 
@@ -189,13 +191,14 @@ def greedy_k2_inversion_set(D, k):
     greedy pass gets stuck it falls back to the exact search.  No
     optimality guarantee either way."""
     _check_connected(D, k, "greedy_k2_inversion_set")
-    return _greedy_pairs(D, k)
+    return _verified(D, _greedy_pairs(D, k), k, "greedy repair family")
 
 
 def _greedy_pairs(D, k):
-    """greedy_k2_inversion_set on checked inputs: the first unflipped
-    pair of _min_pairs' candidate list, so the leftmost descent of the
-    exact search (without its budget)."""
+    """greedy_k2_inversion_set on checked inputs, before its
+    verification: the first unflipped pair of _min_pairs' candidate
+    list, so the leftmost descent of the exact search (without its
+    budget)."""
     n = D.n
     caps = D.caps_flat()
     allowed = _asymmetric_pairs(n, caps, range(n))
@@ -203,7 +206,7 @@ def _greedy_pairs(D, k):
     while True:
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
-            return _verified(D, InversionFamily(sorted(flipped)), k, "greedy repair family")
+            return InversionFamily(sorted(flipped))
         pairs = (pr for _g, pr in _gaining_pairs(n, caps, side, allowed) if pr not in flipped)
         best = next(pairs, None)
         if best is None:
@@ -354,8 +357,8 @@ def approx_kp(D, k, p, heuristic=False):
     base = _greedy_pairs(D, k) if heuristic else _min_pairs(D, k)
     if base is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")
-    # both pair stages verify apply(D, base) before returning it
-    core = _minimal_core(apply_inversions(D, base), k)
+    # the check of base hands back the k-arc-strong digraph it applied
+    core = _minimal_core(_strong_after(D, base, k, "pair stage family"), k)
     packed, leftover = pack_independent_pairs(base, core.underlying(), p)
     family = _verified(D, InversionFamily(list(packed) + list(leftover)), k, "approximation output")
     trace = ApproxTrace(

@@ -536,12 +536,18 @@ def push(D, X):
     return MultiDigraph._trusted(D.n, m)
 
 
-def _verified(D, family, k, what):
-    """family, once applying it to D is seen to give a k-arc-strong
-    digraph: the one check every returned family and planted witness
-    passes."""
-    if not is_k_arc_strong(apply_inversions(D, family), k):
+def _strong_after(D, family, k, what):
+    """apply_inversions(D, family), once it is seen to be k-arc-strong:
+    the one check every returned family and planted witness passes."""
+    applied = apply_inversions(D, family)
+    if not is_k_arc_strong(applied, k):
         raise RuntimeError(f"internal error: {what} failed verification")
+    return applied
+
+
+def _verified(D, family, k, what):
+    """family, once _strong_after has checked it."""
+    _strong_after(D, family, k, what)
     return family
 
 

@@ -19,6 +19,7 @@ backs it up at n <= 9.
 
 from dataclasses import dataclass
 
+from . import _kernels
 from .core import (
     _check_digraph,
     _check_k,
@@ -26,7 +27,6 @@ from .core import (
     Multigraph,
     MultiDigraph,
     edge_connectivity,
-    min_cut,
 )
 from .errors import InvalidArgumentError, PreconditionViolatedError
 
@@ -55,13 +55,15 @@ def _out_across(D, x_set):
 def verify_certificate(D, cert):
     """Check conditions (i)-(iii) of ``cert`` against D.
 
-    Returns False on any failure, including a malformed partition; the
-    stored out_across is not compared (it documents the issuing
-    digraph, and the partition stays valid after odd-size inversions
-    even though d+(X) changes)."""
+    Returns False on any failure, including a k that is not a positive
+    int (bool is not) and a malformed partition; the stored out_across
+    is not compared (it documents the issuing digraph, and the
+    partition stays valid after odd-size inversions even though d+(X)
+    changes)."""
     if not isinstance(D, MultiDigraph) or not isinstance(cert, ObstructionCertificate):
         raise InvalidArgumentError("verify_certificate expects (MultiDigraph, ObstructionCertificate)")
-    if cert.k < 1 or not cert.x_parts or not cert.y:
+    k = cert.k
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or not cert.x_parts or not cert.y:
         return False
     seen = set()
     for part in list(cert.x_parts) + [cert.y]:
@@ -74,7 +76,6 @@ def verify_certificate(D, cert):
     if len(seen) != D.n:
         return False
     G = D.underlying()
-    k = cert.k
     x_set = set()
     for part in cert.x_parts:
         if G.cut_size(part) != 2 * k:
@@ -116,17 +117,24 @@ def k_regular_partition(G, k, X):
 
 def _k_regular_partition(G, k, xs):
     """k_regular_partition of a sorted, nonempty, proper vertex subset
-    xs of a k-edge-connected G; the arguments are not checked again."""
+    xs of a k-edge-connected G; the arguments are not checked again.
+
+    The capacity matrix of G with the complement of xs contracted to
+    one vertex y = len(xs) is built once, and each x = xs[i] gets one
+    backend flow from i to y, limited at k + 1.  A flow that reaches
+    the limit means every cut around x exceeds k.  Below it the flow
+    ran to its end, so its mask is the residual reach from i, the side
+    that min_cut returns, and the flow is that cut's size."""
     x_set = set(xs)
     rest = [v for v in range(G.n) if v not in x_set]
-    Gc = G.contract([[x] for x in xs] + [rest])
     y = len(xs)
+    caps = G.contract([[x] for x in xs] + [rest]).caps_flat()
     sides = []
-    for i in range(len(xs)):
-        cut = min_cut(Gc, i, y)
-        if cut.undirected_size > k:
+    for i in range(y):
+        flow, mask = _kernels.st_max_flow(y + 1, caps, i, y, k + 1)
+        if flow > k:
             return None
-        sides.append(frozenset(xs[j] for j in cut.side))
+        sides.append(frozenset(xs[j] for j in range(y) if mask >> j & 1))
     # merge intersecting sides; by submodularity the intersection and the
     # union of two crossing k-cuts are k-cuts again, which is checked
     merged = []

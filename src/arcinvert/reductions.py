@@ -635,6 +635,10 @@ def random_pattern_source(rng, r=3, part_size=3, extra_edges=1):
         raise InvalidArgumentError("need at least 3 parts for a cycle pattern")
     if part_size < 3:
         raise InvalidArgumentError("parts need at least 3 vertices")
+    if extra_edges >= part_size * part_size:
+        # each pattern edge joins its own two parts, whose part_size**2
+        # pairs hold the solution edge and the extra ones
+        raise InvalidArgumentError(f"at most {part_size**2 - 1} extra edges fit per pattern edge")
     parts = [list(range(i * part_size, (i + 1) * part_size)) for i in range(r)]
     H = Multigraph(r, [(i, (i + 1) % r) for i in range(r)])
     solution = [rng.choice(part) for part in parts]

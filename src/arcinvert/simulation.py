@@ -2,8 +2,10 @@
 
 Inverting a pair, triple or quintuple can be reproduced exactly by a
 family of inversions all of size p, which is how witnesses for one
-inversion size get translated into another.  Every plan built here is
-re-verified by application before it is returned.
+inversion size get translated into another.  The recipes are private
+set builders on checked arguments; each public simulate_* call checks
+its arguments once and re-verifies, by application, the one plan it
+returns.
 
 Size recipes (n >= p+2 throughout):
 
@@ -107,35 +109,61 @@ def independent_triple(G):
     return None
 
 
+def _padded(n, core, p):
+    """The p-sets X_i u core over the (p - |core|)-subsets X_i of the
+    smallest (p - |core| + 2)-set disjoint from core."""
+    ext = _smallest_disjoint(n, core, p - len(core) + 2)
+    return tuple(frozenset(xi) | frozenset(core) for xi in combinations(ext, p - len(core)))
+
+
+def _disjoint_triples(n, r, r2, p):
+    """Sets inverting the disjoint sorted triples r and then r2; p = 1 mod 4.
+
+    Composes the quintuple sets of (r minus u) u r2 over u in r: pairs
+    inside r are flipped once, pairs inside r2 three times, cross pairs
+    twice, which is exactly Inv(r) followed by Inv(r2)."""
+    parts = (_padded(n, sorted((set(r) - {u}) | set(r2)), p) for u in r)
+    return InversionFamily.symmetric_difference(*parts).sets
+
+
+def _via_independent(n, s, ind, p):
+    """Sets inverting the sorted triple s through the independent triple ind.
+
+    s meets ind in at most 2 vertices: simulate_triple never calls this
+    for an independent s, and the recursion below passes a triple
+    that meets ind in exactly 2."""
+    overlap = len(set(s) & set(ind))
+    if overlap == 0:
+        return _disjoint_triples(n, s, ind, p)
+    if overlap == 2:
+        s2 = _smallest_disjoint(n, set(s) | set(ind), 3)
+        first = _disjoint_triples(n, ind, s2, p)
+    else:
+        # route through a triple sharing two vertices with ind
+        v = _smallest_disjoint(n, set(s) | set(ind), 1)[0]
+        s2 = sorted((set(ind) - set(s)) | {v})
+        first = _via_independent(n, s2, ind, p)
+    second = _disjoint_triples(n, s, s2, p)
+    return InversionFamily.symmetric_difference(first, second).sets
+
+
 def simulate_quintuple(D, R, p):
     """Plan of (=p)-sets equal to inverting the 5-set R; p = 1 mod 4."""
     r = _validate_common(D, R, 5, p, {1})
-    ext = _smallest_disjoint(D.n, r, p - 3)
-    sets = [frozenset(xi) | frozenset(r) for xi in combinations(ext, p - 5)]
-    plan = SimulationPlan(target=tuple(r), p=p, sets=tuple(sets))
-    return _checked(plan, D)
+    return _checked(SimulationPlan(target=tuple(r), p=p, sets=_padded(D.n, r, p)), D)
 
 
 def simulate_disjoint_triples(D, R, R2, p):
     """Plan of (=p)-sets equal to inverting the disjoint triples R and
-    then R2; p = 1 mod 4.
-
-    Composes the quintuple plans of (R minus u) u R2 over u in R: pairs
-    inside R are flipped once, pairs inside R2 three times, cross pairs
-    twice, which is exactly Inv(R) followed by Inv(R2)."""
+    then R2; p = 1 mod 4 (see _disjoint_triples)."""
     r = _validate_common(D, R, 3, p, {1})
     r2 = sorted({_check_vertex(v, D.n) for v in R2})
     if len(r2) != 3:
         raise InvalidArgumentError("companion must have exactly 3 distinct vertices")
     if set(r) & set(r2):
         raise InvalidArgumentError("the two triples must be disjoint")
-    parts = []
-    for u in r:
-        quint = sorted((set(r) - {u}) | set(r2))
-        parts.append(simulate_quintuple(D, quint, p).sets)
-    fam = InversionFamily.symmetric_difference(*(InversionFamily(s) for s in parts))
-    plan = SimulationPlan(target=tuple(r), companion=tuple(r2), p=p, sets=fam.sets)
-    return _checked(plan, D)
+    sets = _disjoint_triples(D.n, r, r2, p)
+    return _checked(SimulationPlan(target=tuple(r), companion=tuple(r2), p=p, sets=sets), D)
 
 
 def simulate_triple(D, S, p):
@@ -145,47 +173,18 @@ def simulate_triple(D, S, p):
     the disjoint-triples case by |S n I|; independence number < 3
     raises UnsupportedError."""
     s = _validate_common(D, S, 3, p, {1, 3})
+    # inverting an independent s changes nothing: its plan is empty
+    sets = ()
     if p % 4 == 3:
-        ext = _smallest_disjoint(D.n, s, p - 1)
-        sets = [frozenset(xi) | frozenset(s) for xi in combinations(ext, p - 3)]
-        plan = SimulationPlan(target=tuple(s), p=p, sets=tuple(sets))
-        return _checked(plan, D)
-    G = D.underlying()
-    a, b, c = s
-    if not (G.adjacent(a, b) or G.adjacent(a, c) or G.adjacent(b, c)):
-        # inverting an independent set changes nothing
-        return _checked(SimulationPlan(target=tuple(s), p=p, sets=()), D)
-    ind = independent_triple(G)
-    if ind is None:
-        raise UnsupportedError(
-            "no independent triple found; p = 1 mod 4 needs independence number >= 3"
-        )
-    return _checked(_triple_via_independent(D, s, ind, p), D)
-
-
-def _triple_via_independent(D, s, ind, p):
-    """Plan for the triple s through the independent triple ind.
-
-    s meets ind in at most 2 vertices: simulate_triple returns before
-    this for an independent s, and the recursion below passes a triple
-    that meets ind in exactly 2."""
-    overlap = len(set(s) & set(ind))
-    if overlap == 0:
-        inner = simulate_disjoint_triples(D, s, ind, p)
-        return SimulationPlan(target=tuple(s), p=p, sets=inner.sets)
-    if overlap == 2:
-        s2 = _smallest_disjoint(D.n, set(s) | set(ind), 3)
-        first = simulate_disjoint_triples(D, ind, s2, p)
-        second = simulate_disjoint_triples(D, s, s2, p)
-        fam = InversionFamily.symmetric_difference(first.family(), second.family())
-        return SimulationPlan(target=tuple(s), p=p, sets=fam.sets)
-    # overlap == 1: route through a triple sharing two vertices with I
-    v = _smallest_disjoint(D.n, set(s) | set(ind), 1)[0]
-    s2 = sorted((set(ind) - set(s)) | {v})
-    first = _triple_via_independent(D, s2, ind, p)
-    second = simulate_disjoint_triples(D, s, s2, p)
-    fam = InversionFamily.symmetric_difference(first.family(), second.family())
-    return SimulationPlan(target=tuple(s), p=p, sets=fam.sets)
+        sets = _padded(D.n, s, p)
+    elif any(D.underlying().adjacent(u, v) for u, v in combinations(s, 2)):
+        ind = independent_triple(D.underlying())
+        if ind is None:
+            raise UnsupportedError(
+                "no independent triple found; p = 1 mod 4 needs independence number >= 3"
+            )
+        sets = _via_independent(D.n, s, ind, p)
+    return _checked(SimulationPlan(target=tuple(s), p=p, sets=sets), D)
 
 
 def simulate_pair(D, e, p):
@@ -224,27 +223,20 @@ def simulate_pair(D, e, p):
         raise UnsupportedError(
             "digon-free tournament: inverting one arc cannot be simulated by (=p)-sets"
         )
-    window = sorted({u, v, *anchor})
-    for w in range(n):
-        if len(window) >= p + 2:
-            break
-        if w not in window:
-            window.append(w)
-    window.sort()
-    simple = D.simple_arcs()
+    ends = {u, v, *anchor}
+    window = sorted(ends.union(_smallest_disjoint(n, ends, p + 2 - len(ends))))
     wset = set(window)
-    positions = [i for i, (t, h) in enumerate(simple) if t in wset and h in wset]
-    index_of = {pos: j for j, pos in enumerate(positions)}
-    target_bit = index_of[simple.index((u, v) if D.has_arc(u, v) else (v, u))]
+    # bit j of a set's row is the j-th simple arc inside the window
+    inside = [(t, h) for (t, h) in D.simple_arcs() if t in wset and h in wset]
+    target_bit = inside.index((u, v) if D.has_arc(u, v) else (v, u))
     basis = Gf2Basis()
     cands = list(combinations(window, p))
     for ci, xs in enumerate(cands):
         xset = set(xs)
         ind = 0
-        for i in positions:
-            t, h = simple[i]
+        for j, (t, h) in enumerate(inside):
             if t in xset and h in xset:
-                ind |= 1 << index_of[i]
+                ind |= 1 << j
         basis.add(ind, 1 << ci)
     combo = basis.solve(1 << target_bit)
     if combo is None:

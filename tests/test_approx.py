@@ -316,6 +316,32 @@ def test_approx_kp_tests_strongness_twice(monkeypatch):
             assert len(calls) == 2
 
 
+def test_approx_kp_applies_the_pair_family_once(monkeypatch):
+    # the pair stage's check hands its digraph to the minimal core, so
+    # one approx_kp applies a family twice: the pair family and the
+    # output, each re-verified
+    applied = []
+    check = core._check_digraph
+
+    def counted(D, what, simple=False):
+        if what == "apply_inversions":
+            applied.append(D.n)
+        return check(D, what, simple)
+
+    monkeypatch.setattr(core, "_check_digraph", counted)
+    cycle = [(v, (v + 1) % 7) for v in range(7)]
+    inputs = [MultiDigraph(7, [(1, 0)] + cycle[1:]), MultiDigraph(7, [(1, 0), (1, 2), (3, 2)] + cycle[3:])]
+    rng = random.Random(513)
+    inputs += [rand_2kec_digraph(rng, 1, rng.randint(5, 9)) for _ in range(6)]
+    for D in inputs:
+        for heuristic in (False, True):
+            applied.clear()
+            family, trace = approx_kp(D, 1, 3, heuristic=heuristic)
+            assert applied == [D.n, D.n]
+            assert is_k_arc_strong(apply_inversions(D, family), 1)
+            assert is_k_arc_strong(apply_inversions(D, trace.base_pairs), 1)
+
+
 def test_entry_points_share_one_lambda_per_digraph(monkeypatch):
     # is_kp_invertible and approx_kp both need lambda(UG(D)) >= 2k; the
     # kernel computes it for the first and the second reads the memo

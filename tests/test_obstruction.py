@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from arcinvert import obstruction
+from arcinvert import _kernels, obstruction
 from arcinvert.core import (
     MultiDigraph,
     Multigraph,
     apply_inversions,
     edge_connectivity,
     is_k_arc_strong,
+    min_cut,
 )
 from arcinvert.errors import InvalidArgumentError, PreconditionViolatedError
 from arcinvert.obstruction import (
@@ -275,3 +276,84 @@ def test_obstruction_scan_tries_only_universal_singletons(monkeypatch):
         found += got is not None
         universal_seen += universal > 0
     assert found >= 12 and universal_seen >= 40 and len(inputs) >= 70
+
+
+def _ref_k_regular_partition(G, k, xs):
+    """The partition built from one public min_cut per vertex of xs."""
+    rest = [v for v in range(G.n) if v not in xs]
+    Gc = G.contract([[x] for x in xs] + [rest])
+    sides = []
+    for i in range(len(xs)):
+        cut = min_cut(Gc, i, len(xs))
+        if cut.undirected_size > k:
+            return None
+        sides.append(frozenset(xs[j] for j in cut.side))
+    merged = []
+    for side in dict.fromkeys(sides):
+        for other in [m for m in merged if m & side]:
+            merged.remove(other)
+            side |= other
+        merged.append(side)
+    return sorted((tuple(sorted(s)) for s in merged), key=lambda p: p[0])
+
+
+def _blocks_multigraph(rng, k):
+    """(G, blocks): blocks of 1 to 3 vertices, each a path of k-fold
+    edges, and a hub cycle of 2 to 4 vertices; every block sends k
+    edges, or sometimes more, to random vertices outside it."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    hub = rng.randint(2, 4)
+    n = sum(sizes) + hub
+    perm = rng.sample(range(n), n)
+    edges = []
+    blocks = []
+    start = hub
+    for size in sizes:
+        block = list(range(start, start + size))
+        edges += [(v, v + 1, k) for v in block[:-1]]
+        blocks.append(block)
+        start += size
+    edges += [(v, (v + 1) % hub, (k + 1) // 2) for v in range(hub)] if hub > 2 else [(0, 1, k)]
+    for block in blocks:
+        outside = [v for v in range(n) if v not in block]
+        for _ in range(k + (rng.randint(1, 2) if rng.random() < 0.3 else 0)):
+            edges.append((rng.choice(block), rng.choice(outside), 1))
+    G = Multigraph(n, [(perm[u], perm[v], m) for u, v, m in edges])
+    return G, [[perm[v] for v in block] for block in blocks]
+
+
+def test_k_regular_partition_equals_one_min_cut_per_vertex(monkeypatch):
+    # one capacity matrix per partition and at most one limited flow per
+    # vertex of X give the partition of the min_cut per vertex
+    rng = random.Random(410)
+    outcomes = {"partition": 0, "none": 0}
+    tested = 0
+    while tested < 240:
+        k = rng.choice((2, 4))
+        G, blocks = _blocks_multigraph(rng, k)
+        if edge_connectivity(G) < k:
+            continue
+        chosen = rng.sample(blocks, rng.randint(1, len(blocks)))
+        xs = sorted(v for block in chosen for v in block)
+        want = _ref_k_regular_partition(G, k, xs)
+        assert k_regular_partition(G, k, xs) == want
+        matrices, flows = [], []
+        with monkeypatch.context() as m:
+            caps_flat, st_max_flow = Multigraph.caps_flat, _kernels.st_max_flow
+            m.setattr(Multigraph, "caps_flat", lambda H: matrices.append(H.n) or caps_flat(H))
+            m.setattr(_kernels, "st_max_flow", lambda *a: flows.append(a[0]) or st_max_flow(*a))
+            assert obstruction._k_regular_partition(G, k, xs) == want
+        assert matrices == [len(xs) + 1] and 1 <= len(flows) <= len(xs)
+        outcomes["none" if want is None else "partition"] += 1
+        tested += 1
+    assert min(outcomes.values()) >= 20
+
+
+def test_verify_certificate_rejects_a_k_that_is_not_a_positive_int():
+    D, cert = star_matching_obstruction(3)
+    E, cert2 = doubled_clique_obstruction(2, 4)
+    assert verify_certificate(D, cert) and verify_certificate(E, cert2)
+    for bad in (True, 1.0, "1", None, 0, -1):
+        assert verify_certificate(D, ObstructionCertificate(k=bad, x_parts=cert.x_parts, y=cert.y)) is False
+    for bad in (2.0, "2"):
+        assert verify_certificate(E, ObstructionCertificate(k=bad, x_parts=cert2.x_parts, y=cert2.y)) is False

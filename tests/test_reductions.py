@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +249,40 @@ def test_push_n1_planted_respects_reversal_symmetry():
         assert inst.planted is not None
         out = apply_inversions(D, inst.planted.sets)
         assert is_k_arc_strong(out, 1) or is_k_arc_strong(reverse(out), 1)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _gen(tmp_path, *args):
+    """(exit code, stdout, stderr) of ``arcinvert gen`` in a child
+    interpreter; a generator that never returns fails on the timeout."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = [sys.executable, "-m", "arcinvert.cli", "gen", *args, "--seed", "1", "-o", str(tmp_path / "g.mdg")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    return out.returncode, out.stdout, out.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("hm", "--vertices", "4", "--edges", "10", "--arity", "3"), "at most 4 distinct edges fit"),
+        (("hm", "--arity", "0"), "--arity must be positive, got 0"),
+        (("hm", "--arity", "-1"), "--arity must be positive, got -1"),
+        (("p3p", "--edges", "-1"), "--edges must be non-negative, got -1"),
+        (("do-m22inv", "--edges", "-2"), "--edges must be non-negative, got -2"),
+        (("do-m22inv", "--deletable", "-1"), "--deletable must be non-negative, got -1"),
+        (("psi-ksi", "--extra-edges", "9"), "at most 8 extra edges fit per pattern edge"),
+    ],
+)
+def test_gen_rejects_impossible_counts_as_usage_errors(tmp_path, args, message):
+    code, out, err = _gen(tmp_path, *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_gen_accepts_the_largest_counts_that_fit(tmp_path):
+    for args in (("hm", "--vertices", "4", "--edges", "4"), ("psi-ksi", "--extra-edges", "8"),
+                 ("p3p", "--edges", "0"), ("do-m22inv", "--edges", "0", "--deletable", "0")):
+        code, out, err = _gen(tmp_path, *args)
+        assert code == 0 and err == "" and "wrote: " in out

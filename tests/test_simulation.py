@@ -1,9 +1,11 @@
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from arcinvert.core import MultiDigraph, Multigraph, apply_inversions
+from arcinvert.core import InversionFamily, MultiDigraph, Multigraph, apply_inversions
 from arcinvert.errors import (
     InvalidArgumentError,
     PreconditionViolatedError,
@@ -11,6 +13,7 @@ from arcinvert.errors import (
 )
 from arcinvert.reductions import rotative_tournament
 from arcinvert.simulation import (
+    SimulationPlan,
     independent_triple,
     simulate_disjoint_triples,
     simulate_pair,
@@ -181,3 +184,121 @@ def test_disjoint_triples_reject_a_non_int_companion_vertex():
     for bad in (5.0, True, 9):
         with pytest.raises(InvalidArgumentError):
             simulate_disjoint_triples(D, (0, 1, 2), (3, 4, bad), 5)
+
+
+# -- reference recipes: each plan built the way the per-recipe public
+# -- calls built it, one nested simulate_* call per composed plan
+
+def _ref_smallest_disjoint(n, avoid, size):
+    return [v for v in range(n) if v not in set(avoid)][:size]
+
+
+def _ref_padded(n, core, p, ext_size, sub_size):
+    ext = _ref_smallest_disjoint(n, core, ext_size)
+    return tuple(frozenset(xi) | frozenset(core) for xi in combinations(ext, sub_size))
+
+
+def _ref_quintuple(n, r, p):
+    return _ref_padded(n, sorted(r), p, p - 3, p - 5)
+
+
+def _ref_disjoint_triples(n, r, r2, p):
+    parts = [_ref_quintuple(n, sorted((set(r) - {u}) | set(r2)), p) for u in sorted(r)]
+    return InversionFamily.symmetric_difference(*(InversionFamily(s) for s in parts)).sets
+
+
+def _ref_via_independent(n, s, ind, p):
+    overlap = len(set(s) & set(ind))
+    if overlap == 0:
+        return _ref_disjoint_triples(n, s, ind, p)
+    if overlap == 2:
+        s2 = _ref_smallest_disjoint(n, set(s) | set(ind), 3)
+        first = _ref_disjoint_triples(n, ind, s2, p)
+        second = _ref_disjoint_triples(n, s, s2, p)
+    else:
+        v = _ref_smallest_disjoint(n, set(s) | set(ind), 1)[0]
+        s2 = sorted((set(ind) - set(s)) | {v})
+        first = _ref_via_independent(n, s2, ind, p)
+        second = _ref_disjoint_triples(n, s, s2, p)
+    return InversionFamily.symmetric_difference(InversionFamily(first), InversionFamily(second)).sets
+
+
+def _ref_triple(D, S, p):
+    s = sorted(S)
+    if p % 4 == 3:
+        return _ref_padded(D.n, s, p, p - 1, p - 3)
+    G = D.underlying()
+    if not any(G.adjacent(u, v) for u, v in combinations(s, 2)):
+        return ()
+    return _ref_via_independent(D.n, s, independent_triple(G), p)
+
+
+def test_triple_plans_equal_the_reference_recipes():
+    # p = 1 mod 4: S is drawn to meet the independent triple in 0, 1 or
+    # 2 vertices; the sets and their order match the reference
+    rng = random.Random(410)
+    overlaps = Counter()
+    draws = 0
+    while draws < 240:
+        p = rng.choice((5, 9, 13))
+        D = rand_digraph(rng, n_max=p + 5, n_min=p + 2, density=0.3)
+        ind = independent_triple(D.underlying())
+        if ind is None:
+            continue
+        overlap = draws % 3
+        outside = [v for v in range(D.n) if v not in ind]
+        S = rng.sample(ind, overlap) + rng.sample(outside, 3 - overlap)
+        rng.shuffle(S)
+        plan = simulate_triple(D, S, p)
+        assert plan.sets == _ref_triple(D, S, p)
+        assert plan.target == tuple(sorted(S)) and plan.p == p
+        if plan.sets:
+            overlaps[overlap] += 1
+        draws += 1
+    assert min(overlaps[o] for o in (0, 1, 2)) >= 20
+    for p in (3, 7, 11):
+        for _ in range(10):
+            D = rand_digraph(rng, n_max=p + 4, n_min=p + 2)
+            S = rng.sample(range(D.n), 3)
+            assert simulate_triple(D, S, p).sets == _ref_triple(D, S, p)
+
+
+def test_quintuple_and_disjoint_triple_plans_equal_the_reference_recipes():
+    rng = random.Random(411)
+    for p in (5, 9, 13):
+        for _ in range(10):
+            D = rand_digraph(rng, n_max=p + 4, n_min=p + 2)
+            verts = rng.sample(range(D.n), 6)
+            assert simulate_quintuple(D, verts[:5], p).sets == _ref_quintuple(D.n, verts[:5], p)
+            plan = simulate_disjoint_triples(D, verts[:3], verts[3:], p)
+            assert plan.sets == _ref_disjoint_triples(D.n, verts[:3], verts[3:], p)
+            assert plan.companion == tuple(sorted(verts[3:]))
+
+
+def test_each_public_simulation_checks_one_plan(monkeypatch):
+    # the composed recipes are private set builders, so a public call
+    # re-verifies only the plan it returns, whatever its recipe
+    calls = []
+    verify = SimulationPlan.verify
+    monkeypatch.setattr(SimulationPlan, "verify", lambda plan, D: calls.append(plan) or verify(plan, D))
+    rng = random.Random(412)
+    cases = [
+        lambda D: simulate_pair(D, (0, 1), 4),
+        lambda D: simulate_triple(D, (0, 1, 2), 3),
+        lambda D: simulate_triple(D, (0, 1, 2), 7),
+        lambda D: simulate_quintuple(D, (0, 1, 2, 3, 4), 5),
+        lambda D: simulate_disjoint_triples(D, (0, 1, 2), (3, 4, 5), 5),
+    ]
+    for p in (5, 9, 13):
+        cases += [lambda D, p=p, i=i: simulate_triple(D, rng.sample(range(D.n), 3), p) for i in range(12)]
+    checked = 0
+    for call in cases:
+        D = rand_digraph(rng, n_min=15, n_max=17, density=0.3)
+        calls.clear()
+        try:
+            plan = call(D)
+        except UnsupportedError:
+            continue
+        assert calls == [plan]
+        checked += 1
+    assert checked > 30
