@@ -12,7 +12,9 @@ max(p + 2, 2k + 2) for even p and max(p + 2, 4k + 2) for odd p.
 Witnesses are built from a pair or triple family (small sets are easy
 to find) whose members are then rewritten into exact-size-p families by
 the simulation plans; symmetric differences of the plans compose
-because inversion effects add up over GF(2).  The triple family, and
+because inversion effects add up over GF(2).  The plans are built
+privately (simulation._plan_sets) and never checked one by one: the
+merged family is verified once, by _finish, like every witness.  The triple family, and
 the exhaustive fallback where the rewriting rules do not apply, come
 from the same parity-space search without the refutation: the decision
 has already proved that the family exists, so the 2^n cut scan could
@@ -33,7 +35,7 @@ from .core import (
 from .errors import PreconditionViolatedError, UnsupportedError
 from .obstruction import ObstructionCertificate, _obstruction_scan
 from .oracles import _gf2_search
-from .simulation import simulate_pair, simulate_triple
+from .simulation import _plan_sets
 
 REASON_NOT_CONNECTED = "not-2k-edge-connected"
 REASON_THEOREM_EVEN = "theorem-even"
@@ -113,9 +115,12 @@ def _witness(D, k, p):
     independence number below 3 for p = 1 mod 4) fall back to the
     exhaustive search.
 
-    The plans alone make up the witness: applying plan i equals
-    inverting small set i, so their symmetric difference acts as the
-    whole small family.  The small sets themselves never enter the
+    The plan sets come from simulation._plan_sets, which finds the
+    anchor pair or independent triple once for all of them; no plan is
+    checked on its own, as _finish verifies the merged family.  The
+    plans alone make up the witness: applying plan i equals inverting
+    small set i, so their symmetric difference acts as the whole small
+    family.  The small sets themselves never enter the
     merge: each is the target of exactly one plan, so with the targets
     they would cancel in pairs, and they cannot meet a plan set, which
     has size p >= 4 against their 2 or 3.
@@ -125,23 +130,19 @@ def _witness(D, k, p):
     gets the backend's -1, and its coset search returns on its first
     line, so either base is the empty family, whose zero plans merge to
     the empty family that _finish verifies."""
-    if p % 2 == 0:
-        base, simulate = _min_pairs(D, k), simulate_pair
-    else:
-        base, simulate = _gf2_search(D, k, 3, "exact-size"), simulate_triple
+    base = _min_pairs(D, k) if p % 2 == 0 else _gf2_search(D, k, 3, "exact-size")
     if base is None:
         raise RuntimeError(f"internal error: no family of {2 + p % 2}-sets above the threshold")
     if p <= 3:
         return _finish(D, k, p, base)
     try:
-        plans = [simulate(D, sorted(s), p) for s in base.sets]
+        plans = _plan_sets(D, [sorted(s) for s in base.sets], p)
     except UnsupportedError:
         fam = _gf2_search(D, k, p, "exact-size")
         if fam is None:
             raise RuntimeError("internal error: feasible instance rejected by exhaustive search")
         return _finish(D, k, p, fam)
-    merged = InversionFamily.symmetric_difference(*(plan.family() for plan in plans))
-    return _finish(D, k, p, merged)
+    return _finish(D, k, p, InversionFamily.symmetric_difference(*plans))
 
 
 def _finish(D, k, p, fam):

@@ -620,7 +620,7 @@ def exists_k_arc_strong_orientation(G, k):
     _check_k(k)
     n = G.n
     if n <= 1:
-        return MultiDigraph(n)
+        return MultiDigraph._trusted(n, {})
     if edge_connectivity(G) < 2 * k:
         return None
     arcs = []
@@ -634,13 +634,13 @@ def exists_k_arc_strong_orientation(G, k):
             free.append((u, v))
 
     def finish(orientation_bits):
-        out = list(arcs)
+        # the arcs come from a checked Multigraph: build D trusted,
+        # adding a free arc to its digon bundle as the constructor would
+        m = {(t, h): mm for t, h, mm in arcs}
         for i, (u, v) in enumerate(free):
-            if (orientation_bits >> i) & 1:
-                out.append((v, u, 1))
-            else:
-                out.append((u, v, 1))
-        D = MultiDigraph(n, out)
+            key = (v, u) if (orientation_bits >> i) & 1 else (u, v)
+            m[key] = m.get(key, 0) + 1
+        D = MultiDigraph._trusted(n, m)
         if not is_k_arc_strong(D, k):
             raise RuntimeError("internal error: orientation witness failed verification")
         if D.underlying() != G:

@@ -635,6 +635,8 @@ def random_pattern_source(rng, r=3, part_size=3, extra_edges=1):
         raise InvalidArgumentError("need at least 3 parts for a cycle pattern")
     if part_size < 3:
         raise InvalidArgumentError("parts need at least 3 vertices")
+    if extra_edges < 1:
+        raise InvalidArgumentError(f"need at least 1 extra edge per pattern edge, got {extra_edges}")
     if extra_edges >= part_size * part_size:
         # each pattern edge joins its own two parts, whose part_size**2
         # pairs hold the solution edge and the extra ones
@@ -647,7 +649,7 @@ def random_pattern_source(rng, r=3, part_size=3, extra_edges=1):
         j = (i + 1) % r
         edges.add(tuple(sorted((solution[i], solution[j]))))
         added = 0
-        while added < max(1, extra_edges):
+        while added < extra_edges:
             e = tuple(sorted((rng.choice(parts[i]), rng.choice(parts[j]))))
             if e not in edges:
                 edges.add(e)

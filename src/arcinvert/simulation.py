@@ -3,9 +3,13 @@
 Inverting a pair, triple or quintuple can be reproduced exactly by a
 family of inversions all of size p, which is how witnesses for one
 inversion size get translated into another.  The recipes are private
-set builders on checked arguments; each public simulate_* call checks
-its arguments once and re-verifies, by application, the one plan it
-returns.
+set builders on checked arguments, and one private route, _plan_sets,
+turns a list of targets into their plan sets, finding what depends on
+the digraph alone once.  Each public simulate_* call checks its
+arguments once and re-verifies, by application, the one plan it
+returns.  The witness route of feasibility calls _plan_sets directly:
+it builds no SimulationPlan and checks no plan, and the family it
+merges is verified once, by feasibility._finish.
 
 Size recipes (n >= p+2 throughout):
 
@@ -54,18 +58,19 @@ class SimulationPlan:
         return apply_inversions(D, self.sets) == apply_inversions(D, direct)
 
 
-def _validate_common(D, S, size, p, p_residues):
+def _validate(D, S, size, p, odd=True, one_mod_4=False):
+    """The sorted target S, once D, S, p and n >= p + 2 are checked in
+    that order; odd=False when the caller has checked its even p."""
     _check_digraph(D, "simulation", simple=True)
     s = sorted({_check_vertex(v, D.n) for v in S})
     if len(s) != size:
         raise InvalidArgumentError(f"target must have exactly {size} distinct vertices")
-    _check_p(p)
-    if p % 2 == 0 and 1 in p_residues:
-        raise InvalidArgumentError(f"p must be odd, got {p}")
-    if p % 4 not in p_residues:
-        raise InvalidArgumentError(
-            f"p mod 4 must be in {sorted(p_residues)}, got {p} (p mod 4 = {p % 4})"
-        )
+    if odd:
+        _check_p(p)
+        if p % 2 == 0:
+            raise InvalidArgumentError(f"p must be odd, got {p}")
+        if one_mod_4 and p % 4 == 3:
+            raise InvalidArgumentError(f"p mod 4 must be in [1], got {p} (p mod 4 = 3)")
     if D.n < p + 2:
         raise PreconditionViolatedError(f"need n >= p+2 = {p + 2}, got n = {D.n}")
     return s
@@ -82,7 +87,10 @@ def _smallest_disjoint(n, avoid, size):
     raise PreconditionViolatedError(f"not enough vertices outside {sorted(av)}")
 
 
-def _checked(plan, D):
+def _checked(D, s, p, sets, companion=None):
+    """The plan of sets for the sorted target s, once it is seen to act
+    as inverting s (and then companion)."""
+    plan = SimulationPlan(target=tuple(s), p=p, sets=sets, companion=companion)
     if not plan.verify(D):
         raise RuntimeError("internal error: simulation plan failed verification")
     return plan
@@ -147,23 +155,91 @@ def _via_independent(n, s, ind, p):
     return InversionFamily.symmetric_difference(first, second).sets
 
 
+def _plan_sets(D, targets, p):
+    """The plan sets of each sorted target of the simple digraph D, in
+    order: pairs for even p >= 4, triples for odd p; n >= p + 2.
+
+    The public calls and the witness route share it.  What depends on D
+    alone is found once, on the first target that needs it: the anchor
+    of the pair windows for even p, the independent triple for p = 1
+    mod 4.  A target whose inversion changes nothing (a digon or
+    non-adjacent pair, an independent triple) needs neither and gets the
+    empty plan."""
+    n, m = D.n, D._m
+    fact = None  # the anchor (even p) or the independent triple, once found
+    out = []
+    for s in targets:
+        if p % 4 == 3:
+            out.append(_padded(n, s, p))
+            continue
+        if p % 2:
+            noop = not any(D.underlying().adjacent(u, v) for u, v in combinations(s, 2))
+        else:
+            noop = ((s[0], s[1]) in m) == ((s[1], s[0]) in m)
+        if noop:
+            out.append(())
+            continue
+        if fact is None:
+            fact = independent_triple(D.underlying()) if p % 2 else _anchor(m, n)
+            if fact is None:
+                raise UnsupportedError(
+                    "no independent triple found; p = 1 mod 4 needs independence number >= 3"
+                    if p % 2
+                    else "digon-free tournament: inverting one arc cannot be simulated by (=p)-sets"
+                )
+        out.append(_via_independent(n, s, fact, p) if p % 2 else _window_sets(D, *s, fact, p))
+    return out
+
+
+def _anchor(m, n):
+    """The first pair a < b without a simple arc (a digon or no arc)."""
+    for a, b in combinations(range(n), 2):
+        if ((a, b) in m) == ((b, a) in m):
+            return a, b
+    return None
+
+
+def _window_sets(D, u, v, anchor, p):
+    """Sets inverting the simple arc between u and v through the anchor
+    pair (see simulate_pair)."""
+    m = D._m
+    ends = {u, v, *anchor}
+    window = sorted(ends.union(_smallest_disjoint(D.n, ends, p + 2 - len(ends))))
+    # bit j of a set's row is the j-th simple arc inside the window, in
+    # sorted order
+    inside = [(t, h) for t in window for h in window if (t, h) in m and (h, t) not in m]
+    target_bit = inside.index((u, v) if (u, v) in m else (v, u))
+    basis = Gf2Basis()
+    cands = list(combinations(window, p))
+    for ci, xs in enumerate(cands):
+        xset = set(xs)
+        ind = 0
+        for j, (t, h) in enumerate(inside):
+            if t in xset and h in xset:
+                ind |= 1 << j
+        basis.add(ind, 1 << ci)
+    combo = basis.solve(1 << target_bit)
+    if combo is None:
+        raise RuntimeError("internal error: no (=p)-plan for a single arc inside its window")
+    return tuple(frozenset(cands[ci]) for ci in range(len(cands)) if (combo >> ci) & 1)
+
+
 def simulate_quintuple(D, R, p):
     """Plan of (=p)-sets equal to inverting the 5-set R; p = 1 mod 4."""
-    r = _validate_common(D, R, 5, p, {1})
-    return _checked(SimulationPlan(target=tuple(r), p=p, sets=_padded(D.n, r, p)), D)
+    r = _validate(D, R, 5, p, one_mod_4=True)
+    return _checked(D, r, p, _padded(D.n, r, p))
 
 
 def simulate_disjoint_triples(D, R, R2, p):
     """Plan of (=p)-sets equal to inverting the disjoint triples R and
     then R2; p = 1 mod 4 (see _disjoint_triples)."""
-    r = _validate_common(D, R, 3, p, {1})
+    r = _validate(D, R, 3, p, one_mod_4=True)
     r2 = sorted({_check_vertex(v, D.n) for v in R2})
     if len(r2) != 3:
         raise InvalidArgumentError("companion must have exactly 3 distinct vertices")
     if set(r) & set(r2):
         raise InvalidArgumentError("the two triples must be disjoint")
-    sets = _disjoint_triples(D.n, r, r2, p)
-    return _checked(SimulationPlan(target=tuple(r), companion=tuple(r2), p=p, sets=sets), D)
+    return _checked(D, r, p, _disjoint_triples(D.n, r, r2, p), tuple(r2))
 
 
 def simulate_triple(D, S, p):
@@ -172,19 +248,8 @@ def simulate_triple(D, S, p):
     For p = 1 mod 4 an independent triple I is fixed and S is reduced to
     the disjoint-triples case by |S n I|; independence number < 3
     raises UnsupportedError."""
-    s = _validate_common(D, S, 3, p, {1, 3})
-    # inverting an independent s changes nothing: its plan is empty
-    sets = ()
-    if p % 4 == 3:
-        sets = _padded(D.n, s, p)
-    elif any(D.underlying().adjacent(u, v) for u, v in combinations(s, 2)):
-        ind = independent_triple(D.underlying())
-        if ind is None:
-            raise UnsupportedError(
-                "no independent triple found; p = 1 mod 4 needs independence number >= 3"
-            )
-        sets = _via_independent(D.n, s, ind, p)
-    return _checked(SimulationPlan(target=tuple(s), p=p, sets=sets), D)
+    s = _validate(D, S, 3, p)
+    return _checked(D, s, p, _plan_sets(D, [s], p)[0])
 
 
 def simulate_pair(D, e, p):
@@ -203,43 +268,10 @@ def simulate_pair(D, e, p):
     N - 1 (odd) choices of z gives R_y = A + s_y, as the stars sum to
     0, so I_yz + R_y + R_z = A + e_yz.  The anchor has e_ab = 0, so A
     lies in the span of the p-sets, and then so does e = (A + e) + A:
-    the solve below never fails."""
+    the solve in _window_sets never fails."""
     if not isinstance(p, int) or p % 2 == 1:
         raise InvalidArgumentError(f"p must be even, got {p!r}")
     if p < 4:
         raise InvalidArgumentError(f"p must be >= 4, got {p}")
-    s = _validate_common(D, e, 2, p, {0, 2})
-    u, v = s
-    if D.has_arc(u, v) == D.has_arc(v, u):
-        # non-adjacent (neither) or digon (both): inverting e is a no-op
-        return _checked(SimulationPlan(target=(u, v), p=p, sets=()), D)
-    n = D.n
-    anchor = None
-    for a, b in combinations(range(n), 2):
-        if D.has_arc(a, b) == D.has_arc(b, a):
-            anchor = (a, b)
-            break
-    if anchor is None:
-        raise UnsupportedError(
-            "digon-free tournament: inverting one arc cannot be simulated by (=p)-sets"
-        )
-    ends = {u, v, *anchor}
-    window = sorted(ends.union(_smallest_disjoint(n, ends, p + 2 - len(ends))))
-    wset = set(window)
-    # bit j of a set's row is the j-th simple arc inside the window
-    inside = [(t, h) for (t, h) in D.simple_arcs() if t in wset and h in wset]
-    target_bit = inside.index((u, v) if D.has_arc(u, v) else (v, u))
-    basis = Gf2Basis()
-    cands = list(combinations(window, p))
-    for ci, xs in enumerate(cands):
-        xset = set(xs)
-        ind = 0
-        for j, (t, h) in enumerate(inside):
-            if t in xset and h in xset:
-                ind |= 1 << j
-        basis.add(ind, 1 << ci)
-    combo = basis.solve(1 << target_bit)
-    if combo is None:
-        raise RuntimeError("internal error: no (=p)-plan for a single arc inside its window")
-    sets = tuple(frozenset(cands[ci]) for ci in range(len(cands)) if (combo >> ci) & 1)
-    return _checked(SimulationPlan(target=(u, v), p=p, sets=sets), D)
+    s = _validate(D, e, 2, p, odd=False)
+    return _checked(D, s, p, _plan_sets(D, [s], p)[0])

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from arcinvert import _kernels
+from arcinvert import _kernels, cli, core, simulation
 from arcinvert.cli import cli_dispatch
 from arcinvert.core import (
     InversionFamily,
@@ -14,7 +14,11 @@ from arcinvert.core import (
     read_mdg,
     write_mdg,
 )
+from arcinvert.approx import approx_kp
+from arcinvert.feasibility import is_kp_invertible
 from arcinvert.obstruction import certificate_from_text, star_matching_obstruction
+from arcinvert.oracles import exact_inv_kp
+from arcinvert.simulation import simulate_pair
 from arcinvert.reductions import rotative_tournament
 
 
@@ -276,3 +280,53 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _out, err = run(capsys, "analyze", "/nonexistent/g.mdg")
     assert code == 2
+
+
+def test_the_cli_applies_no_family_of_its_own(tmp_path, capsys, monkeypatch):
+    # the CLI prints the library's own verification: each command makes
+    # exactly the apply_inversions calls of the library call behind it,
+    # one per reported family for a witness or an exact family
+    applied = []
+    apply = core.apply_inversions
+
+    def counted(D, family):
+        applied.append((D, InversionFamily(family).canonical()))
+        return apply(D, family)
+
+    monkeypatch.setattr(core, "apply_inversions", counted)
+    monkeypatch.setattr(simulation, "apply_inversions", counted)
+    monkeypatch.setattr(cli, "apply_inversions", counted, raising=False)
+    f, D = _write_obstruction(tmp_path / "obs.mdg")
+    B = MultiDigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4), (4, 2)])
+    b = str(tmp_path / "broken.mdg")
+    write_mdg(b, B)
+    cases = [
+        (("feasible", "--k", "1", "--p", "4", "--witness", f), lambda: is_kp_invertible(D, 1, 4, witness=True)),
+        (("exact", "--k", "1", "--p", "3", b), lambda: exact_inv_kp(B, 1, 3)),
+        (("exact", "--k", "1", "--p", "3", "--le", b), lambda: exact_inv_kp(B, 1, 3, mode="at-most")),
+        (("approx", "--k", "1", "--p", "3", b), lambda: approx_kp(B, 1, 3)),
+        (("approx", "--k", "1", "--p", "3", "--heuristic", b), lambda: approx_kp(B, 1, 3, heuristic=True)),
+        (("simulate", "--p", "4", "--set", "0,1", f), lambda: simulate_pair(D, (0, 1), 4)),
+    ]
+    rows = {
+        "feasible": lambda: is_kp_invertible(B, 1, 4, witness=True),
+        "exact": lambda: exact_inv_kp(B, 1, 4),
+        "exact-le": lambda: exact_inv_kp(B, 1, 4, mode="at-most"),
+        "approx": lambda: approx_kp(B, 1, 4),
+        "approx-greedy": lambda: approx_kp(B, 1, 4, heuristic=True),
+    }
+    for solver, library in rows.items():
+        (tmp_path / f"{solver}.txt").write_text(f"broken.mdg 1 4 {solver}\n")
+        cases.append((("bench", str(tmp_path / f"{solver}.txt")), library))
+    for argv, library in cases:
+        applied.clear()
+        library()
+        want = list(applied)
+        applied.clear()
+        code, out, _err = run(capsys, *argv)
+        assert code == 0 and applied == want, argv
+        reported = InversionFamily.from_lines([ln for ln in out if ln.startswith("inv:")]).canonical()
+        if argv[0] in ("feasible", "exact"):
+            assert applied == [(D if argv[-1] == f else B, reported)]
+        elif argv[0] != "bench":
+            assert reported in [fam for _D, fam in applied]

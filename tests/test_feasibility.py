@@ -4,21 +4,23 @@ import sys
 
 import pytest
 
-from arcinvert import approx, feasibility, obstruction, oracles
+from arcinvert import approx, core, feasibility, obstruction, oracles, simulation
 from arcinvert.core import (
+    InversionFamily,
     MultiDigraph,
     apply_inversions,
     is_k_arc_strong,
 )
-from arcinvert.errors import PreconditionViolatedError
+from arcinvert.errors import PreconditionViolatedError, UnsupportedError
 from arcinvert.feasibility import (
     construct_witness,
     is_kp_invertible,
     threshold,
 )
 from arcinvert.obstruction import star_matching_obstruction, verify_certificate
-from arcinvert.oracles import gf2_reachable
+from arcinvert.oracles import _gf2_search, orientation_bfs_reachable
 from arcinvert.reductions import rotative_tournament
+from arcinvert.simulation import simulate_pair, simulate_triple
 
 from conftest import rand_2kec_digraph, rand_digraph
 
@@ -84,14 +86,15 @@ def test_not_connected_reason():
 
 
 def test_sub_threshold_uses_the_exhaustive_kernel():
+    # checked against the BFS over orientation states, which shares no
+    # code with the parity-space search behind the decision
     rng = random.Random(603)
     agree = 0
     for _ in range(40):
         n = rng.choice([4, 5])
         D = rand_digraph(rng, n_max=n, n_min=n)
         verdict = is_kp_invertible(D, 1, 3, witness=True)
-        want = gf2_reachable(D, 1, 3, mode="exact-size")
-        assert verdict.feasible == (want is not None)
+        assert verdict.feasible == orientation_bfs_reachable(D, 1, 3, mode="exact-size")
         if verdict.feasible:
             assert verdict.reason == "kernel-exhaustive"
             assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)
@@ -146,8 +149,8 @@ def _count_calls(monkeypatch, module, name, counter):
 
 def test_odd_witness_decides_once(monkeypatch):
     # one connectivity check and one obstruction scan per decision, also
-    # when a witness is built (gf2_reachable, the independent oracle,
-    # checks connectivity on its own and is not counted)
+    # when a witness is built (the parity-space search that builds the
+    # triple family, oracles._gf2_search, checks no connectivity)
     rng = random.Random(605)
     built = 0
     while built < 6:
@@ -277,3 +280,79 @@ def test_dense_odd_witness_finishes():
     assert verdict.feasible and verdict.reason == "theorem-odd"
     assert all(len(s) == 3 for s in verdict.witness.sets)
     assert is_k_arc_strong(apply_inversions(D, verdict.witness.sets), 1)
+
+
+# -- the witness route: plan sets built privately, one verification
+
+def _sink_digraph(rng, n, tournament):
+    """Random digraph on n vertices whose vertex 0 is a sink, so that no
+    witness is empty.  A tournament has no digon and no non-adjacent
+    pair (no anchor for even p) and independence number 1 (no
+    independent triple for p = 1 mod 4)."""
+    density = rng.uniform(0.5, 0.95)
+    arcs = [(v, 0) for v in range(1, n)]
+    for u in range(1, n):
+        for v in range(u + 1, n):
+            r = rng.random()
+            if not tournament and r < 0.15:
+                arcs += [(u, v), (v, u)]
+            elif tournament or r < density:
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return MultiDigraph(n, arcs)
+
+
+def _witness_inputs(rng, count):
+    """count feasible (D, k, p, verdict) with a witness, p in 4, 5, 6, 7,
+    9 and n at or above the threshold; about one in five a tournament."""
+    out = []
+    while len(out) < count:
+        p = rng.choice([4, 5, 6, 7, 9])
+        k = rng.choice([1, 1, 2]) if p in (4, 6) else 1
+        D = _sink_digraph(rng, rng.randint(threshold(k, p), threshold(k, p) + 2), rng.random() < 0.2)
+        verdict = is_kp_invertible(D, k, p, witness=True)
+        if verdict.feasible:
+            assert verdict.reason in ("theorem-even", "theorem-odd") and verdict.witness.sets
+            out.append((D, k, p, verdict))
+    return out
+
+
+def test_witness_is_the_symmetric_difference_of_the_public_plans():
+    # set for set, the witness the private route builds is the one the
+    # public simulate_* plans of its base family merge to, or, where a
+    # plan is unsupported, the exhaustive search's family
+    fallbacks = {0: 0, 1: 0}
+    for D, k, p, verdict in _witness_inputs(random.Random(611), 220):
+        if p % 2 == 0:
+            base, simulate = approx._min_pairs(D, k), simulate_pair
+        else:
+            base, simulate = _gf2_search(D, k, 3, "exact-size"), simulate_triple
+        try:
+            plans = [simulate(D, sorted(s), p).family() for s in base.sets]
+            want = InversionFamily.symmetric_difference(*plans)
+        except UnsupportedError:
+            fallbacks[p % 2] += 1
+            want = _gf2_search(D, k, p, "exact-size")
+        assert verdict.witness.sets == want.sets
+    assert fallbacks[0] > 5 and fallbacks[1] > 5
+
+
+def test_a_witness_applies_one_family_and_calls_no_public_simulation(monkeypatch):
+    applied = []
+    apply = core.apply_inversions
+
+    def counted(D, family):
+        applied.append(family)
+        return apply(D, family)
+
+    def refuse(*_args):
+        raise AssertionError("the witness route called a public simulate_* function")
+
+    monkeypatch.setattr(core, "apply_inversions", counted)
+    monkeypatch.setattr(simulation, "apply_inversions", counted)
+    for name in ("simulate_pair", "simulate_triple"):
+        monkeypatch.setattr(simulation, name, refuse)
+        monkeypatch.setattr(feasibility, name, refuse, raising=False)
+    for D, k, p, _verdict in _witness_inputs(random.Random(612), 30):
+        applied.clear()
+        verdict = is_kp_invertible(D, k, p, witness=True)
+        assert applied == [verdict.witness]

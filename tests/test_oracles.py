@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcinvert import _kernels, approx, oracles
+from arcinvert import _kernels, approx, core, oracles
 from arcinvert.core import (
     INFINITY,
     MultiDigraph,
@@ -1192,3 +1192,42 @@ def test_searches_run_no_flow_the_degree_bound_rejects(monkeypatch):
         D = rand_2kec_digraph(rng, k, rng.randint(2 * k + 1, 8))
         assert is_k_arc_strong(apply_inversions(D, approx.min_k2_inversion_set(D, k)), k)
     assert sampled and exact and pairs
+
+
+def _orientation_through_the_constructor(G, D):
+    """The orientation D of G rebuilt as the checking constructor built
+    it: digon bundles first, then one arc per odd edge, turned round
+    where D has it so."""
+    arcs, free = [], []
+    for u, v, mm in G.edges():
+        pairs, odd = divmod(mm, 2)
+        if pairs:
+            arcs += [(u, v, pairs), (v, u, pairs)]
+        if odd:
+            free.append((v, u, 1) if D.mult(v, u) > pairs else (u, v, 1))
+    return MultiDigraph(G.n, arcs + free)
+
+
+def test_orientations_are_built_trusted_and_equal_the_checked_build(monkeypatch):
+    built = []
+    init = core._Graph.__init__
+
+    def counted(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    rng = random.Random(316)
+    found = 0
+    for _ in range(120):
+        k = rng.choice((1, 2))
+        G = rand_multigraph(rng, n_max=9, n_min=1)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(core._Graph, "__init__", counted)
+            D = exists_k_arc_strong_orientation(G, k)
+        assert MultiDigraph not in built
+        if D is not None:
+            ref = _orientation_through_the_constructor(G, D)
+            assert D == ref and list(D._m.items()) == list(ref._m.items())
+            found += 1
+    assert found > 40

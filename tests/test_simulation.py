@@ -302,3 +302,95 @@ def test_each_public_simulation_checks_one_plan(monkeypatch):
         assert calls == [plan]
         checked += 1
     assert checked > 30
+
+
+# -- argument errors: type, text and the order in which they fire, for
+# -- every public call (recorded before the p checks were folded)
+
+_NINE = MultiDigraph(9, [(i, (i + 1) % 9) for i in range(9)] + [(0, 4), (4, 0)])
+_PARALLEL = MultiDigraph(9, [(0, 1), (0, 1), (1, 2)])
+_INV, _PRE = InvalidArgumentError, PreconditionViolatedError
+_SIMULATE = {
+    "pair": simulate_pair,
+    "triple": simulate_triple,
+    "quintuple": simulate_quintuple,
+    "disjoint": lambda D, S, p: simulate_disjoint_triples(D, S, (5, 6, 7), p),
+}
+_PINNED_ERRORS = [
+    ("pair", _NINE, (0, 1), "4", _INV, "p must be even, got '4'"),
+    ("pair", _NINE, (0, 1), 4.0, _INV, "p must be even, got 4.0"),
+    ("pair", _NINE, (0, 1), True, _INV, "p must be even, got True"),
+    ("pair", _NINE, (0, 1), None, _INV, "p must be even, got None"),
+    ("pair", _NINE, (0, 1), -1, _INV, "p must be even, got -1"),
+    ("pair", _NINE, (0, 1), 0, _INV, "p must be >= 4, got 0"),
+    ("pair", _NINE, (0, 1), 2, _INV, "p must be >= 4, got 2"),
+    ("pair", _NINE, (0, 1), 5, _INV, "p must be even, got 5"),
+    ("pair", _NINE, (0, 1), 8, _PRE, "need n >= p+2 = 10, got n = 9"),
+    ("pair", _NINE, (0, 2.5), 4, _INV, "vertex id 2.5 out of range 0..8"),
+    ("pair", _NINE, (0, True), 4, _INV, "vertex id True out of range 0..8"),
+    ("pair", _NINE, (0, 9), 4, _INV, "vertex id 9 out of range 0..8"),
+    ("pair", _NINE, (0, 9), 5, _INV, "p must be even, got 5"),
+    ("pair", _NINE, (0, 9), 2, _INV, "p must be >= 4, got 2"),
+    ("pair", _NINE, (0,), 4, _INV, "target must have exactly 2 distinct vertices"),
+    ("pair", _NINE, (0, 0), 2, _INV, "p must be >= 4, got 2"),
+    ("pair", _NINE, (0, 1, 8), 4, _INV, "target must have exactly 2 distinct vertices"),
+    ("pair", _PARALLEL, (0, 1), 4, _INV, "input has parallel arcs; a digraph is required"),
+    ("pair", _PARALLEL, (0, 1), 5, _INV, "p must be even, got 5"),
+    ("pair", [(0, 1)], (0, 1), 4, _INV, "simulation expects a MultiDigraph"),
+    ("pair", [(0, 1)], (0, 1), "x", _INV, "p must be even, got 'x'"),
+    ("triple", _NINE, (0, 1, 2), "4", _INV, "p must be an int >= 2, got '4'"),
+    ("triple", _NINE, (0, 1, 2), True, _INV, "p must be an int >= 2, got True"),
+    ("triple", _NINE, (0, 1, 2), 1, _INV, "p must be an int >= 2, got 1"),
+    ("triple", _NINE, (0, 1, 2), 2, _INV, "p must be odd, got 2"),
+    ("triple", _NINE, (0, 1, 2), 8, _INV, "p must be odd, got 8"),
+    ("triple", _NINE, (0, 1, 2), 9, _PRE, "need n >= p+2 = 11, got n = 9"),
+    ("triple", _NINE, (0, 1, 2), 11, _PRE, "need n >= p+2 = 13, got n = 9"),
+    ("triple", _NINE, (0, 2.5, 2), 6, _INV, "vertex id 2.5 out of range 0..8"),
+    ("triple", _NINE, (0, -1, 2), 2, _INV, "vertex id -1 out of range 0..8"),
+    ("triple", _NINE, (0, 0, 2), 6, _INV, "target must have exactly 3 distinct vertices"),
+    ("triple", _NINE, (0, 1, 2, 8), 2, _INV, "target must have exactly 3 distinct vertices"),
+    ("triple", _PARALLEL, (0, 1, 2), 4, _INV, "input has parallel arcs; a digraph is required"),
+    ("triple", [(0, 1)], (0, 1, 2), "x", _INV, "simulation expects a MultiDigraph"),
+    ("quintuple", _NINE, (0, 1, 2, 3, 4), 4.0, _INV, "p must be an int >= 2, got 4.0"),
+    ("quintuple", _NINE, (0, 1, 2, 3, 4), -1, _INV, "p must be an int >= 2, got -1"),
+    ("quintuple", _NINE, (0, 1, 2, 3, 4), 2, _INV, "p must be odd, got 2"),
+    ("quintuple", _NINE, (0, 1, 2, 3, 4), 3, _INV, "p mod 4 must be in [1], got 3 (p mod 4 = 3)"),
+    ("quintuple", _NINE, (0, 1, 2, 3, 4), 6, _INV, "p must be odd, got 6"),
+    ("quintuple", _NINE, (0, 1, 2, 3, 4), 9, _PRE, "need n >= p+2 = 11, got n = 9"),
+    ("quintuple", _NINE, (0, 1, 2, 3, 4), 11, _INV, "p mod 4 must be in [1], got 11 (p mod 4 = 3)"),
+    ("quintuple", _NINE, (0, 9, 2, 3, 4), 2, _INV, "vertex id 9 out of range 0..8"),
+    ("quintuple", _NINE, (0, 1, 2, 3), 6, _INV, "target must have exactly 5 distinct vertices"),
+    ("quintuple", _PARALLEL, (0, 1, 2, 3, 4), 5, _INV, "input has parallel arcs; a digraph is required"),
+    ("quintuple", [(0, 1)], (0, 1, 2, 3, 4), 4, _INV, "simulation expects a MultiDigraph"),
+    ("disjoint", _NINE, (0, 1, 2), None, _INV, "p must be an int >= 2, got None"),
+    ("disjoint", _NINE, (0, 1, 2), 0, _INV, "p must be an int >= 2, got 0"),
+    ("disjoint", _NINE, (0, 1, 2), 4, _INV, "p must be odd, got 4"),
+    ("disjoint", _NINE, (0, 1, 2), 7, _INV, "p mod 4 must be in [1], got 7 (p mod 4 = 3)"),
+    ("disjoint", _NINE, (0, 1, 2), 9, _PRE, "need n >= p+2 = 11, got n = 9"),
+    ("disjoint", _NINE, (0, True, 2), 6, _INV, "vertex id True out of range 0..8"),
+    ("disjoint", _NINE, (0, 1), 2, _INV, "target must have exactly 3 distinct vertices"),
+    ("disjoint", _PARALLEL, (0, 1, 2), 4, _INV, "input has parallel arcs; a digraph is required"),
+    ("disjoint", [(0, 1)], (0, 1, 2), 5, _INV, "simulation expects a MultiDigraph"),
+]
+
+
+@pytest.mark.parametrize("call, D, target, p, error, message", _PINNED_ERRORS)
+def test_each_public_simulation_raises_its_pinned_error_first(call, D, target, p, error, message):
+    with pytest.raises(error) as info:
+        _SIMULATE[call](D, target, p)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "companion, message",
+    [
+        ((5, 6, 9), "vertex id 9 out of range 0..8"),
+        ((5, 6), "companion must have exactly 3 distinct vertices"),
+        ((2, 6, 7), "the two triples must be disjoint"),
+        ((5, 6, 2.0), "vertex id 2.0 out of range 0..8"),
+    ],
+)
+def test_disjoint_triples_pin_their_companion_errors(companion, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        simulate_disjoint_triples(_NINE, (0, 1, 2), companion, 5)
+    assert str(info.value) == message
