@@ -2,7 +2,8 @@
 
 Runs the same randomly generated capacity matrices through both
 backends, asserts they agree call by call, and reports per-operation
-timings.  min_cut_value gets the symmetrised matrices.  A second sweep
+timings.  st_max_flow runs unbounded and limited to 1 (the pure
+backend's reach) and 2.  min_cut_value gets the symmetrised matrices.  A second sweep
 times min_cut_value on graph families (cycle, cycle plus n/6 chords,
 complete, random 10-regular), karc_deficient_cut with k = 1 and 2 on
 a union of k directed Hamilton cycles plus n/2 chords, and
@@ -179,6 +180,11 @@ def table_rows(sizes, samples, seed):
             (
                 "st_max_flow",
                 lambda impl, inst, n=n: impl.st_max_flow(n, inst[0], *inst[1], -1),
+                flows,
+            ),
+            (
+                "st_max_flow limit=1",
+                lambda impl, inst, n=n: impl.st_max_flow(n, inst[0], *inst[1], 1),
                 flows,
             ),
             (

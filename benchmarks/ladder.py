@@ -13,6 +13,8 @@ groups:
   rank.
 - ``pairs``: ``min_k2_inversion_set(D, 1)`` on broken cycles at n = 40
   and 50, seeds 1 and 2, built by ``reversed_chorded_cycle`` below.
+- ``greedy``: ``greedy_k2_inversion_set(D, 1)``, the greedy pair repair
+  and its exact fallback, on the same broken cycles.
 
 Every call runs in a child interpreter of its own under a wall-clock
 cap, which bounds the whole child (import, instance and call).  A rung
@@ -63,12 +65,13 @@ CALLS = {
     "witness": "is_kp_invertible(D, 1, p, witness=True)",
     "near-tournament": "is_kp_invertible(D, 1, p, witness=True)",
     "pairs": "min_k2_inversion_set(D, 1)",
+    "greedy": "greedy_k2_inversion_set(D, 1)",
 }
 # (call group, n, set size, seed)
 RUNGS = (
     [("witness", n, p, 1) for n in (64, 128, 256) for p in (3, 5)]
     + [("near-tournament", 64, 3, 5)]
-    + [("pairs", n, 2, seed) for n in (40, 50) for seed in (1, 2)]
+    + [(call, n, 2, seed) for call in ("pairs", "greedy") for n in (40, 50) for seed in (1, 2)]
 )
 REPEAT = 3
 CAP_S = 120.0  # seconds per child; no rung has taken more than about 40 s
@@ -126,11 +129,13 @@ def child(src, call, n, p, seed, cimpl_path):
         D = reversed_chorded_cycle(A, n, seed)
     floor_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
-    if call != "pairs":
+    if call == "pairs":
+        fam, reason = A.min_k2_inversion_set(D, 1), None
+    elif call == "greedy":
+        fam, reason = A.greedy_k2_inversion_set(D, 1), None
+    else:
         verdict = A.is_kp_invertible(D, 1, p, witness=True)
         fam, reason = verdict.witness, verdict.reason
-    else:
-        fam, reason = A.min_k2_inversion_set(D, 1), None
     wall = time.perf_counter() - start
     sets = [] if fam is None else [sorted(s) for s in fam.sets]
     verified = fam is not None and all(len(s) == p for s in sets) and A.is_k_arc_strong(

@@ -18,6 +18,11 @@ order of a dense scan, so every breadth-first search visits the same
 vertices in the same order and finds the same augmenting paths as a
 scan of every vertex would.
 
+A flow limited to 1 runs no flow at all: it is 1 exactly when t is
+reachable from s, and below that limit the residual graph is the input,
+so st_max_flow answers it with the row-mask reach that k = 1 cut scans
+use, stopped at t.
+
 karc_deficient_cut does less than the C kernel's scan and returns the
 same side: with k = 1 it takes whole rows as bitmasks instead of
 testing one vertex at a time.  With k >= 2 the C kernel sends its flows
@@ -116,9 +121,17 @@ def st_max_flow(n, caps, s, t, limit=-1):
     residual graph, a minimum cut side; a flow that reaches its limit
     returns side_mask 0.  s and t must be distinct vertices
     (ValueError).
+
+    With limit 1 no path is augmented: the flow is 1 exactly when s
+    reaches t along positive entries, and otherwise the residual graph
+    is caps itself, so the side is the reach of s.  _reach answers both
+    with row masks and stops as soon as it reaches t.
     """
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need distinct s, t in 0..{n - 1}, got {s}, {t}")
+    if limit == 1:
+        mask = _reach(n, caps, 1 << s, False, 1 << t)
+        return (1, 0) if mask >> t & 1 else (0, mask)
     target = [False] * n
     target[t] = True
     return _flow(n, caps, list(caps), [None] * n, s, target, limit)
@@ -130,12 +143,14 @@ def st_max_flow(n, caps, s, t, limit=-1):
 POW = [1 << i for i in range(64)]
 
 
-def _reach(n, caps, mask, backward):
+def _reach(n, caps, mask, backward, stop=0):
     """Mask of the vertices that the vertices of ``mask`` reach along
     the positive entries of ``caps`` (backward: that reach them).  Each
     reached vertex is expanded once: its row (backward: its column)
     becomes a mask in one C-level ``sum(compress(POW, row))``, and the
-    search stops once every vertex is reached."""
+    search stops once every vertex is reached, or as soon as it reaches
+    a vertex of ``stop``: the mask returned then holds that vertex but
+    not the whole reach."""
     global POW
     pow2 = POW
     if len(pow2) < n:
@@ -149,6 +164,8 @@ def _reach(n, caps, mask, backward):
         row = caps[u::n] if backward else caps[u * n:u * n + n]
         new = sum(compress(pow2, row)) & ~mask
         mask |= new
+        if new & stop:
+            break
         todo |= new
     return mask
 

@@ -75,13 +75,20 @@ def min_k2_inversion_set(D, k, support=None):
     return None if fam is None else _verified(D, fam, k, "pair search family")
 
 
-def _asymmetric_pairs(n, caps, sup):
-    """The pairs u < v of sup whose two arc counts differ, each mapped to
-    a bit of its own.  A flip swaps the two counts of its pair, so every
-    pair keeps this property.  The bits only tell the pairs apart: the
-    branch order comes from _gaining_pairs' sort."""
-    pairs = [(u, v) for u in sup for v in sup if u < v and caps[u * n + v] != caps[v * n + u]]
-    return {pr: 1 << i for i, pr in enumerate(pairs)}
+def _asymmetric_pairs(D, sup=None):
+    """The pairs u < v of sup (default: all vertices) whose two arc
+    counts differ, each mapped to a bit of its own.  Such a pair has an
+    arc, so one pass over D's arc dict finds them all.  A flip swaps the
+    two counts of its pair, so every pair keeps this property.  The bits
+    only tell the pairs apart: the branch order comes from
+    _gaining_pairs' sort."""
+    m = D._m
+    pairs = {}
+    for (t, h), c in m.items():
+        pr = (t, h) if t < h else (h, t)
+        if pr not in pairs and m.get((h, t), 0) != c and (sup is None or (t in sup and h in sup)):
+            pairs[pr] = 1 << len(pairs)
+    return pairs
 
 
 def _gaining_pairs(n, caps, side, pairs):
@@ -110,7 +117,13 @@ def _gaining_pairs(n, caps, side, pairs):
 
 def _min_pairs(D, k, sup=None):
     """min_k2_inversion_set on checked inputs, before its verification;
-    pairs lie within sup.
+    pairs lie within sup."""
+    return _pair_search(D, k, _asymmetric_pairs(D, sup), {})
+
+
+def _pair_search(D, k, allowed, memo):
+    """The branch and bound of _min_pairs over the pairs of ``allowed``
+    (as _asymmetric_pairs gives them), starting from ``memo``.
 
     The search state is the mask of flipped pairs, one bit per allowed
     pair.  Pair flips commute, so the mask fixes caps, and one memo
@@ -123,43 +136,44 @@ def _min_pairs(D, k, sup=None):
     failed under B' < B was B' - |mask|, below the budget it meets
     now.  Within one budget the entry acts as a per-budget failed memo
     would, so every search meets the same nodes in the same order and
-    returns the same family."""
-    n = D.n
-    sup = range(n) if sup is None else sup
-    caps = D.caps_flat()
-    allowed = _asymmetric_pairs(n, caps, sup)
+    returns the same family.  A caller may hand in entries
+    {mask: (side, 0)} for states that are not k-arc-strong: that is
+    what a first visit stores, so the search is the same without the
+    backend call.
 
+    A flip changes the degrees of its two vertices only, so the count
+    of deficient vertices (out- or in-degree below k) is kept up to
+    date by the flips instead of recounted at each node."""
+    n = D.n
+    caps = D.caps_flat()
     outdeg, indeg = _degrees(n, caps)
+    # a single vertex has no proper cut, so its degrees bound nothing
+    short = sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k) if n > 1 else 0
 
     def flip(u, v):
+        nonlocal short
+        before = (outdeg[u] < k or indeg[u] < k) + (outdeg[v] < k or indeg[v] < k)
         uv, vu = caps[u * n + v], caps[v * n + u]
         caps[u * n + v], caps[v * n + u] = vu, uv
         outdeg[u] += vu - uv
         indeg[v] += vu - uv
         outdeg[v] += uv - vu
         indeg[u] += uv - vu
-
-    def deficient():
-        # a single vertex has no proper cut, so its degrees bound nothing
-        if n < 2:
-            return 0
-        return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
+        short += (outdeg[u] < k or indeg[u] < k) + (outdeg[v] < k or indeg[v] < k) - before
 
     chain = []
-    # mask -> (deficient side, largest budget known to fail); with no
-    # flip left, a state that is not k-arc-strong fails
-    memo = {}
 
     def dfs(mask, budget):
         # a pair flip touches two vertices; a k-arc-strong digraph has no
         # deficient vertex, so this bound goes before the flows
-        if deficient() > 2 * budget:
+        if short > 2 * budget:
             return None
         entry = memo.get(mask)
         if entry is None:
             side = _kernels.karc_deficient_cut(n, caps, k)
             if side == -1:
                 return InversionFamily(chain)
+            # with no flip left, a state that is not k-arc-strong fails
             entry = memo[mask] = (side, 0)
         side, failed = entry
         if budget <= failed:
@@ -198,23 +212,31 @@ def _greedy_pairs(D, k):
     """greedy_k2_inversion_set on checked inputs, before its
     verification: the first unflipped pair of _min_pairs' candidate
     list, so the leftmost descent of the exact search (without its
-    budget)."""
+    budget).
+
+    The walk and its fallback share one pair list and one memo: every
+    state the walk scanned is not k-arc-strong, and enters the memo with
+    the entry a first visit of the exact search would store, so the
+    fallback meets the same nodes in the same order and returns the
+    same family without asking the kernel about those states again."""
     n = D.n
     caps = D.caps_flat()
-    allowed = _asymmetric_pairs(n, caps, range(n))
-    flipped = set()
+    allowed = _asymmetric_pairs(D)
+    memo = {}
+    mask = 0
     while True:
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
-            return InversionFamily(sorted(flipped))
-        pairs = (pr for _g, pr in _gaining_pairs(n, caps, side, allowed) if pr not in flipped)
+            return InversionFamily(sorted(pr for pr, bit in allowed.items() if mask & bit))
+        memo[mask] = (side, 0)
+        pairs = (pr for _g, pr in _gaining_pairs(n, caps, side, allowed) if not mask & allowed[pr])
         best = next(pairs, None)
         if best is None:
             break
         u, v = best
         caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
-        flipped.add(best)
-    result = _min_pairs(D, k)
+        mask |= allowed[best]
+    result = _pair_search(D, k, allowed, memo)
     if result is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")
     return result
@@ -263,15 +285,30 @@ def _minimal_core(D, k):
     return MultiDigraph._trusted(n, {(t, h): caps[t * n + h] for (t, h) in D._m if caps[t * n + h]})
 
 
+def _checked_pair(e, n):
+    """frozenset of the pair e, once it is two int vertices of 0..n-1."""
+    es = frozenset(e)
+    if len(es) != 2:
+        raise InvalidArgumentError("pairs must have exactly 2 vertices")
+    for v in es:
+        _check_vertex(v, n, "pair vertex")
+    return es
+
+
 def pairs_independent(e, f, G):
     """Independence of two vertex pairs in the multigraph G: no edge of
     G inside the union other than (possibly) e and f themselves, and
     neither pair doubled.  For two edges of G this says the union spans
     precisely those two edges; the pairs may share a vertex."""
-    es = frozenset(e)
-    fs = frozenset(f)
-    if len(es) != 2 or len(fs) != 2 or es == fs:
+    es = _checked_pair(e, G.n)
+    fs = _checked_pair(f, G.n)
+    if es == fs:
         raise InvalidArgumentError("expected two distinct vertex pairs")
+    return _independent(es, fs, G)
+
+
+def _independent(es, fs, G):
+    """pairs_independent on two distinct checked pairs."""
     if G.mult(*es) > 1 or G.mult(*fs) > 1:
         return False
     union = sorted(es | fs)
@@ -289,13 +326,19 @@ def pack_independent_pairs(pairs, G, p):
 
     Returns (packed_unions, leftover_pairs).  Scanning is canonical:
     pairs are kept sorted and the lexicographically first independent
-    group is extracted until none is left."""
+    group is extracted until none is left.  Each pair must be two int
+    vertices of G, and no pair may repeat: a pair flipped twice is
+    not flipped, and its union with others would flip it once."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError("pack_independent_pairs expects a Multigraph")
     _check_p(p, 3)
-    remaining = sorted({frozenset(e) for e in pairs}, key=sorted)
-    if any(len(e) != 2 for e in remaining):
-        raise InvalidArgumentError("pairs must have exactly 2 vertices")
+    seen = set()
+    for e in pairs:
+        es = _checked_pair(e, G.n)
+        if es in seen:
+            raise InvalidArgumentError(f"pair {sorted(es)} repeated")
+        seen.add(es)
+    remaining = sorted(seen, key=sorted)
     h = p // 2
     packed = []
     while len(remaining) >= h:
@@ -303,7 +346,7 @@ def pack_independent_pairs(pairs, G, p):
         for idxs in combinations(range(len(remaining)), h):
             cand = [remaining[i] for i in idxs]
             if all(
-                pairs_independent(cand[i], cand[j], G)
+                _independent(cand[i], cand[j], G)
                 for i in range(len(cand))
                 for j in range(i + 1, len(cand))
             ):
@@ -360,7 +403,11 @@ def approx_kp(D, k, p, heuristic=False):
     # the check of base hands back the k-arc-strong digraph it applied
     core = _minimal_core(_strong_after(D, base, k, "pair stage family"), k)
     packed, leftover = pack_independent_pairs(base, core.underlying(), p)
-    family = _verified(D, InversionFamily(list(packed) + list(leftover)), k, "approximation output")
+    family = InversionFamily(list(packed) + list(leftover))
+    # an output with the pair family's sets applies to the digraph that
+    # check just proved k-arc-strong
+    if family.canonical() != base.canonical():
+        _verified(D, family, k, "approximation output")
     trace = ApproxTrace(
         base_pairs=base,
         base_optimal=not heuristic,

@@ -1,10 +1,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from arcinvert import _kernels, approx, core, oracles
+from arcinvert._kernels import _pyimpl
 from arcinvert.approx import (
     approx_kp,
     eta,
@@ -134,14 +137,15 @@ def test_greedy_output_is_valid_and_never_beats_exact():
 
 def _greedy_over_all_pairs(D, k):
     """The greedy pair repair with its former step, which scans all
-    pairs u < v for the best crossing one."""
+    pairs u < v for the best crossing one, and its former fallback, an
+    exact search with a memo of its own; and whether it fell back."""
     n = D.n
     caps = D.caps_flat()
     flipped = set()
     while True:
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
-            return sorted(flipped)
+            return sorted(flipped), False
         best = None
         for u in range(n):
             for v in range(u + 1, n):
@@ -153,7 +157,7 @@ def _greedy_over_all_pairs(D, k):
                     if gain > 0 and (best is None or (-gain, (u, v)) < best):
                         best = (-gain, (u, v))
         if best is None:
-            return [tuple(sorted(s)) for s in approx._min_pairs(D, k).sets]
+            return [tuple(sorted(s)) for s in approx._min_pairs(D, k).sets], True
         _g, (u, v) = best
         caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
         flipped.add((u, v))
@@ -177,7 +181,7 @@ def test_greedy_crossing_step_matches_the_all_pairs_scan():
             broken += not is_k_arc_strong(D, k)
             digons += any(D.mult(h, t) for (t, h, _m) in D.arcs())
             fam = greedy_k2_inversion_set(D, k)
-            assert [tuple(sorted(s)) for s in fam.sets] == _greedy_over_all_pairs(D, k)
+            assert [tuple(sorted(s)) for s in fam.sets] == _greedy_over_all_pairs(D, k)[0]
     assert broken >= 20 and digons >= 40
 
 
@@ -297,9 +301,11 @@ def test_minimally_k_arc_strong_runs_one_flow_per_unit(monkeypatch):
 
 
 def test_approx_kp_tests_strongness_twice(monkeypatch):
-    # once inside the pair stage, once on the final family, both in
-    # core._verified: the minimal core reuses the pair stage's proof
-    # instead of testing again
+    # once inside the pair stage, and once on the final family when its
+    # sets differ from the pair family's, both in core._verified: the
+    # minimal core reuses the pair stage's proof instead of testing
+    # again, and an output with the pair family's sets applies to the
+    # digraph that proof is about
     calls = []
 
     def counted(D, k, _fn=is_k_arc_strong):
@@ -308,18 +314,23 @@ def test_approx_kp_tests_strongness_twice(monkeypatch):
 
     monkeypatch.setattr(core, "is_k_arc_strong", counted)
     rng = random.Random(511)
+    seen = Counter()
     for heuristic in (False, True):
-        for _ in range(6):
-            D = rand_2kec_digraph(rng, 1, rng.randint(5, 9))
-            calls.clear()
-            approx_kp(D, 1, 3, heuristic=heuristic)
-            assert len(calls) == 2
+        for p in (3, 4):
+            for _ in range(6):
+                D = _cycles_digraph(rng, 1, rng.randint(6, 9), bundles=False)
+                calls.clear()
+                family, trace = approx_kp(D, 1, p, heuristic=heuristic)
+                same = family.canonical() == trace.base_pairs.canonical()
+                seen[same] += 1
+                assert len(calls) == (1 if same else 2)
+    assert seen[True] and seen[False]
 
 
 def test_approx_kp_applies_the_pair_family_once(monkeypatch):
     # the pair stage's check hands its digraph to the minimal core, so
-    # one approx_kp applies a family twice: the pair family and the
-    # output, each re-verified
+    # one approx_kp applies the pair family once, and the output again
+    # only when its sets differ from the pair family's
     applied = []
     check = core._check_digraph
 
@@ -333,13 +344,18 @@ def test_approx_kp_applies_the_pair_family_once(monkeypatch):
     inputs = [MultiDigraph(7, [(1, 0)] + cycle[1:]), MultiDigraph(7, [(1, 0), (1, 2), (3, 2)] + cycle[3:])]
     rng = random.Random(513)
     inputs += [rand_2kec_digraph(rng, 1, rng.randint(5, 9)) for _ in range(6)]
+    inputs += [_cycles_digraph(rng, 1, rng.randint(6, 9), bundles=False) for _ in range(6)]
+    seen = Counter()
     for D in inputs:
-        for heuristic in (False, True):
+        for heuristic, p in product((False, True), (3, 4)):
             applied.clear()
-            family, trace = approx_kp(D, 1, 3, heuristic=heuristic)
-            assert applied == [D.n, D.n]
+            family, trace = approx_kp(D, 1, p, heuristic=heuristic)
+            same = family.canonical() == trace.base_pairs.canonical()
+            seen[same] += 1
+            assert applied == ([D.n] if same else [D.n, D.n])
             assert is_k_arc_strong(apply_inversions(D, family), 1)
             assert is_k_arc_strong(apply_inversions(D, trace.base_pairs), 1)
+    assert seen[True] and seen[False]
 
 
 def test_entry_points_share_one_lambda_per_digraph(monkeypatch):
@@ -455,3 +471,197 @@ def test_min_k2_rejects_non_int_support_vertices():
     for support in ({0, 2.5}, {0, True}, {0, 5}):
         with pytest.raises(InvalidArgumentError):
             min_k2_inversion_set(D, 1, support=support)
+
+
+# -- the pair stage's rules against references kept here ------------------
+
+
+def _pair_scan(n, caps, sup):
+    """The allowed pairs by the former scan of all pairs u < v of sup."""
+    return [(u, v) for u in sup for v in sup if u < v and caps[u * n + v] != caps[v * n + u]]
+
+
+def _reference_min_pairs(D, k, sup=None):
+    """The pair search with the former n^2 pair scan and a recount of
+    the deficient vertices at every node."""
+    n = D.n
+    sup = range(n) if sup is None else sup
+    caps = D.caps_flat()
+    allowed = {pr: 1 << i for i, pr in enumerate(_pair_scan(n, caps, sup))}
+    outdeg, indeg = core._degrees(n, caps)
+
+    def flip(u, v):
+        uv, vu = caps[u * n + v], caps[v * n + u]
+        caps[u * n + v], caps[v * n + u] = vu, uv
+        outdeg[u] += vu - uv
+        indeg[v] += vu - uv
+        outdeg[v] += uv - vu
+        indeg[u] += uv - vu
+
+    def deficient():
+        if n < 2:
+            return 0
+        return sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k)
+
+    chain = []
+    memo = {}
+
+    def dfs(mask, budget):
+        if deficient() > 2 * budget:
+            return None
+        entry = memo.get(mask)
+        if entry is None:
+            side = _kernels.karc_deficient_cut(n, caps, k)
+            if side == -1:
+                return core.InversionFamily(chain)
+            entry = memo[mask] = (side, 0)
+        side, failed = entry
+        if budget <= failed:
+            return None
+        for _g, pr in approx._gaining_pairs(n, caps, side, allowed):
+            bit = allowed[pr]
+            if mask & bit:
+                continue
+            flip(*pr)
+            chain.append(pr)
+            fam = dfs(mask | bit, budget - 1)
+            if fam is not None:
+                return fam
+            chain.pop()
+            flip(*pr)
+        memo[mask] = (side, budget)
+        return None
+
+    for budget in range(len(allowed) + 1):
+        fam = dfs(0, budget)
+        if fam is not None:
+            return fam
+    return None
+
+
+def _pair_inputs(rng, count):
+    """(D, k, support) with 2k-edge-connected underlying multigraphs:
+    random orientations of k Hamilton cycles plus chords, with digons
+    and, in a third of them, parallel arcs, and a vertex subset as the
+    support in a quarter of them."""
+    out = []
+    for i in range(count):
+        k = (1, 1, 2, 3)[i % 4]
+        D = _cycles_digraph(rng, k, rng.randint(2 * k + 1, 2 * k + 5), bundles=i % 3 == 0)
+        sup = None
+        if rng.random() < 0.25:
+            sup = set(rng.sample(range(D.n), rng.randint(2, D.n)))
+        out.append((D, k, sup))
+    return out
+
+
+def test_pair_list_from_the_arc_dict_matches_the_all_pairs_scan():
+    rng = random.Random(521)
+    kinds = Counter()
+    for D, k, sup in _pair_inputs(rng, 320):
+        n = D.n
+        caps = D.caps_flat()
+        allowed = approx._asymmetric_pairs(D, sup)
+        assert sorted(allowed) == _pair_scan(n, caps, range(n) if sup is None else sorted(sup))
+        assert sorted(allowed.values()) == [1 << i for i in range(len(allowed))]
+        kinds["digon"] += any(D.mult(h, t) for (t, h, _m) in D.arcs())
+        kinds["parallel"] += any(m > 1 for (_t, _h, m) in D.arcs())
+        kinds["support"] += sup is not None
+    assert min(kinds.values()) >= 40
+
+
+def test_running_deficiency_count_searches_as_the_recount_did(monkeypatch):
+    # the same family, and the kernel asked about the same matrices in
+    # the same order, so the count cut exactly the nodes the recount cut
+    asked = []
+
+    def karc(n, caps, k, _fn=_kernels.karc_deficient_cut):
+        asked.append(tuple(caps))
+        return _fn(n, caps, k)
+
+    monkeypatch.setattr(_kernels, "karc_deficient_cut", karc)
+    rng = random.Random(522)
+    found = Counter()
+    for D, k, sup in _pair_inputs(rng, 320):
+        del asked[:]
+        mine = approx._min_pairs(D, k, sup)
+        mine_asked = list(asked)
+        del asked[:]
+        ref = _reference_min_pairs(D, k, sup)
+        assert mine_asked == asked
+        assert (mine and mine.sets) == (ref and ref.sets)
+        found[mine is None] += 1
+        found[f"k={k}"] += 1
+    assert found[True] >= 10 and found[False] >= 200 and found["k=3"] >= 60
+
+
+def _broken_cycles(rng, count):
+    """(D, k): k random Hamilton cycles, each arc turned at random, plus
+    chords; the greedy walk gets stuck on many of them."""
+    out = []
+    for i in range(count):
+        k = (1, 1, 2, 3)[i % 4]
+        out.append((_cycles_digraph(rng, k, rng.randint(2 * k + 3, 2 * k + 7), bundles=False), k))
+    return out
+
+
+def test_greedy_with_a_shared_memo_returns_the_fresh_fallback_family():
+    rng = random.Random(523)
+    fallbacks = Counter()
+    for D, k in _broken_cycles(rng, 300):
+        want, fell_back = _greedy_over_all_pairs(D, k)
+        assert [tuple(sorted(s)) for s in approx._greedy_pairs(D, k).sets] == want
+        fallbacks[fell_back] += 1
+    assert fallbacks[True] >= 30 and fallbacks[False] >= 30
+
+
+def test_greedy_fallback_asks_nothing_the_walk_asked(monkeypatch):
+    """Every state the walk scanned is in the fallback's memo, so no
+    matrix reaches the backend twice in one greedy repair."""
+    seen = []
+
+    def karc(n, caps, k):
+        seen.append((n, tuple(caps), k))
+        return _pyimpl.karc_deficient_cut(n, caps, k)
+
+    monkeypatch.setattr(_kernels, "_impl", SimpleNamespace(
+        karc_deficient_cut=karc, st_max_flow=_pyimpl.st_max_flow,
+        min_cut_value=_pyimpl.min_cut_value, BACKEND="py",
+    ))
+    rng = random.Random(524)
+    repeats = 0
+    for D, k in _broken_cycles(rng, 120):
+        del seen[:]
+        _want, fell_back = _greedy_over_all_pairs(D, k)
+        if not fell_back:
+            continue
+        # the reference asks again about the states its walk scanned
+        repeats += len(seen) > len(set(seen))
+        del seen[:]
+        approx._greedy_pairs(D, k)
+        assert len(seen) == len(set(seen))
+    assert repeats >= 10
+
+
+def test_pairs_must_be_distinct_int_vertices_of_the_graph():
+    C6 = Multigraph(6, [(v, (v + 1) % 6) for v in range(6)])
+    # a repeated pair used to be packed once, flipping what the input
+    # family leaves alone
+    with pytest.raises(InvalidArgumentError, match="repeated"):
+        pack_independent_pairs([(0, 1), (1, 0), (3, 4)], C6, 4)
+    with pytest.raises(InvalidArgumentError, match="repeated"):
+        pack_independent_pairs([frozenset({2, 3}), (2, 3)], C6, 3)
+    for bad in ((0, 9), (0, -1), (1.5, 2), (True, 2), ("0", 1)):
+        with pytest.raises(InvalidArgumentError):
+            pack_independent_pairs([(2, 3), bad], C6, 4)
+        with pytest.raises(InvalidArgumentError):
+            pairs_independent(bad, (2, 3), C6)
+        with pytest.raises(InvalidArgumentError):
+            pairs_independent((2, 3), bad, C6)
+    with pytest.raises(InvalidArgumentError):
+        pack_independent_pairs([(0, 1, 2)], C6, 4)
+    with pytest.raises(InvalidArgumentError):
+        pairs_independent((0, 1), (1, 0), C6)
+    # the valid cases answer as before
+    assert pack_independent_pairs([(0, 1), (3, 4)], C6, 4) == ([frozenset({0, 1, 3, 4})], [])
+    assert pairs_independent((0, 1), (3, 4), C6)

@@ -12,7 +12,7 @@ import pytest
 
 from arcinvert import _kernels
 from arcinvert._kernels import _pyimpl
-from arcinvert.approx import min_k2_inversion_set
+from arcinvert.approx import min_k2_inversion_set, minimally_k_arc_strong
 from arcinvert.core import (
     InversionFamily,
     MultiDigraph,
@@ -740,3 +740,50 @@ def test_memo_answers_threads_as_the_backend_does(backend, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# -- unit-limit flows by reach --------------------------------------------
+
+
+def _flow_limit_one(n, caps, s, t):
+    """st_max_flow(n, caps, s, t, 1) by the augmenting search of _flow."""
+    target = [False] * n
+    target[t] = True
+    return _pyimpl._flow(n, caps, list(caps), [None] * n, s, target, 1)
+
+
+def test_unit_limit_flow_matches_the_augmenting_search():
+    rng = random.Random(110)
+    sizes = [*range(2, 20), 40, 63, 64, 65, 80, 100, 130]
+    kinds = {0: 0, 1: 0}
+    wide = 0
+    for i in range(330):
+        n = sizes[i % len(sizes)]
+        density = (0.02, 0.05, 0.15, 0.4)[i % 4] if n > 20 else rng.uniform(0.05, 0.6)
+        caps = _rand_caps(rng, n, density, 1 + i % 3)
+        for s, t in [tuple(rng.sample(range(n), 2)) for _ in range(3)]:
+            got = _pyimpl.st_max_flow(n, caps, s, t, 1)
+            assert got == _flow_limit_one(n, caps, s, t)
+            kinds[got[0]] += 1
+            wide += n > 64 and got[0] == 0 and got[1] >> 64 != 0
+    assert min(kinds.values()) >= 200 and wide >= 5
+
+
+def test_unit_limit_flow_runs_no_augmenting_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a limit-1 flow ran _flow")
+
+    rng = random.Random(111)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(2, 70)
+        cases.append((n, _rand_caps(rng, n, rng.uniform(0.02, 0.4), 2), *rng.sample(range(n), 2)))
+    want = [_flow_limit_one(*case) for case in cases]
+    drawn = [rand_2kec_digraph(rng, 1, rng.randint(4, 9)) for _ in range(20)]
+    strong = [D for D in drawn if is_k_arc_strong(D, 1)]
+    cores = [minimally_k_arc_strong(D, 1) for D in strong]
+    monkeypatch.setattr(_pyimpl, "_flow", refuse)
+    monkeypatch.setattr(_kernels, "_impl", _pyimpl)
+    assert [_pyimpl.st_max_flow(*case, 1) for case in cases] == want
+    # the minimal core's k = 1 flows are all limit-1 flows
+    assert [minimally_k_arc_strong(D, 1) for D in strong] == cores and len(strong) >= 5
