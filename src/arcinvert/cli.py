@@ -26,6 +26,7 @@ from math import comb
 
 from .approx import approx_kp
 from .core import (
+    _check_k,
     INFINITY,
     Multigraph,
     MultiDigraph,
@@ -85,6 +86,7 @@ def _report(out, argv, body_lines, millis):
 
 def _cmd_analyze(args):
     D = read_mdg(args.file)
+    _check_k(args.k)
     body = _digest_lines(D)
     for k in range(1, args.k + 1):
         flag = is_k_arc_strong(D, k)

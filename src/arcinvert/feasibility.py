@@ -3,10 +3,11 @@
 Above a vertex threshold the answer is structural: for even p it is
 exactly 2k-edge-connectivity of the underlying graph, for odd p
 additionally the digraph must not carry a k-obstruction partition.
-Below the threshold the exhaustive parity-space search
-oracles._gf2_search decides.  For n <= 16 it runs its forced-parity
-refutation once its DFS first backtracks, so a decision whose first
-descent finds a family pays for no refutation.  The threshold is
+Below the threshold the exhaustive parity-space search of the parity
+module, parity._gf2_search, decides; no route here imports the
+reference oracles.  For n <= 16 it runs its forced-parity refutation
+once its DFS first backtracks, so a decision whose first descent finds
+a family pays for no refutation.  The threshold is
 max(p + 2, 2k + 2) for even p and max(p + 2, 4k + 2) for odd p.
 
 Witnesses are built from a pair or triple family (small sets are easy
@@ -14,11 +15,11 @@ to find) whose members are then rewritten into exact-size-p families by
 the simulation plans; symmetric differences of the plans compose
 because inversion effects add up over GF(2).  The plans are built
 privately (simulation._plan_sets) and never checked one by one: the
-merged family is verified once, by _finish, like every witness.  The triple family, and
-the exhaustive fallback where the rewriting rules do not apply, come
-from the same parity-space search without the refutation: the decision
-has already proved that the family exists, so the 2^n cut scan could
-only confirm it.
+merged family is verified once, by _finish, like every witness.  The
+triple family, and the exhaustive fallback where the rewriting rules do
+not apply, come from the same parity-space search without the
+refutation: the decision has already proved that the family exists, so
+the 2^n cut scan could only confirm it.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .core import (
 )
 from .errors import PreconditionViolatedError, UnsupportedError
 from .obstruction import ObstructionCertificate, _obstruction_scan
-from .oracles import _gf2_search
+from .parity import _gf2_search
 from .simulation import _plan_sets
 
 REASON_NOT_CONNECTED = "not-2k-edge-connected"

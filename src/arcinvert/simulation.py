@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolatedError,
     UnsupportedError,
 )
-from .oracles import Gf2Basis
+from .parity import Gf2Basis
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,16 @@ def test_analyze_triangle_golden(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_analyze_rejects_k_below_one(tmp_path, capsys, k):
+    # as every other subcommand does: a usage error and no digest
+    f = _write_triangle(tmp_path / "tri.mdg")
+    code, out, err = run(capsys, "analyze", "--k", k, f)
+    assert code == 2
+    assert err == f"error: k must be a positive int, got {k}\n"
+    assert out == []
+
+
 def test_feasible_no_with_certificate(tmp_path, capsys):
     f, _D = _write_obstruction(tmp_path / "obs.mdg")
     code, out, _err = run(capsys, "feasible", "--k", "1", "--p", "3", f)

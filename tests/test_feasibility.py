@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from arcinvert import approx, core, feasibility, obstruction, oracles, simulation
+from arcinvert import approx, core, feasibility, obstruction, oracles, parity, simulation
 from arcinvert.core import (
     InversionFamily,
     MultiDigraph,
@@ -18,7 +18,8 @@ from arcinvert.feasibility import (
     threshold,
 )
 from arcinvert.obstruction import star_matching_obstruction, verify_certificate
-from arcinvert.oracles import _gf2_search, orientation_bfs_reachable
+from arcinvert.oracles import orientation_bfs_reachable
+from arcinvert.parity import _gf2_search
 from arcinvert.reductions import rotative_tournament
 from arcinvert.simulation import simulate_pair, simulate_triple
 
@@ -150,7 +151,7 @@ def _count_calls(monkeypatch, module, name, counter):
 def test_odd_witness_decides_once(monkeypatch):
     # one connectivity check and one obstruction scan per decision, also
     # when a witness is built (the parity-space search that builds the
-    # triple family, oracles._gf2_search, checks no connectivity)
+    # triple family, parity._gf2_search, checks no connectivity)
     rng = random.Random(605)
     built = 0
     while built < 6:
@@ -186,7 +187,7 @@ def test_sub_threshold_decision_checks_once(monkeypatch):
         with monkeypatch.context() as m:
             for module in (feasibility, obstruction, approx, oracles):
                 _count_calls(m, module, "edge_connectivity", counts)
-            _count_calls(m, oracles, "_forced_parity_refuted", counts)
+            _count_calls(m, parity, "_forced_parity_refuted", counts)
             verdict = is_kp_invertible(D, 2, 3, witness=True)
         assert counts.pop("edge_connectivity") == 1
         assert counts in ({}, {"_forced_parity_refuted": 1})
@@ -203,7 +204,7 @@ def test_odd_witness_skips_the_parity_refutation(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the witness route ran the forced-parity refutation")
 
-    monkeypatch.setattr(oracles, "_forced_parity_refuted", refuse)
+    monkeypatch.setattr(parity, "_forced_parity_refuted", refuse)
     rng = random.Random(607)
     for p in (3, 5):
         built = 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcinvert import _kernels, approx, core, oracles
+from arcinvert import _kernels, approx, core, oracles, parity
 from arcinvert.core import (
     INFINITY,
     MultiDigraph,
@@ -18,9 +18,7 @@ from arcinvert.core import (
 )
 from arcinvert.errors import InvalidArgumentError
 from arcinvert.oracles import (
-    Gf2Basis,
     Hypergraph,
-    _cut_sizes,
     exact_inv_kp,
     exists_k_arc_strong_orientation,
     gf2_reachable,
@@ -28,6 +26,7 @@ from arcinvert.oracles import (
     max_p3_packing,
     orientation_bfs_reachable,
 )
+from arcinvert.parity import Gf2Basis, _cut_sizes
 
 from conftest import rand_2kec_digraph, rand_digraph, rand_multidigraph, rand_multigraph
 
@@ -190,13 +189,13 @@ def test_public_gf2_reachable_runs_the_parity_refutation(monkeypatch):
     from arcinvert.obstruction import star_matching_obstruction
 
     calls = []
-    original = oracles._forced_parity_refuted
+    original = parity._forced_parity_refuted
 
     def counted(*args):
         calls.append(original(*args))
         return calls[-1]
 
-    monkeypatch.setattr(oracles, "_forced_parity_refuted", counted)
+    monkeypatch.setattr(parity, "_forced_parity_refuted", counted)
     D, _cert = star_matching_obstruction(3)
     assert gf2_reachable(D, 1, 3, mode="exact-size") is None
     assert calls == [True]
@@ -591,7 +590,7 @@ def test_degree_two_hypergraphs_have_large_matchings():
         assert 9 * size >= H.n
 
 
-def _plain_degree_needs(n, k, caps, simple, _span):
+def _plain_degree_needs(n, k, caps, simple, _span, _rank):
     """The coset search's degree needs without the parity bound: k
     minus the fixed digon degree, for every vertex."""
     out_need = [max(0, k - sum(caps[v * n:v * n + n])) for v in range(n)]
@@ -618,7 +617,7 @@ def test_parity_needs_keep_every_answer(monkeypatch):
     # the parity-raised degree needs cut only subtrees without a
     # k-arc-strong leaf, so the search returns the very same family as
     # with the plain needs, and agrees with the BFS oracle
-    original = oracles._degree_needs
+    original = parity._degree_needs
     raised = []
 
     def recorded(*args):
@@ -626,7 +625,7 @@ def test_parity_needs_keep_every_answer(monkeypatch):
         raised.append(needs != _plain_degree_needs(*args))
         return needs
 
-    monkeypatch.setattr(oracles, "_degree_needs", recorded)
+    monkeypatch.setattr(parity, "_degree_needs", recorded)
     rng = random.Random(312)
     bfs_checked = 0
     for _ in range(400):
@@ -643,7 +642,7 @@ def test_parity_needs_keep_every_answer(monkeypatch):
         mode = rng.choice(("exact-size", "at-most"))
         got = gf2_reachable(D, k, p, mode=mode)
         with monkeypatch.context() as m:
-            m.setattr(oracles, "_degree_needs", _plain_degree_needs)
+            m.setattr(parity, "_degree_needs", _plain_degree_needs)
             want = gf2_reachable(D, k, p, mode=mode)
         assert got == want
         if n <= 6:
@@ -709,7 +708,7 @@ def test_coset_search_finds_the_least_strong_span_element():
         mode = rng.choice(("exact-size", "at-most"))
         want, dim = _least_strong_span_element(D, k, p, mode)
         for refute in (False, True):
-            got = oracles._gf2_search(D, k, p, mode, refute=refute)
+            got = parity._gf2_search(D, k, p, mode, refute=refute)
             assert (None if got is None else list(got.sets)) == want
         checked += 1
         forced += dim < m
@@ -724,13 +723,13 @@ class _SpanBuilt(Exception):
 def _span_of_the_search(monkeypatch, D, k, p, mode):
     """The Gf2Basis _gf2_search(D, k, p, mode) builds; the DFS is not
     run."""
-    def stop(n, k, caps, simple, span):
+    def stop(n, k, caps, simple, span, rank):
         raise _SpanBuilt(span)
 
     with monkeypatch.context() as m:
-        m.setattr(oracles, "_degree_needs", stop)
+        m.setattr(parity, "_degree_needs", stop)
         with pytest.raises(_SpanBuilt) as built:
-            oracles._gf2_search(D, k, p, mode)
+            parity._gf2_search(D, k, p, mode)
     return built.value.args[0]
 
 
@@ -795,7 +794,7 @@ def test_span_stop_skips_most_candidates(monkeypatch):
         return original(self, vec, combo)
 
     monkeypatch.setattr(Gf2Basis, "add", counted)
-    fam = oracles._gf2_search(D, 1, 3, "exact-size")
+    fam = parity._gf2_search(D, 1, 3, "exact-size")
     assert fam is not None and is_k_arc_strong(apply_inversions(D, fam), 1)
     assert 3 * len(calls) < nonzero
 
@@ -845,7 +844,7 @@ def test_degree_needs_at_full_rank_match_the_orthogonality_scan():
             for _ in range(rng.randint(0, m - 1)):
                 span.add(rng.getrandbits(m), 0)
         full = span.dim == m
-        assert oracles._degree_needs(n, k, caps, simple, span) == _orthogonal_scan_needs(
+        assert parity._degree_needs(n, k, caps, simple, span, m) == _orthogonal_scan_needs(
             n, k, caps, simple, span
         )
         seen[full] += 1
@@ -912,23 +911,23 @@ def test_span_stops_at_its_cycle_rank_with_the_rows_of_the_whole_span(monkeypatc
             continue
         checked += 1
         # even p and at-most mode keep the full-rank stop
-        assert oracles._cycle_rank(n, rng.choice((2, 4, 6)), "exact-size", simple) is None
-        assert oracles._cycle_rank(n, p, "at-most", simple) is None
+        assert parity._cycle_rank(n, rng.choice((2, 4, 6)), "exact-size", simple) is None
+        assert parity._cycle_rank(n, p, "at-most", simple) is None
         got = _span_of_the_search(monkeypatch, D, 1, p, "exact-size")
         want = _span_of_every_candidate(D, p, "exact-size")
         assert got.rows == want.rows and got._pivot == want._pivot
         rank = _free_pair_rank(D, p)
         assert want.dim <= rank
         if p > 3 and n < p + 2:
-            assert got.cycle_rank is None
+            assert parity._cycle_rank(n, p, "exact-size", simple) is None
             short += want.dim < rank
             continue
-        assert got.cycle_rank == rank == want.dim
+        assert parity._cycle_rank(n, p, "exact-size", simple) == rank == want.dim
         applied += 1
         local += rank < len(simple)
         caps = _digon_caps(D)
         for k in (1, 2):
-            assert oracles._degree_needs(n, k, caps, simple, got) == _orthogonal_scan_needs(
+            assert parity._degree_needs(n, k, caps, simple, got, rank) == _orthogonal_scan_needs(
                 n, k, caps, simple, got
             )
         vertices += n
@@ -950,7 +949,7 @@ def test_cycle_rank_stop_skips_most_candidates_of_a_tournament(monkeypatch):
         return original(self, vec, combo)
 
     monkeypatch.setattr(Gf2Basis, "add", counted)
-    fam = oracles._gf2_search(D, 1, 3, "exact-size")
+    fam = parity._gf2_search(D, 1, 3, "exact-size")
     assert fam is not None and is_k_arc_strong(apply_inversions(D, fam), 1)
     m = len(D.simple_arcs())
     assert m == n * (n - 1) // 2
@@ -965,22 +964,22 @@ def _eager_search(monkeypatch, D, k, p, mode, refute):
     """The coset search with the forced-parity refutation run before the
     DFS, as the search ran it before the deferral, and with the k = 1
     prune's test patched to keep every placement."""
-    needs = oracles._degree_needs
+    needs = parity._degree_needs
 
-    def refuting_needs(n, k, caps, simple, span):
-        if refute and n <= 16 and oracles._forced_parity_refuted(D, k, simple, span):
+    def refuting_needs(n, k, caps, simple, span, rank):
+        if refute and n <= 16 and parity._forced_parity_refuted(D, k, simple, span):
             raise _Refuted
-        return needs(n, k, caps, simple, span)
+        return needs(n, k, caps, simple, span, rank)
 
     def placing(self, i, t, h):
         self.tail[i] = t
         return True
 
     with monkeypatch.context() as m:
-        m.setattr(oracles, "_degree_needs", refuting_needs)
-        m.setattr(oracles._MixedReach, "keeps", placing)
+        m.setattr(parity, "_degree_needs", refuting_needs)
+        m.setattr(parity._MixedReach, "keeps", placing)
         try:
-            return oracles._gf2_search(D, k, p, mode)
+            return parity._gf2_search(D, k, p, mode)
         except _Refuted:
             return None
 
@@ -995,7 +994,7 @@ def _descends_straight(D, k, p, mode):
     m = len(simple)
     span = _span_of_every_candidate(D, p, mode)
     caps = _digon_caps(D)
-    out_need, in_need = oracles._degree_needs(n, k, caps, simple, span)
+    out_need, in_need = parity._degree_needs(n, k, caps, simple, span, m)
     remaining = [sum(v in arc for arc in simple) for v in range(n)]
     x = 0
     for i, (t0, h0) in enumerate(simple):
@@ -1040,9 +1039,9 @@ def test_deferred_refutation_and_prune_keep_every_family(monkeypatch):
     # over the span; a straight descent pays for neither, a search that
     # backtracks for each at most once
     built, refuted, cut = [], [], []
-    refutation = oracles._forced_parity_refuted
+    refutation = parity._forced_parity_refuted
 
-    class CountedReach(oracles._MixedReach):
+    class CountedReach(parity._MixedReach):
         def __init__(self, D, simple):
             built.append(D)
             super().__init__(D, simple)
@@ -1076,9 +1075,9 @@ def test_deferred_refutation_and_prune_keep_every_family(monkeypatch):
         want = _eager_search(monkeypatch, D, k, p, mode, refute)
         del built[:], refuted[:], cut[:]
         with monkeypatch.context() as m:
-            m.setattr(oracles, "_MixedReach", CountedReach)
-            m.setattr(oracles, "_forced_parity_refuted", counted_refutation)
-            got = oracles._gf2_search(D, k, p, mode, refute=refute)
+            m.setattr(parity, "_MixedReach", CountedReach)
+            m.setattr(parity, "_forced_parity_refuted", counted_refutation)
+            got = parity._gf2_search(D, k, p, mode, refute=refute)
         assert got == want
         if len(D.simple_arcs()) <= 12:
             least, _dim = _least_strong_span_element(D, k, p, mode)
