@@ -21,7 +21,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 from .approx import approx_kp
@@ -334,28 +333,16 @@ def _bench_row(row):
 
 
 def _cmd_bench(args):
-    rows = _parse_manifest(args.manifest)
-    raw = os.environ.get("ARCINVERT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"ARCINVERT_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise InvalidArgumentError(f"ARCINVERT_THREADS must be >= 1, got {threads}")
-    if threads == 1 or len(rows) <= 1:
-        results = [_bench_row(row) for row in rows]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_bench_row, rows))
+    rows = [_bench_row(row) for row in _parse_manifest(args.manifest)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["instance", "k", "p", "solver", "value", "verified", "millis"])
-    writer.writerows(results)
+    writer.writerows(rows)
     text = buf.getvalue()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return EXIT_YES, [f"rows: {len(results)}", f"wrote: {args.output}"]
+        return EXIT_YES, [f"rows: {len(rows)}", f"wrote: {args.output}"]
     return EXIT_YES, text.rstrip("\n").splitlines()
 
 

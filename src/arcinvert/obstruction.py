@@ -86,10 +86,10 @@ def verify_certificate(D, cert):
         for y in y_set:
             if G.mult(x, y) != 1:
                 return False
-    cross = len(x_set) * len(y_set)
-    if cross % 2 == 1:
-        return False  # d+(X) - cross/2 is half-integral, never odd
-    return (_out_across(D, x_set) - cross // 2) % 2 == 1
+    # (i) and (ii) make |X||Y| even, so (iii) needs no parity test of its
+    # own: the cuts of the parts, 2k each, add up to |X||Y| plus twice
+    # the edges between parts
+    return (_out_across(D, x_set) - len(x_set) * len(y_set) // 2) % 2 == 1
 
 
 def k_regular_partition(G, k, X):

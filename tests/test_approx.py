@@ -125,6 +125,22 @@ def test_min_k2_requires_connectivity():
         min_k2_inversion_set(D, 2)
 
 
+def test_no_pair_family_raises_in_every_pair_stage():
+    # two parallel arcs 0 -> 1: UG(D) is 2-edge-connected, but the only
+    # pair flip reverses both arcs, so no pair family makes D strong
+    D = MultiDigraph(2, [(0, 1, 2)])
+    assert edge_connectivity(D.underlying()) == 2
+    assert min_k2_inversion_set(D, 1) is None
+    no_family = "no pair inversion family exists for this input"
+    with pytest.raises(PreconditionViolatedError, match=no_family):
+        greedy_k2_inversion_set(D, 1)
+    for heuristic in (False, True):
+        with pytest.raises(PreconditionViolatedError, match=no_family):
+            approx_kp(D, 1, 3, heuristic=heuristic)
+    with pytest.raises(PreconditionViolatedError, match="not k-arc-strong"):
+        minimally_k_arc_strong(D, 1)
+
+
 def test_greedy_output_is_valid_and_never_beats_exact():
     rng = random.Random(503)
     for _ in range(30):

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 
 import pytest
 
@@ -155,6 +154,15 @@ def test_approx_reports_valid(tmp_path, capsys):
     assert any(ln.startswith("ramsey-bound: R(") for ln in out)
 
 
+def test_approx_without_a_pair_family_is_a_precondition_error(tmp_path, capsys):
+    f = tmp_path / "parallel.mdg"
+    write_mdg(str(f), MultiDigraph(2, [(0, 1, 2)]))
+    for extra in ((), ("--heuristic",)):
+        code, out, err = run(capsys, "approx", "--k", "1", "--p", "3", *extra, str(f))
+        assert code == 3 and out == []
+        assert "no pair inversion family" in err
+
+
 def test_exact_infeasible_within_budget(tmp_path, capsys):
     f = _write_triangle(tmp_path / "tri.mdg")
     code, out, _err = run(capsys, "exact", "--k", "2", "--p", "3", "--lmax", "1", f)
@@ -221,7 +229,7 @@ def test_report_is_deterministic_modulo_millis(tmp_path, capsys):
     assert _strip_millis(out1) == _strip_millis(out2)
 
 
-def test_bench_csv_order_and_threads(tmp_path, capsys):
+def test_bench_csv_order_and_threads(tmp_path, capsys, monkeypatch):
     t = _write_triangle(tmp_path / "tri.mdg")
     o, _D = _write_obstruction(tmp_path / "obs.mdg")
     manifest = tmp_path / "man.txt"
@@ -241,28 +249,18 @@ def test_bench_csv_order_and_threads(tmp_path, capsys):
     assert rows[1][4] == "0" and rows[1][5] == "true"  # already strong
     assert rows[2][4] == "0"  # infeasible verdict
     assert rows[4][4] == "1"
-    os.environ["ARCINVERT_THREADS"] = "3"
-    try:
-        out2_csv = str(tmp_path / "r2.csv")
-        run(capsys, "bench", str(manifest), "-o", out2_csv)
-    finally:
-        del os.environ["ARCINVERT_THREADS"]
+    # rows run one after another and no thread count is read, so even
+    # a malformed one changes nothing
+    monkeypatch.setenv("ARCINVERT_THREADS", "two")
+    out2_csv = str(tmp_path / "r2.csv")
+    code, _out, _err = run(capsys, "bench", str(manifest), "-o", out2_csv)
+    assert code == 0
     rows2 = list(csv.reader(open(out2_csv)))
     assert [r[:-1] for r in rows] == [r[:-1] for r in rows2]
     # without -o the same CSV goes to stdout, after the command line
     code, out, _err = run(capsys, "bench", str(manifest))
     assert code == 0 and out[0] == f"command: arcinvert bench {manifest}"
     assert [r[:-1] for r in csv.reader(_strip_millis(out[1:]))] == [r[:-1] for r in rows]
-
-
-def test_bench_rejects_a_non_integer_thread_count(tmp_path, capsys, monkeypatch):
-    _write_triangle(tmp_path / "tri.mdg")
-    manifest = tmp_path / "man.txt"
-    manifest.write_text("tri.mdg 1 2 exact\n")
-    monkeypatch.setenv("ARCINVERT_THREADS", "two")
-    code, _out, err = run(capsys, "bench", str(manifest))
-    assert code == 2
-    assert "ARCINVERT_THREADS" in err
 
 
 def test_bench_rejects_malformed_manifests(tmp_path, capsys):

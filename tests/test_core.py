@@ -212,6 +212,10 @@ def test_frames_match_brute_force_maximal_blocks():
         for k in (1, 2, 3):
             part = frames(G, k)
             assert set(part.blocks) == brute_frames(G, k)
+            for i, block in enumerate(part.blocks):
+                assert all(part.block_index(v) == i for v in block)
+            with pytest.raises(InvalidArgumentError, match="not in any block"):
+                part.block_index(G.n)
 
 
 def test_frames_of_empty_and_single_vertex_graphs_match_the_oracle():
@@ -335,6 +339,9 @@ def test_max_flow_matches_the_brute_force_min_cut():
         rest = [v for v in range(D.n) if v not in (s, t)]
         sides = [{s, *c} for r in range(len(rest) + 1) for c in combinations(rest, r)]
         assert core.max_flow(D, s, t) == min(dicut(D, S).out_size for S in sides)
+        cut = core.min_cut(D, s, t)
+        assert s in cut.side and t not in cut.side
+        assert cut.out_size == core.max_flow(D, s, t)
         assert core.max_flow(G, s, t) == min(G.cut_size(S) for S in sides)
     with pytest.raises(InvalidArgumentError):
         core.max_flow(D, 0, 0)

@@ -140,6 +140,42 @@ def test_verify_rejects_malformed_partitions():
     assert not verify_certificate(D, overlapping)
 
 
+def _corrupted(cert, x_parts, y):
+    return ObstructionCertificate(k=cert.k, x_parts=tuple(x_parts), y=tuple(y))
+
+
+@pytest.mark.parametrize(
+    "D, cert", [star_matching_obstruction(3), doubled_clique_obstruction(2, 4)]
+)
+def test_verify_rejects_each_broken_condition(D, cert):
+    assert verify_certificate(D, cert)
+    parts, y = list(cert.x_parts), cert.y
+    first, second = parts[0], parts[1]
+    rejected = {
+        "empty part": _corrupted(cert, parts + [()], y),
+        "repeated vertex": _corrupted(cert, [first + first[:1]] + parts[1:], y),
+        # merging two parts doubles the cut, breaking (i)
+        "cut not 2k": _corrupted(cert, [first + second] + parts[2:], y),
+        # a part moved into Y keeps every cut at 2k, but its vertices
+        # share no edge with the other parts, breaking (ii)
+        "X-Y pair not joined once": _corrupted(cert, parts[1:], first + y),
+    }
+    for what, bad in rejected.items():
+        assert verify_certificate(D, bad) is False, what
+
+
+def test_verify_rejects_an_odd_cross_count():
+    # vertex 0 moved from X into Y: the part {1} left behind still has
+    # cut 2k = 4, and |X||Y| = 7 * 3 is odd; (ii) rejects it, since 0
+    # and 1 are joined by a digon
+    D, cert = doubled_clique_obstruction(2, 4)
+    parts = [cert.x_parts[0][1:]] + list(cert.x_parts[1:])
+    bad = _corrupted(cert, parts, cert.x_parts[0][:1] + cert.y)
+    assert len(bad.x_union()) * len(bad.y) % 2 == 1
+    assert D.underlying().cut_size(parts[0]) == 2 * cert.k
+    assert verify_certificate(D, bad) is False
+
+
 def test_is_k_obstruction_computes_connectivity_once(monkeypatch):
     calls = []
     original = obstruction.edge_connectivity
