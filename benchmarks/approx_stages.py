@@ -25,11 +25,16 @@ uncalibrated medians):
 Each stage's time excludes the stages it calls.  The counts are of the
 kernel dispatcher's ``karc_deficient_cut`` calls, of those that reach
 the backend, and of the backend's ``st_max_flow`` and ``_flow`` calls.
+``k=1 reach calls`` counts the backend's ``_reach`` calls inside its
+k = 1 ``karc_deficient_cut`` calls, and ``k=1 reach vertices`` the
+vertices they expand (each expansion reads one row or column of the
+matrix as a slice, and those reads are counted).
 ``answers_sha256`` hashes every call's output and pair families, so
 runs on two checkouts show whether they returned the same answers.
 
-Results go to BENCH_<label>.json at the repository root, under the
-run's name; runs of other names already in the file are kept:
+Results go to BENCH_<label>.json at the repository root (``--out``
+names another file), under the run's name; runs of other names already
+in the file are kept:
 
     python3 benchmarks/approx_stages.py --run parent --src ../parent/src
     python3 benchmarks/approx_stages.py --run change
@@ -96,6 +101,42 @@ def counted(counts, name, fn):
     return call
 
 
+class RowReads(list):
+    """A capacity matrix that counts its slices: a reach reads one row
+    (backward: one column) per vertex it expands."""
+
+    def __init__(self, caps, counts):
+        super().__init__(caps)
+        self.counts = counts
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.counts["k=1 reach vertices"] += 1
+        return list.__getitem__(self, i)
+
+
+def counted_k1_reaches(counts, pyimpl, karc):
+    """karc, counted as a backend call, whose k = 1 calls count their
+    reaches and the vertices those expand."""
+    reach = pyimpl._reach
+
+    def k1_reach(n, caps, *args):
+        counts["k=1 reach calls"] += 1
+        return reach(n, RowReads(caps, counts), *args)
+
+    def call(n, caps, k, *args):
+        counts["backend karc_deficient_cut"] += 1
+        if k != 1:
+            return karc(n, caps, k, *args)
+        pyimpl._reach = k1_reach
+        try:
+            return karc(n, caps, k, *args)
+        finally:
+            pyimpl._reach = reach
+
+    return call
+
+
 def run_pass(A, calls):
     """Issues the call list once; returns its wall time and a hash of
     its answers."""
@@ -123,8 +164,9 @@ def measure(src, seed, passes):
     counts = Counter()
     originals = {name: getattr(_pyimpl, name) for name in ("karc_deficient_cut", "st_max_flow", "_flow")}
     dispatch = _kernels.karc_deficient_cut
-    for name, fn in originals.items():
-        setattr(_pyimpl, name, counted(counts, f"backend {name}", fn))
+    for name in ("st_max_flow", "_flow"):
+        setattr(_pyimpl, name, counted(counts, f"backend {name}", originals[name]))
+    _pyimpl.karc_deficient_cut = counted_k1_reaches(counts, _pyimpl, originals["karc_deficient_cut"])
     _kernels.karc_deficient_cut = counted(counts, "dispatcher karc_deficient_cut", dispatch)
     _wall, answers = run_pass(A, calls)
     for name, fn in originals.items():
@@ -171,6 +213,7 @@ def main(argv=None):
     ap.add_argument("--src", default=str(ROOT / "src"), help="package source to measure")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=7)
+    ap.add_argument("--out", default=None, help="result file (default: BENCH_<label>.json)")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
@@ -181,7 +224,7 @@ def main(argv=None):
     for name, value in result["counts"].items():
         print(f"{name:<32} {value:>6}")
 
-    out = ROOT / f"BENCH_{args.label}.json"
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     data = json.loads(out.read_text()) if out.exists() else {"label": args.label, "runs": {}}
     data["runs"][args.run] = {
         "commit": source_commit(src),

@@ -8,7 +8,11 @@ times min_cut_value on graph families (cycle, cycle plus n/6 chords,
 complete, random 10-regular), karc_deficient_cut with k = 1 and 2 on
 a union of k directed Hamilton cycles plus n/2 chords, and
 karc_deficient_cut with k = 2 on such a union that lacks one arc into
-the last vertex ("late"), at n = 64, 128 and 256.  ``--repeat N``
+the last vertex ("late"), at n = 64, 128 and 256.  A last pair of
+rows asks karc_deficient_cut (k = 1) about the children of a broken
+cycle, each one gaining pair flip away from it, without and with the
+parent's side and the pair as the ``after`` hint; the hinted sides must
+equal the unhinted ones.  ``--repeat N``
 times every row N times, in N rounds over all rows, and reports the
 median per backend, so that drift of the host shows in every row
 alike instead of in whichever row ran during it.  The compiled
@@ -150,6 +154,36 @@ def late_union(rng, n, k):
     return caps
 
 
+def broken_children(rng, n):
+    """(child caps, after) for every pair flip that adds arcs out of the
+    k = 1 side of a broken cycle: a directed Hamilton cycle with n/10 of
+    its arcs turned round, plus n/2 chords.  Each child is the cycle's
+    matrix with one such pair swapped, and after = (side, u, v)."""
+    while True:
+        order = rng.sample(range(n), n)
+        caps = [0] * (n * n)
+        for i in range(n):
+            caps[order[i] * n + order[(i + 1) % n]] = 1
+        for i in rng.sample(range(n), n // 10):
+            t, h = order[i], order[(i + 1) % n]
+            caps[t * n + h], caps[h * n + t] = 0, 1
+        for _ in range(n // 2):
+            u, v = rng.sample(range(n), 2)
+            caps[u * n + v] += 1
+        side = _pyimpl.karc_deficient_cut(n, caps, 1)
+        if side != -1:
+            break
+    children = []
+    for u in range(n):
+        for v in range(n):
+            # u in side, v not: the swap adds the v -> u arcs out of side
+            if side >> u & 1 and not side >> v & 1 and caps[v * n + u] > caps[u * n + v]:
+                child = list(caps)
+                child[u * n + v], child[v * n + u] = caps[v * n + u], caps[u * n + v]
+                children.append((child, (side, u, v)))
+    return children
+
+
 def bench_op(name, call, instances, cimpl):
     """Times one backend-agnostic closure over prebuilt instances,
     checks both backends return identical answers and returns (py s,
@@ -216,12 +250,15 @@ def family_rows(sizes, seed):
     """(op, n, call, [caps]) of min_cut_value on each family graph, of
     karc_deficient_cut (k = 1, 2) on a k-cycle union and of
     karc_deficient_cut (k = 2) on a 2-cycle union that fails only at
-    the last flow of the scan, one sample each."""
+    the last flow of the scan, one sample each; then karc_deficient_cut
+    (k = 1) on the gaining children of one broken cycle, without and
+    with the after hint."""
     rng = random.Random(seed)
-    # second and third streams keep the graphs of each kind those of a
-    # run without the later kinds
+    # the later streams keep the graphs of each kind those of a run
+    # without the later kinds
     union_rng = random.Random(seed + 1)
     late_rng = random.Random(seed + 2)
+    child_rng = random.Random(seed + 3)
     rows = []
     for n in sizes:
         rows += [
@@ -246,6 +283,24 @@ def family_rows(sizes, seed):
             lambda impl, caps, n=n: impl.karc_deficient_cut(n, caps, 2),
             [late_union(late_rng, n, 2)],
         ))
+        children = broken_children(child_rng, n)
+        plain = [_pyimpl.karc_deficient_cut(n, caps, 1) for caps, _after in children]
+        if [_pyimpl.karc_deficient_cut(n, caps, 1, after) for caps, after in children] != plain:
+            raise AssertionError(f"karc_deficient_cut k=1 hinted, n = {n}: sides differ")
+        rows += [
+            (
+                "karc_deficient_cut k=1 child",
+                n,
+                lambda impl, inst, n=n: impl.karc_deficient_cut(n, inst[0], 1),
+                children,
+            ),
+            (
+                "karc_deficient_cut k=1 hinted",
+                n,
+                lambda impl, inst, n=n: impl.karc_deficient_cut(n, inst[0], 1, inst[1]),
+                children,
+            ),
+        ]
     return rows
 
 

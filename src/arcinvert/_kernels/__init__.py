@@ -21,6 +21,12 @@ matrix, copies caps only on strong answers, and compares entries by
 value.  Threads share it safely: the entry is one tuple, replaced whole
 and read once per call, and its copy of caps never changes, so a thread
 that reads another thread's entry hits only on an equal matrix.
+
+karc_deficient_cut's optional ``after = (side, u, v)`` says that caps
+is one swap of the u-v counts away from a matrix whose answer at the
+same k was side.  It is passed to the backend; the pure one grows its
+k = 1 reaches from side (see _pyimpl.karc_deficient_cut), the compiled
+one ignores it, and both answer as without it.
 """
 
 import importlib
@@ -51,13 +57,13 @@ def st_max_flow(n, caps, s, t, limit=-1):
     return _impl.st_max_flow(n, caps, s, t, limit)
 
 
-def karc_deficient_cut(n, caps, k):
+def karc_deficient_cut(n, caps, k, after=None):
     global _strong
     impl = _impl
     last = _strong
     if last is not None and last[0] is impl and last[1] == n and last[2] == k and last[3] == caps:
         return -1
-    side = impl.karc_deficient_cut(n, caps, k)
+    side = impl.karc_deficient_cut(n, caps, k, after)
     if side == -1:
         _strong = (impl, n, k, list(caps))
     return side

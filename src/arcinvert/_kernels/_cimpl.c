@@ -216,16 +216,17 @@ static PyObject *st_max_flow(PyObject *self, PyObject *args, PyObject *kw)
 
 /* First side in scan order with fewer than k arcs leaving, or -1.  For
    k = 1 the two reaches from vertex 0 decide; otherwise the flows run
-   v ascending, 0->v before v->0. */
+   v ascending, 0->v before v->0.  The search hint after is accepted and
+   ignored: it never changes the answer. */
 static PyObject *karc_deficient_cut(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"n", "caps", "k", NULL};
+    static char *names[] = {"n", "caps", "k", "after", NULL};
     idx n, v;
     long long k;
     int found = 0;
-    PyObject *caps, *out;
+    PyObject *caps, *after = Py_None, *out;
     Net g;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOL", names, &n, &caps, &k) || load(&g, n, caps) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOL|O", names, &n, &caps, &k, &after) || load(&g, n, caps) < 0)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
     if (n > 1 && k == 1)
@@ -264,7 +265,7 @@ static PyObject *min_cut_value(PyObject *self, PyObject *args, PyObject *kw)
 
 static PyMethodDef methods[] = {
     KERNEL(st_max_flow, "st_max_flow(n, caps, s, t, limit=-1) -> (flow, side_mask), side_mask 0 at the limit"),
-    KERNEL(karc_deficient_cut, "karc_deficient_cut(n, caps, k) -> side with d+(S) < k, or -1"),
+    KERNEL(karc_deficient_cut, "karc_deficient_cut(n, caps, k, after=None) -> side with d+(S) < k, or -1"),
     KERNEL(min_cut_value, "min_cut_value(n, caps) -> value of a minimum cut of a symmetric matrix"),
     {NULL, NULL, 0, NULL},
 };

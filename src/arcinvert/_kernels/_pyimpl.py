@@ -33,7 +33,9 @@ flow to or from 0 does, with the same minimum cuts, and the minimal
 side of those cuts is unique (karc_deficient_cut gives the argument).
 Its searches start at v and stop at the first vertex of P they reach,
 which is mostly close, and it skips each flow that v's own arcs to or
-from P already fill.
+from P already fill.  With k = 1 and an ``after`` hint, which the C
+kernel ignores, it grows a child's reach from its parent's side and
+expands only the vertices the swap adds.
 """
 
 from heapq import heappop, heappush
@@ -143,20 +145,23 @@ def st_max_flow(n, caps, s, t, limit=-1):
 POW = [1 << i for i in range(64)]
 
 
-def _reach(n, caps, mask, backward, stop=0):
+def _reach(n, caps, mask, backward, stop=0, todo=None):
     """Mask of the vertices that the vertices of ``mask`` reach along
     the positive entries of ``caps`` (backward: that reach them).  Each
     reached vertex is expanded once: its row (backward: its column)
     becomes a mask in one C-level ``sum(compress(POW, row))``, and the
     search stops once every vertex is reached, or as soon as it reaches
     a vertex of ``stop``: the mask returned then holds that vertex but
-    not the whole reach."""
+    not the whole reach.  ``todo`` names the vertices of mask to expand
+    (default: all of them); the caller vouches that the others reach
+    nothing outside mask."""
     global POW
     pow2 = POW
     if len(pow2) < n:
         pow2 = POW = [1 << i for i in range(n)]
     full = (1 << n) - 1
-    todo = mask
+    if todo is None:
+        todo = mask
     while todo and mask != full:
         low = todo & -todo
         todo ^= low
@@ -170,7 +175,29 @@ def _reach(n, caps, mask, backward, stop=0):
     return mask
 
 
-def karc_deficient_cut(n, caps, k):
+def _reach_after(n, caps, backward, after):
+    """The reach of vertex 0 (backward: the set that reaches it), grown
+    from the parent's closed set when ``after`` holds the one of this
+    direction, else scanned in full.  See karc_deficient_cut."""
+    if after is not None:
+        side, u, v = after
+        # 0 in side: side was the forward reach; else its complement
+        # was the backward reach
+        if side & 1 != backward:
+            closed = ~side & ((1 << n) - 1) if backward else side
+            iu, iv = closed >> u & 1, closed >> v & 1
+            if not (iu and iv):
+                todo = 0
+                if iu != iv:
+                    i, o = (u, v) if iu else (v, u)
+                    if caps[o * n + i] if backward else caps[i * n + o]:
+                        closed |= 1 << o
+                        todo = 1 << o
+                return _reach(n, caps, closed, backward, 0, todo)
+    return _reach(n, caps, 1, backward)
+
+
+def karc_deficient_cut(n, caps, k, after=None):
     """Side S (nonempty, proper) with d+(S) < k, or -1 if none.
 
     k = 1 takes the forward, then the backward reach of vertex 0;
@@ -199,15 +226,29 @@ def karc_deficient_cut(n, caps, k):
     P->v cut carries all of them (the flow would find them as paths of
     one arc); the v->P flow likewise when v has at least k arcs out to
     P.
+
+    ``after = (side, u, v)`` says that caps is one swap of the u-v
+    counts away from a matrix whose answer at this k was side (a mask,
+    not -1).  Only k = 1 reads it.  There side has no arc out: with 0
+    in side it was the forward reach R of 0, else its complement B was
+    the backward reach.  The swap changes only arcs between u and v.
+    When neither lies in the closed set (R or B), no arc inside it or
+    across its border changes, so it is the child's reach again.  When
+    one end i lies in it and the other, o, does not, the swap can only
+    add arcs i->o (backward: o->i), as the parent had none: the child's
+    reach is the closed set, plus what o reaches (backward: what
+    reaches o) if such an arc is there now, and only those new vertices
+    are expanded.  When both ends lie in it, arcs inside it change and
+    the reach is scanned in full.  The other reach is scanned in full.
     """
     if n <= 1:
         return -1
     if k == 1:
         full = (1 << n) - 1
-        mask = _reach(n, caps, 1, False)
+        mask = _reach_after(n, caps, False, after)
         if mask != full:
             return mask
-        mask = _reach(n, caps, 1, True)
+        mask = _reach_after(n, caps, True, after)
         return full & ~mask if mask != full else -1
     # residual matrices, each built when its first flow runs
     res = capsT = resT = None

@@ -143,7 +143,10 @@ def _pair_search(D, k, allowed, memo):
 
     A flip changes the degrees of its two vertices only, so the count
     of deficient vertices (out- or in-degree below k) is kept up to
-    date by the flips instead of recounted at each node."""
+    date by the flips instead of recounted at each node.  A child is
+    its parent's matrix with one more pair swapped, so its kernel call
+    gets the parent's side, read from the memo, and that pair as its
+    ``after`` hint."""
     n = D.n
     caps = D.caps_flat()
     outdeg, indeg = _degrees(n, caps)
@@ -170,7 +173,13 @@ def _pair_search(D, k, allowed, memo):
             return None
         entry = memo.get(mask)
         if entry is None:
-            side = _kernels.karc_deficient_cut(n, caps, k)
+            after = None
+            if chain:
+                # the parent, one flip of chain[-1] back, has its side
+                # in the memo
+                last = chain[-1]
+                after = (memo[mask ^ allowed[last]][0], *last)
+            side = _kernels.karc_deficient_cut(n, caps, k, after)
             if side == -1:
                 return InversionFamily(chain)
             # with no flip left, a state that is not k-arc-strong fails
@@ -218,14 +227,17 @@ def _greedy_pairs(D, k):
     state the walk scanned is not k-arc-strong, and enters the memo with
     the entry a first visit of the exact search would store, so the
     fallback meets the same nodes in the same order and returns the
-    same family without asking the kernel about those states again."""
+    same family without asking the kernel about those states again.
+    Each step's kernel call gets the previous step's side and pair as
+    its ``after`` hint."""
     n = D.n
     caps = D.caps_flat()
     allowed = _asymmetric_pairs(D)
     memo = {}
     mask = 0
+    after = None
     while True:
-        side = _kernels.karc_deficient_cut(n, caps, k)
+        side = _kernels.karc_deficient_cut(n, caps, k, after)
         if side == -1:
             return InversionFamily(sorted(pr for pr, bit in allowed.items() if mask & bit))
         memo[mask] = (side, 0)
@@ -236,6 +248,7 @@ def _greedy_pairs(D, k):
         u, v = best
         caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
         mask |= allowed[best]
+        after = (side, u, v)
     result = _pair_search(D, k, allowed, memo)
     if result is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")

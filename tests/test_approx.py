@@ -591,9 +591,9 @@ def test_running_deficiency_count_searches_as_the_recount_did(monkeypatch):
     # the same order, so the count cut exactly the nodes the recount cut
     asked = []
 
-    def karc(n, caps, k, _fn=_kernels.karc_deficient_cut):
+    def karc(n, caps, k, after=None, _fn=_kernels.karc_deficient_cut):
         asked.append(tuple(caps))
-        return _fn(n, caps, k)
+        return _fn(n, caps, k, after)
 
     monkeypatch.setattr(_kernels, "karc_deficient_cut", karc)
     rng = random.Random(522)
@@ -636,9 +636,9 @@ def test_greedy_fallback_asks_nothing_the_walk_asked(monkeypatch):
     matrix reaches the backend twice in one greedy repair."""
     seen = []
 
-    def karc(n, caps, k):
+    def karc(n, caps, k, after=None):
         seen.append((n, tuple(caps), k))
-        return _pyimpl.karc_deficient_cut(n, caps, k)
+        return _pyimpl.karc_deficient_cut(n, caps, k, after)
 
     monkeypatch.setattr(_kernels, "_impl", SimpleNamespace(
         karc_deficient_cut=karc, st_max_flow=_pyimpl.st_max_flow,
@@ -681,3 +681,56 @@ def test_pairs_must_be_distinct_int_vertices_of_the_graph():
     # the valid cases answer as before
     assert pack_independent_pairs([(0, 1), (3, 4)], C6, 4) == ([frozenset({0, 1, 3, 4})], [])
     assert pairs_independent((0, 1), (3, 4), C6)
+
+
+def _broken_cycle(n, reversed_arcs, chords):
+    """The dicycle 0 -> 1 -> ... -> n - 1 -> 0 with the arcs i -> i + 1
+    of ``reversed_arcs`` turned round, plus the ``chords``."""
+    arcs = [((i + 1) % n, i) if i in reversed_arcs else (i, (i + 1) % n) for i in range(n)]
+    return MultiDigraph(n, arcs + list(chords))
+
+
+def _reach_reads(monkeypatch):
+    """Counts the vertices the pure reaches expand: each expansion reads
+    one row or column of caps as a slice."""
+    reads = Counter()
+    reach = _pyimpl._reach
+
+    class Rows(list):
+        def __getitem__(self, i):
+            if isinstance(i, slice):
+                reads["vertices"] += 1
+            return list.__getitem__(self, i)
+
+    def counted(n, caps, *args):
+        reads["calls"] += 1
+        return reach(n, Rows(caps), *args)
+
+    monkeypatch.setattr(_pyimpl, "_reach", counted)
+    return reads
+
+
+def test_k1_pair_searches_grow_reaches_from_the_parent(monkeypatch):
+    """The pair search and the greedy walk hand each child the side of
+    its parent, so the k = 1 reaches expand fewer vertices than the
+    same searches without the hint, which return the same families."""
+    monkeypatch.setattr(_kernels, "_impl", _pyimpl)
+    D = _broken_cycle(16, {2, 4, 5, 9}, [(0, 9), (10, 1), (9, 5), (9, 7)])
+    reads = _reach_reads(monkeypatch)
+    dispatch = _kernels.karc_deficient_cut
+    runs = {}
+    for hinted in (True, False):
+        if not hinted:
+            monkeypatch.setattr(_kernels, "karc_deficient_cut",
+                                lambda n, caps, k, after=None: dispatch(n, caps, k))
+        for search in (min_k2_inversion_set, greedy_k2_inversion_set):
+            monkeypatch.setattr(_kernels, "_strong", None)
+            reads.clear()
+            fam = search(D, 1)
+            runs[hinted, search.__name__] = (fam.canonical(), reads["vertices"], reads["calls"])
+    for name in ("min_k2_inversion_set", "greedy_k2_inversion_set"):
+        fam, vertices, calls = runs[True, name]
+        plain_fam, plain_vertices, plain_calls = runs[False, name]
+        assert fam == plain_fam and len(fam) == 4
+        assert calls == plain_calls > 20
+        assert vertices < plain_vertices, (name, vertices, plain_vertices)

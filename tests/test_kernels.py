@@ -576,9 +576,9 @@ def _recording(backend):
     asked about and answers through ``backend``."""
     seen = []
 
-    def karc(n, caps, k):
+    def karc(n, caps, k, after=None):
         seen.append((n, tuple(caps), k))
-        return backend.karc_deficient_cut(n, caps, k)
+        return backend.karc_deficient_cut(n, caps, k, after)
 
     rec = SimpleNamespace(
         karc_deficient_cut=karc,
@@ -787,3 +787,86 @@ def test_unit_limit_flow_runs_no_augmenting_search(monkeypatch):
     assert [_pyimpl.st_max_flow(*case, 1) for case in cases] == want
     # the minimal core's k = 1 flows are all limit-1 flows
     assert [minimally_k_arc_strong(D, 1) for D in strong] == cores and len(strong) >= 5
+
+
+# -- the after hint of karc_deficient_cut ---------------------------------
+
+
+def _hint_kind(side, u, v, caps, n):
+    """Where the pair u, v lies against the parent's side: both ends
+    inside, both outside, or crossing with the sign of the arcs out of
+    side that its swap adds less those it removes."""
+    iu, iv = side >> u & 1, side >> v & 1
+    if iu == iv:
+        return "inside" if iu else "outside"
+    lo, hi = (u, v) if iu else (v, u)
+    gain = caps[hi * n + lo] - caps[lo * n + hi]
+    return "gain>0" if gain > 0 else "gain=0" if gain == 0 else "gain<0"
+
+
+def test_hinted_cut_answers_as_the_unhinted_one(cimpl):
+    """A walk of pair swaps, each child asked with and without the side
+    of its parent and the pair, on both backends: every answer equal."""
+    rng = random.Random(0xAF7E)
+    kinds = {}
+    for i in range(2000):
+        n = rng.randint(2, 12) if i % 50 else rng.randint(62, 70)
+        density = rng.uniform(0.05, 0.5) if n <= 12 else 0.05
+        caps = _rand_caps(rng, n, density, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            # a path from 0 through every vertex: at k = 1 the side then
+            # comes from the backward reach
+            order = [0] + rng.sample(range(1, n), n - 1)
+            for a, b in zip(order, order[1:]):
+                caps[a * n + b] += 1
+        k = (1, 1, 2, 3)[i % 4]
+        side = _pyimpl.karc_deficient_cut(n, caps, k)
+        for _step in range(3):
+            if side == -1:
+                break
+            by_kind = {}
+            for u in range(n):
+                for v in range(u + 1, n):
+                    by_kind.setdefault(_hint_kind(side, u, v, caps, n), []).append((u, v))
+            kind = rng.choice(sorted(by_kind))
+            u, v = rng.choice(by_kind[kind])
+            if rng.random() < 0.5:
+                u, v = v, u
+            caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
+            after = (side, u, v)
+            want = _pyimpl.karc_deficient_cut(n, caps, k)
+            assert _pyimpl.karc_deficient_cut(n, caps, k, after) == want
+            assert cimpl.karc_deficient_cut(n, caps, k, after) == want
+            assert cimpl.karc_deficient_cut(n, caps, k) == want
+            key = (k, "forward" if k == 1 and side & 1 else "backward" if k == 1 else "scan", kind)
+            kinds[key] = kinds.get(key, 0) + 1
+            side = want
+    for origin in ("forward", "backward"):
+        for kind in ("inside", "outside", "gain>0", "gain=0"):
+            assert kinds.get((1, origin, kind), 0) >= 20, (origin, kind, kinds)
+        # a side at k = 1 has no arc out, so no swap can lower it
+        assert (1, origin, "gain<0") not in kinds
+    for k in (2, 3):
+        for kind in ("inside", "outside", "gain>0", "gain=0", "gain<0"):
+            assert kinds.get((k, "scan", kind), 0) >= 20, (k, kind, kinds)
+
+
+def test_memo_answers_a_hinted_strong_matrix(backend, monkeypatch):
+    rec, seen = _recording(backend)
+    monkeypatch.setattr(_kernels, "_impl", rec)
+    monkeypatch.setattr(_kernels, "_strong", None)
+    n = 6
+    # the dicycle 0 -> 1 -> ... -> 5 -> 0 with 2 -> 3 turned round
+    caps = [0] * (n * n)
+    for i in range(n):
+        caps[i * n + (i + 1) % n] = 1
+    caps[2 * n + 3], caps[3 * n + 2] = 0, 1
+    side = _kernels.karc_deficient_cut(n, caps, 1)
+    assert side == 0b000111
+    caps[2 * n + 3], caps[3 * n + 2] = 1, 0
+    assert _kernels.karc_deficient_cut(n, caps, 1, (side, 2, 3)) == -1
+    assert len(seen) == 2
+    # the hinted strong answer is remembered, and answers hinted calls
+    assert _kernels.karc_deficient_cut(n, list(caps), 1) == -1
+    assert _kernels.karc_deficient_cut(n, list(caps), 1, (side, 3, 2)) == -1
+    assert len(seen) == 2

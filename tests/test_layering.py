@@ -44,3 +44,30 @@ def test_the_parity_search_imports_no_higher_layer():
     imported = _imported_modules(SRC / "parity.py")
     assert imported, "parity.py imports nothing from the package"
     assert not imported & {"oracles", "feasibility", "approx", "simulation", "obstruction"}, imported
+
+
+def _hinted_cut_calls(path):
+    """The top-level functions of the module at path that call
+    karc_deficient_cut with its fourth argument, the after hint."""
+    callers = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "karc_deficient_cut" and (
+                len(node.args) > 3 or any(kw.arg == "after" for kw in node.keywords)
+            ):
+                callers.add(top.name)
+    return callers
+
+
+def test_only_the_pair_searches_pass_the_cut_hint():
+    # the oracles and the parity search ask every question unhinted, so
+    # that the references the tests compare against stay independent of
+    # the hinted reaches
+    hinted = {
+        f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _hinted_cut_calls(path)
+    }
+    assert hinted == {"approx._pair_search", "approx._greedy_pairs"}, hinted

@@ -1155,13 +1155,13 @@ def _checking_kernels(seen, per_set=0):
     than k arcs out or in): none for the orientation sampler, at most
     per_set times the remaining budget for a branch-and-bound node."""
 
-    def karc_deficient_cut(n, caps, k):
+    def karc_deficient_cut(n, caps, k, after=None):
         deficient = sum(1 for v in range(n) if sum(caps[v * n:v * n + n]) < k or sum(caps[v::n]) < k)
         # the sets a branch-and-bound node may still add, 0 elsewhere
         budget = sys._getframe(1).f_locals.get("budget", 0)
         assert deficient <= per_set * budget, "flow on a digraph the degree bound rejects"
         seen.append(deficient)
-        return _kernels.karc_deficient_cut(n, caps, k)
+        return _kernels.karc_deficient_cut(n, caps, k, after)
 
     return types.SimpleNamespace(
         karc_deficient_cut=karc_deficient_cut,
