@@ -177,12 +177,26 @@ def measure(src, seed, passes):
     for name, stage in STAGES.items():
         if hasattr(approx, name):
             setattr(approx, name, clock.wrap(stage, getattr(approx, name)))
+    names = ["pair search", "greedy walk", "minimal core", "packing", "verification", "other", "total"]
+    return {
+        "calls": len(calls),
+        "answers_sha256": answers,
+        "counts": dict(sorted(counts.items())),
+        **time_stages(clock, calib, lambda: run_pass(A, calls), answers, passes, names),
+    }
+
+
+def time_stages(clock, calib, one_pass, answers, passes, names):
+    """Runs one_pass (returning its wall time and answer hash) passes
+    times under clock; the per-stage medians, calibrated and raw, and
+    each pass's figures.  A pass that returns other answers than
+    answers raises."""
     per_pass = []
     scales = []
     for _ in range(passes):
         clock.totals.clear()
         before = calib.sample()
-        wall, digest = run_pass(A, calls)
+        wall, digest = one_pass()
         after = calib.sample()
         if digest != answers:
             raise RuntimeError("a timed pass returned other answers than the counted one")
@@ -191,11 +205,7 @@ def measure(src, seed, passes):
         stages["total"] = wall
         per_pass.append(stages)
         scales.append(calib.REFERENCE_S / ((before + after) / 2))
-    names = ["pair search", "greedy walk", "minimal core", "packing", "verification", "other", "total"]
     return {
-        "calls": len(calls),
-        "answers_sha256": answers,
-        "counts": dict(sorted(counts.items())),
         "median_s": {
             name: statistics.median(p.get(name, 0.0) * c for p, c in zip(per_pass, scales))
             for name in names
@@ -206,9 +216,11 @@ def measure(src, seed, passes):
     }
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", default="approx_stages", help="writes BENCH_<label>.json")
+def main(argv=None, label="approx_stages", measure=measure, doc=__doc__):
+    """The command line of a stages script: measure(src, seed, passes)
+    gives the result that is printed and saved."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    ap.add_argument("--label", default=label, help="writes BENCH_<label>.json")
     ap.add_argument("--run", default="change", help="name of this run in the file")
     ap.add_argument("--src", default=str(ROOT / "src"), help="package source to measure")
     ap.add_argument("--seed", type=int, default=1)

@@ -28,7 +28,6 @@ from .core import (
     _check_k,
     _check_p,
     _check_vertex,
-    _degrees,
     _strong_after,
     _verified,
     InversionFamily,
@@ -149,7 +148,7 @@ def _pair_search(D, k, allowed, memo):
     ``after`` hint."""
     n = D.n
     caps = D.caps_flat()
-    outdeg, indeg = _degrees(n, caps)
+    outdeg, indeg = D._degree_lists()
     # a single vertex has no proper cut, so its degrees bound nothing
     short = sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k) if n > 1 else 0
 
@@ -282,7 +281,7 @@ def _minimal_core(D, k):
     """minimally_k_arc_strong on a D already known to be k-arc-strong."""
     n = D.n
     caps = D.caps_flat()
-    out, into = _degrees(n, caps)
+    out, into = D._degree_lists()
     for (t, h, m) in D.arcs():
         for _unit in range(m):
             if out[t] <= k or into[h] <= k:

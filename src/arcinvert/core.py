@@ -58,8 +58,8 @@ class _Graph:
     dict _m from vertex pairs to multiplicities, checked on construction
     and immutable after it.  A subclass names its pair and its two ends
     for the error messages (_pair, _ends), says whether a pair keeps its
-    order (_directed; an edge is keyed (min, max)), and names the slot
-    of its memo (_memo), which every new object starts empty."""
+    order (_directed; an edge is keyed (min, max)), and names the slots
+    of its memos (_memo), which every new object starts empty."""
 
     __slots__ = ("n", "_m", "_hash")
 
@@ -87,7 +87,8 @@ class _Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, self._memo, None)
+        for slot in self._memo:
+            object.__setattr__(self, slot, None)
 
     @classmethod
     def _trusted(cls, n, m):
@@ -97,7 +98,8 @@ class _Graph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_m", m)
         object.__setattr__(g, "_hash", None)
-        object.__setattr__(g, cls._memo, None)
+        for slot in cls._memo:
+            object.__setattr__(g, slot, None)
         return g
 
     def __setattr__(self, *a):
@@ -105,7 +107,7 @@ class _Graph:
 
     def __reduce__(self):
         # pickle and copy rebuild through the checking constructor (a
-        # pickle is outside input); the memo slot starts empty again
+        # pickle is outside input); the memo slots start empty again
         return type(self), (self.n, [(u, v, m) for (u, v), m in self._m.items()])
 
     def __eq__(self, other):
@@ -130,11 +132,11 @@ class _Graph:
 class MultiDigraph(_Graph):
     """Directed graph with parallel arcs allowed, no loops."""
 
-    __slots__ = ("_ug",)
+    __slots__ = ("_ug", "_caps", "_deg")
     _pair = "arc must be (tail, head[, mult])"
     _ends = ("tail", "head")
     _directed = True
-    _memo = "_ug"
+    _memo = __slots__
 
     # -- queries ------------------------------------------------------
 
@@ -202,11 +204,41 @@ class MultiDigraph(_Graph):
         return MultiDigraph._trusted(self.n, {(h, t): m for (t, h), m in self._m.items()})
 
     def caps_flat(self):
+        """The n x n capacity matrix, row-major, as a fresh list that the
+        caller may change.  The first call keeps a copy on the digraph,
+        and later calls copy that.  The copy holds a byte a count (a
+        tuple once some pair has 256 or more arcs), so a kept matrix
+        costs n * n bytes."""
+        caps = self._read_caps()
+        if self._caps is None:
+            try:
+                kept = bytes(caps)
+            except ValueError:
+                kept = tuple(caps)
+            object.__setattr__(self, "_caps", kept)
+        return caps
+
+    def _read_caps(self):
+        """caps_flat() without keeping a new build: a digraph asked once,
+        as a verification asks the digraph it applied, pays no copy."""
+        if self._caps is not None:
+            return list(self._caps)
         n = self.n
         caps = [0] * (n * n)
         for (t, h), m in self._m.items():
             caps[t * n + h] = m
         return caps
+
+    def _degree_lists(self):
+        """(out-degrees, in-degrees) as fresh lists.  The first call
+        keeps tuple copies on the digraph, and later calls copy those."""
+        if self._deg is not None:
+            return list(self._deg[0]), list(self._deg[1])
+        if self._caps is None:
+            self.caps_flat()
+        out, into = _degrees(self.n, self._caps)
+        object.__setattr__(self, "_deg", (tuple(out), tuple(into)))
+        return out, into
 
     def __repr__(self):
         return f"MultiDigraph(n={self.n}, arcs={self.arc_count()})"
@@ -219,7 +251,7 @@ class Multigraph(_Graph):
     _pair = "edge must be (u, v[, mult])"
     _ends = ("vertex", "vertex")
     _directed = False
-    _memo = "_lam"
+    _memo = __slots__
 
     def mult(self, u, v):
         if u == v:
@@ -395,7 +427,7 @@ def violating_dicut(D, k):
     n = D.n
     if n <= 1:
         return None
-    mask = _kernels.karc_deficient_cut(n, D.caps_flat(), k)
+    mask = _kernels.karc_deficient_cut(n, D._read_caps(), k)
     if mask == -1:
         return None
     return dicut(D, _mask_to_set(mask))

@@ -16,6 +16,7 @@ enumerating its own moves.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -304,13 +305,20 @@ def _exact_candidates(n, caps, adj, k, p, mode, side, budget, short):
     d+(S).  Order: (-g, X).
 
     Only such pairs carry gain, so X splits into Y, its vertices on
-    them, which fixes g, and the rest.  The Y sets are scored first and
-    the X sets built one gain level at a time, as they are read; most
-    nodes read one level.  At budget 1 a Y with d+(S) + g < k is
-    dropped: its child would fail on S.  In at-most mode a set with a
-    vertex that has no neighbour inside is skipped as it is read:
-    dropping that vertex keeps the effect, so minimal families never
-    use it."""
+    them, which fixes g, and the rest, drawn from the pool of the other
+    vertices.  The Y sets are scored first.  A gain level's first set
+    is found without building the level: for a Y and a size the least
+    set is Y, the lack least deficient vertices of the pool (lack: how
+    many more deficient vertices X must hold) and the least of the
+    rest of the pool.  Y sets of one length and lack take the same
+    vertices from the pool, and sets of one size compare as their
+    least difference does, so of those Y sets the first scored gives
+    the least set.  Most nodes read one set; a level is built and
+    sorted only when a second set is read, and then yields the sets
+    after its first.  At budget 1 a Y with d+(S) + g < k is dropped:
+    its child would fail on S.  In at-most mode a set with a vertex
+    that has no neighbour inside is skipped as it is read: dropping
+    that vertex keeps the effect, so minimal families never use it."""
     sizes = [p] if mode == "exact-size" else list(range(2, p + 1))
     gain = [0] * (n * n)
     paired = 0  # the vertices on crossing pairs with unequal arc counts
@@ -328,20 +336,24 @@ def _exact_candidates(n, caps, adj, k, p, mode, side, budget, short):
             if ab != ba:
                 gain[lo * n + hi] = gain[hi * n + lo] = ba - ab
                 paired |= bit | (1 << lo)
+    deficient = 0
+    for v in short:
+        deficient |= 1 << v
     # the child keeps at most (budget - 1) * p deficient vertices
     # outside the set, so the set holds at least need of them
     need = len(short) - (budget - 1) * p
-    more = [v for v in short if not (paired >> v) & 1]
-    other = [v for v in range(n) if not (paired >> v) & 1 and v not in short]
+    more = [v for v in range(n) if (deficient & ~paired) >> v & 1]
+    other = [v for v in range(n) if not ((deficient | paired) >> v) & 1]
     if budget == 1:
         # every deficient vertex goes in: those on pairs with Y, the
         # others (more) with the rest
-        seed = tuple(v for v in short if (paired >> v) & 1)
+        seeded = deficient & paired
         top = sizes[-1] - len(more)
         floor = k - d_out
     else:
-        seed, top, floor = (), sizes[-1], None
-    ends = [v for v in range(n) if (paired >> v) & 1 and v not in seed]
+        seeded, top, floor = 0, sizes[-1], None
+    seed = tuple(v for v in range(n) if (seeded >> v) & 1)
+    ends = [v for v in range(n) if (paired & ~seeded) >> v & 1]
     levels = {}
     for r in range(max(2 - len(seed), 0), top - len(seed) + 1):
         for add in combinations(ends, r):
@@ -355,10 +367,38 @@ def _exact_candidates(n, caps, adj, k, p, mode, side, budget, short):
                     hit = True
             if hit and (floor is None or g >= floor):
                 levels.setdefault(g, []).append(ys)
+    # how many more deficient vertices a set must take from the pool:
+    # at budget 1 all of them, and none once need <= 0
+    uniform = len(more) if budget == 1 else 0 if need <= 0 else None
+    pool = len(more) + len(other)
+    fills = {}  # lack: (the lack least of more, the rest of the pool)
     for g in sorted(levels, reverse=True):
-        level = []
+        lacks = []
+        heads = set()
+        first = None
         for ys in levels[g]:
-            lack = max(need - sum(1 for v in ys if v in short), 0)
+            lack = uniform
+            if lack is None:
+                lack = max(need - sum((deficient >> v) & 1 for v in ys), 0)
+            lacks.append(lack)
+            if lack > len(more) or (len(ys), lack) in heads:
+                continue
+            heads.add((len(ys), lack))
+            if lack not in fills:
+                fills[lack] = (tuple(more[:lack]), sorted(more[lack:] + other))
+            ext, rest = fills[lack]
+            for size in sizes:
+                free = size - len(ys)
+                if lack <= free <= pool:
+                    xs = tuple(sorted(ys + ext + tuple(rest[:free - lack])))
+                    if first is None or xs < first:
+                        first = xs
+        if first is None:
+            continue
+        if mode == "exact-size" or not _stray(adj, first):
+            yield first
+        level = []
+        for ys, lack in zip(levels[g], lacks):
             for size in sizes:
                 free = size - len(ys)
                 for j in range(lack, min(free, len(more)) + 1):
@@ -366,14 +406,17 @@ def _exact_candidates(n, caps, adj, k, p, mode, side, budget, short):
                         for fill in combinations(other, free - j):
                             level.append(tuple(sorted(ys + ext + fill)))
         level.sort()
-        for xs in level:
-            if mode == "at-most":
-                msk = 0
-                for v in xs:
-                    msk |= 1 << v
-                if any(not (adj[v] & (msk ^ (1 << v))) for v in xs):
-                    continue
-            yield xs
+        for xs in level[bisect_right(level, first):]:
+            if mode == "exact-size" or not _stray(adj, xs):
+                yield xs
+
+
+def _stray(adj, xs):
+    """True when some vertex of xs has no neighbour in xs."""
+    msk = 0
+    for v in xs:
+        msk |= 1 << v
+    return any(not (adj[v] & (msk ^ (1 << v))) for v in xs)
 
 
 def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
@@ -384,15 +427,20 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     next set must contain some crossing pair with asymmetric arc counts
     (otherwise that cut stays below k forever).  Multidigraph inputs
     are allowed; sets act by swapping the two arc bundles of each
-    internal pair.  A node tries its sets by decreasing gain, the arcs
-    they add out of the violated side, ties by the sets themselves
-    (_exact_candidates builds them lazily, one gain level at a time).
+    internal pair.  The search starts from copies of D's memoised
+    capacity matrix and degree lists.  A node tries its sets by
+    decreasing gain, the arcs they add out of the violated side, ties
+    by the sets themselves (_exact_candidates reads a gain level's
+    first set without building the level, and builds it only when a
+    second set is read).
 
     Degree bound: a set changes the degrees of its own vertices only,
     so b more sets mend at most b * p deficient vertices (those with
     fewer than k arcs out or in), and a k-arc-strong digraph has none.
     A node with b sets left fails at once when more than b * p vertices
-    are deficient.  The bound does two more things:
+    are deficient.  The count is kept up to date as sets are applied
+    and undone, and the list of deficient vertices is built only at
+    nodes that ask for candidates.  The bound does two more things:
 
     - Refutation at entry: with more than l_max * p deficient vertices
       the call returns None before any flow, and the deepening starts
@@ -424,16 +472,10 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
         raise InvalidArgumentError(f"l_max must be a non-negative int, got {l_max!r}")
     n = D.n
     caps = D.caps_flat()
-    outdeg, indeg = _degrees(n, caps)
-
-    def deficient():
-        # a single vertex has no proper cut, so its degrees bound nothing
-        if n < 2:
-            return []
-        return [v for v in range(n) if outdeg[v] < k or indeg[v] < k]
-
-    first = len(deficient())
-    if first > l_max * p:
+    outdeg, indeg = D._degree_lists()
+    # a single vertex has no proper cut, so its degrees bound nothing
+    short = sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k) if n > 1 else 0
+    if short > l_max * p:
         return None  # the search would fail at every budget
     adj = [0] * n
     for (t, h) in D._m:
@@ -441,6 +483,8 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
         adj[h] |= 1 << t
 
     def apply_set(xs):
+        nonlocal short
+        short -= sum(1 for v in xs if outdeg[v] < k or indeg[v] < k)
         for a, b in combinations(xs, 2):
             ab, ba = caps[a * n + b], caps[b * n + a]
             caps[a * n + b], caps[b * n + a] = ba, ab
@@ -448,6 +492,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             indeg[b] += ba - ab
             outdeg[b] += ab - ba
             indeg[a] += ab - ba
+        short += sum(1 for v in xs if outdeg[v] < k or indeg[v] < k)
 
     chain = []
     found = []
@@ -455,8 +500,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
     def dfs(budget):
         # a k-arc-strong digraph has no deficient vertex, so this bound
         # goes first and saves the flows of the nodes it rejects
-        short = deficient()
-        if len(short) > budget * p:
+        if short > budget * p:
             return False
         side = _kernels.karc_deficient_cut(n, caps, k)
         if side == -1:
@@ -464,7 +508,9 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
             return True
         if budget == 0:
             return False
-        for xs in _exact_candidates(n, caps, adj, k, p, mode, side, budget, short):
+        # a node with a side has n >= 2
+        deficient = [v for v in range(n) if outdeg[v] < k or indeg[v] < k]
+        for xs in _exact_candidates(n, caps, adj, k, p, mode, side, budget, deficient):
             if xs in chain:
                 continue  # repeated set cancels itself; minimum never repeats
             apply_set(xs)
@@ -477,7 +523,7 @@ def exact_inv_kp(D, k, p, mode="exact-size", l_max=4):
                 return False  # no family at any budget
         return False
 
-    start = -(-first // p)
+    start = -(-short // p)
     for budget in range(start, l_max + 1):
         if budget > start and edge_connectivity(D.underlying()) < 2 * k:
             return None  # inversions keep the underlying multigraph

@@ -440,6 +440,127 @@ def test_value_classes_survive_pickle_and_copy(route):
         assert edge_connectivity(G2) == lam
 
 
+def _matrix_of(D):
+    n = D.n
+    caps = [0] * (n * n)
+    for t, h, m in D.arcs():
+        caps[t * n + h] = m
+    return caps
+
+
+def test_capacity_matrix_and_degrees_are_fresh_copies_of_one_memo(monkeypatch):
+    counted = []
+    degrees = core._degrees
+    monkeypatch.setattr(core, "_degrees", lambda *a: counted.append(a[0]) or degrees(*a))
+    rng = random.Random(55)
+    for _ in range(30):
+        D = rand_multidigraph(rng, n_max=8)
+        n = D.n
+        want = _matrix_of(D)
+        outs = [D.out_degree(v) for v in range(n)]
+        ins = [D.in_degree(v) for v in range(n)]
+        del counted[:]
+        # a strongness check reads the matrix without keeping it
+        is_k_arc_strong(D, 1)
+        assert D._caps is None
+        caps = D.caps_flat()
+        assert caps == want and caps is not D.caps_flat()
+        caps[1] += 5
+        del caps[-1]
+        assert D.caps_flat() == want
+        out, into = D._degree_lists()
+        assert (out, into) == (outs, ins)
+        out[0] -= 1
+        into.append(9)
+        assert D._degree_lists() == (outs, ins)
+        # one build each, whatever the callers did with their copies
+        assert counted == [n]
+        assert list(D._caps) == want and D._deg == (tuple(outs), tuple(ins))
+
+
+def test_a_matrix_with_large_counts_is_kept_whole():
+    # a byte holds a count up to 255; a pair with more arcs keeps the
+    # matrix in a tuple
+    for mult in (255, 256, 10**6):
+        D = MultiDigraph(3, [(0, 1, mult), (1, 2), (2, 0, 3)])
+        want = _matrix_of(D)
+        assert D.caps_flat() == want and D.caps_flat() == want
+        assert list(D._caps) == want and type(D._caps) is (bytes if mult < 256 else tuple)
+        assert D._degree_lists() == ([mult, 1, 3], [3, mult, 1])
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda D: MultiDigraph._trusted(D.n, dict(D._m)),
+        lambda D: D.induced(range(D.n))[0],
+        lambda D: D.reverse().reverse(),
+        lambda D: apply_inversions(D, []),
+        lambda D: push(D, []),
+        copy.copy,
+        copy.deepcopy,
+        lambda D: pickle.loads(pickle.dumps(D)),
+    ],
+    ids=["trusted", "induced", "reverse", "apply_inversions", "push", "copy", "deepcopy", "pickle"],
+)
+def test_new_digraphs_start_with_empty_memos(route):
+    rng = random.Random(56)
+    for _ in range(10):
+        D = rand_multidigraph(rng, n_max=7)
+        D.caps_flat()
+        D._degree_lists()
+        D.underlying()
+        twin = route(D)
+        assert twin == D and twin is not D
+        assert twin._caps is None and twin._deg is None and twin._ug is None
+        assert twin.caps_flat() == D.caps_flat() and twin._degree_lists() == D._degree_lists()
+
+
+def test_equality_and_hashing_ignore_the_memos():
+    rng = random.Random(57)
+    for _ in range(20):
+        D = rand_multidigraph(rng, n_max=7)
+        twin = MultiDigraph(D.n, list(D.arcs()))
+        D.caps_flat()
+        D._degree_lists()
+        assert D == twin and hash(D) == hash(twin)
+        # even a memo that disagrees with the arcs is not part of the value
+        object.__setattr__(twin, "_caps", (0,) * (D.n * D.n))
+        object.__setattr__(twin, "_deg", ((0,) * D.n, (0,) * D.n))
+        assert D == twin and hash(D) == hash(twin)
+
+
+def test_verification_reads_only_the_applied_digraph():
+    # _strong_after builds the applied digraph through apply_inversions
+    # and asks about that digraph's own matrix: a wrong matrix and wrong
+    # degrees in D's memo change none of its answers
+    rng = random.Random(58)
+    checked = 0
+    for _ in range(200):
+        D = rand_digraph(rng, n_max=7, n_min=4)
+        fam = oracles.exact_inv_kp(D, 1, 3, mode="at-most", l_max=2)
+        if fam is None or not fam.sets:
+            continue
+        wrong = [
+            X for X in combinations(range(D.n), 2) if not is_k_arc_strong(apply_inversions(D, [X]), 1)
+        ]
+        if not wrong:
+            continue
+        n = D.n
+        # no swap of counts makes the empty matrix k-arc-strong, and every
+        # swap leaves the complete one with digons of two arcs each so
+        empty = (0,) * (n * n)
+        complete = tuple(0 if t == h else 2 for t in range(n) for h in range(n))
+        for caps, deg in ((empty, 0), (complete, 2 * n - 2)):
+            object.__setattr__(D, "_caps", caps)
+            object.__setattr__(D, "_deg", ((deg,) * n, (deg,) * n))
+            assert core._strong_after(D, fam, 1, "test") == apply_inversions(D, fam)
+            with pytest.raises(RuntimeError):
+                core._strong_after(D, [wrong[0]], 1, "test")
+        checked += 1
+    assert checked > 20
+
+
 def _star_matching_verified(one):
     """verify_certificate on star_matching_obstruction(3) with vertex 1
     of its certificate written as one."""

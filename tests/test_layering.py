@@ -71,3 +71,32 @@ def test_only_the_pair_searches_pass_the_cut_hint():
         f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _hinted_cut_calls(path)
     }
     assert hinted == {"approx._pair_search", "approx._greedy_pairs"}, hinted
+
+
+def test_the_exact_oracle_stays_off_the_parity_search():
+    # oracles stands on core, the kernels and the errors, and on parity
+    # for its public coset search only; the exact search and its
+    # candidate stream, the reference the other searches are tested
+    # against, name nothing from parity
+    path = SRC / "oracles.py"
+    assert _imported_modules(path) == {"_kernels", "core", "errors", "parity"}
+    tree = ast.parse(path.read_text())
+    from_parity = {"parity"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("parity"):
+            from_parity.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(sub, ast.Name) and sub.id in from_parity for sub in ast.walk(node.value)
+        ):
+            from_parity.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    assert from_parity > {"parity"}, "the module-level names taken from parity went unseen"
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # the two functions and the module's functions they call, in turn
+    todo, seen = ["exact_inv_kp", "_exact_candidates"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        named = {sub.id for sub in ast.walk(functions[name]) if isinstance(sub, ast.Name)}
+        assert not named & from_parity, (name, sorted(named & from_parity))
+        todo.extend(named & functions.keys() - seen)
+    assert {"_validate_kp", "_stray"} <= seen, seen

@@ -455,6 +455,51 @@ def test_exact_candidates_match_a_brute_force_reference():
     assert nodes > 500 and dropped > 50
 
 
+def test_exact_candidates_match_the_reference_on_the_search_hot_shapes():
+    # the shapes the exact searches meet most: n up to 12 with p = 5 and
+    # k = 3, sides with a single end on one side of S (a star of gaining
+    # pairs), at-most budget-2 nodes, digons and parallel arcs; both the
+    # full stream and a reader that stops after the first set (which
+    # never builds a gain level) agree with the reference
+    rng = random.Random(319)
+    nodes = stars = at_most_2 = large = 0
+    while nodes < 240:
+        k = rng.choice((1, 2, 3))
+        D = rand_multidigraph(rng, n_max=12, n_min=4, density=rng.uniform(0.3, 0.8))
+        n, caps = D.n, D.caps_flat()
+        p = rng.choice((3, 5, 5)) if n >= 5 else 3
+        mode = rng.choice(("exact-size", "at-most"))
+        budget = rng.choice((1, 2, 2))
+        short = [v for v in range(n) if D.out_degree(v) < k or D.in_degree(v) < k]
+        full = (1 << n) - 1
+        sides = {_kernels.karc_deficient_cut(n, caps, k)}
+        sides.update(1 << v for v in range(n) if D.out_degree(v) < k)
+        sides.update(full ^ (1 << v) for v in range(n) if D.in_degree(v) < k)
+        sides.discard(-1)
+        if not sides or len(short) > budget * p:
+            continue
+        side = rng.choice(sorted(sides))
+        adj = _neighbour_masks(D)
+        want = _reference_candidates(D, p, mode, side, budget, short)
+        inside = [v for v in range(n) if (side >> v) & 1]
+        if budget == 1:
+            d_out = sum(D.mult(u, v) for u in inside for v in range(n) if v not in inside)
+            want = [(gain, xs) for gain, xs in want if d_out + gain >= k]
+        want = [xs for _gain, xs in want]
+        stream = oracles._exact_candidates(n, caps, adj, k, p, mode, side, budget, short)
+        assert next(stream, None) == (want[0] if want else None)
+        got = list(oracles._exact_candidates(n, caps, adj, k, p, mode, side, budget, short))
+        assert got == want
+        nodes += 1
+        gaining = [
+            (u, v) for u in inside for v in range(n) if v not in inside and D.mult(u, v) != D.mult(v, u)
+        ]
+        stars += len(want) > 0 and 1 in (len({u for u, _v in gaining}), len({v for _u, v in gaining}))
+        at_most_2 += len(want) > 0 and mode == "at-most" and budget == 2
+        large += len(want) > 0 and n >= 10 and p == 5 and k == 3
+    assert stars > 150 and at_most_2 > 60 and large > 8, (stars, at_most_2, large)
+
+
 def _logging_kernels(monkeypatch):
     """Log 'karc' and 'lambda' for every karc_deficient_cut and
     min_cut_value call, in order."""
