@@ -20,10 +20,9 @@ one pass, calibrated as approx_stages.py calibrates it:
 Each stage's time excludes the stages it calls.  The counts:
 
 - ``digraph matrix builds`` / ``digraph matrix memo hits``: calls of
-  ``MultiDigraph.caps_flat`` or ``_read_caps`` (which reads the matrix
-  without keeping a new build) that build the matrix, and those that
-  copy a kept one (a package without the memo builds it on every
-  call);
+  ``MultiDigraph.caps_flat``, the one matrix reader, that build the
+  matrix, and those that copy a kept one (a package without the memo
+  builds it on every call);
 - ``degree builds``: calls of ``core._degrees``, under any module's
   name for it; ``degree memo hits``: calls of
   ``MultiDigraph._degree_lists`` that copy kept lists;
@@ -119,19 +118,13 @@ def counted_stream(counts, stream):
     return nodes
 
 
-def counted_caps(counts, depth, read):
-    """read, counting its outermost calls (caps_flat calls _read_caps)
-    as builds or memo hits."""
+def counted_caps(counts, read):
+    """read, counting its calls as builds or memo hits."""
 
     def call(D):
-        if not depth:
-            kept = getattr(D, "_caps", None) is not None
-            counts["digraph matrix memo hits" if kept else "digraph matrix builds"] += 1
-        depth.append(D)
-        try:
-            return read(D)
-        finally:
-            depth.pop()
+        kept = getattr(D, "_caps", None) is not None
+        counts["digraph matrix memo hits" if kept else "digraph matrix builds"] += 1
+        return read(D)
 
     return call
 
@@ -187,9 +180,7 @@ def measure(src, seed, passes):
     counts = Counter()
     stream = oracles._exact_candidates
     undo = patch(modules, "_degrees", lambda fn: counted(counts, "degree builds", fn))
-    depth = []
-    for name in ("caps_flat", "_read_caps"):
-        undo += patch([digraph], name, lambda fn: counted_caps(counts, depth, fn))
+    undo += patch([digraph], "caps_flat", lambda fn: counted_caps(counts, fn))
     undo += patch([digraph], "_degree_lists", lambda fn: counted_degree_lists(counts, fn))
     undo += patch([oracles], "_exact_candidates", lambda fn: counted_stream(counts, fn))
     sys.settrace(line_counter(stream, counts))

@@ -26,13 +26,13 @@ from . import _kernels
 from .core import (
     _check_digraph,
     _check_k,
+    _check_multigraph,
     _check_p,
     _check_vertex,
     _strong_after,
     _verified,
     InversionFamily,
     MultiDigraph,
-    Multigraph,
     edge_connectivity,
     is_k_arc_strong,
 )
@@ -341,8 +341,7 @@ def pack_independent_pairs(pairs, G, p):
     group is extracted until none is left.  Each pair must be two int
     vertices of G, and no pair may repeat: a pair flipped twice is
     not flipped, and its union with others would flip it once."""
-    if not isinstance(G, Multigraph):
-        raise InvalidArgumentError("pack_independent_pairs expects a Multigraph")
+    _check_multigraph(G, "pack_independent_pairs")
     _check_p(p, 3)
     seen = set()
     for e in pairs:

@@ -21,6 +21,15 @@ from .errors import InvalidArgumentError, ParseError
 INFINITY = math.inf
 
 
+def _is_int(x):
+    """x is an int and not a bool: bool is an int subclass, but True is
+    no count, vertex or size.  The checks that run on every vertex or
+    arc of each new graph or family (_check_vertex, multiplicities,
+    inversion sets) spell the test out: the call would add about 20 ns
+    to each."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_vertex(v, n, what="vertex"):
     """v itself when it is an int vertex id of 0..n-1 (bool is not)."""
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
@@ -29,18 +38,17 @@ def _check_vertex(v, n, what="vertex"):
 
 
 def _check_count(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise InvalidArgumentError(f"vertex count must be a non-negative int, got {n!r}")
 
 
 def _check_k(k):
-    # bool is an int subclass, but True is no connectivity
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InvalidArgumentError(f"k must be a positive int, got {k!r}")
 
 
 def _check_p(p, least=2):
-    if isinstance(p, bool) or not isinstance(p, int) or p < least:
+    if not _is_int(p) or p < least:
         raise InvalidArgumentError(f"p must be an int >= {least}, got {p!r}")
 
 
@@ -51,6 +59,15 @@ def _check_digraph(D, what, simple=False):
         raise InvalidArgumentError(f"{what} expects a MultiDigraph")
     if simple and not D.is_digraph():
         raise InvalidArgumentError("input has parallel arcs; a digraph is required")
+
+
+def _check_multigraph(G, what, simple=False):
+    """Reject G unless it is a Multigraph, and with simple=True also
+    when it has parallel edges."""
+    if not isinstance(G, Multigraph):
+        raise InvalidArgumentError(f"{what} expects a Multigraph")
+    if simple and any(m > 1 for m in G._m.values()):
+        raise InvalidArgumentError("parallel edges not allowed; a simple graph is required")
 
 
 class _Graph:
@@ -205,28 +222,21 @@ class MultiDigraph(_Graph):
 
     def caps_flat(self):
         """The n x n capacity matrix, row-major, as a fresh list that the
-        caller may change.  The first call keeps a copy on the digraph,
-        and later calls copy that.  The copy holds a byte a count (a
-        tuple once some pair has 256 or more arcs), so a kept matrix
-        costs n * n bytes."""
-        caps = self._read_caps()
-        if self._caps is None:
-            try:
-                kept = bytes(caps)
-            except ValueError:
-                kept = tuple(caps)
-            object.__setattr__(self, "_caps", kept)
-        return caps
-
-    def _read_caps(self):
-        """caps_flat() without keeping a new build: a digraph asked once,
-        as a verification asks the digraph it applied, pays no copy."""
+        caller may change.  The first call, whoever makes it, keeps a
+        copy on the digraph, and later calls copy that.  The copy holds
+        a byte a count (a tuple once some pair has 256 or more arcs), so
+        a kept matrix costs n * n bytes."""
         if self._caps is not None:
             return list(self._caps)
         n = self.n
         caps = [0] * (n * n)
         for (t, h), m in self._m.items():
             caps[t * n + h] = m
+        try:
+            kept = bytes(caps)
+        except ValueError:
+            kept = tuple(caps)
+        object.__setattr__(self, "_caps", kept)
         return caps
 
     def _degree_lists(self):
@@ -412,8 +422,7 @@ def edge_connectivity(G):
     backend).  The value is kept on G, which never changes, so the
     kernel runs once per Multigraph; with the memoised
     MultiDigraph.underlying, once per digraph."""
-    if not isinstance(G, Multigraph):
-        raise InvalidArgumentError("edge_connectivity expects a Multigraph")
+    _check_multigraph(G, "edge_connectivity")
     if G._lam is None:
         lam = INFINITY if G.n <= 1 else _kernels.min_cut_value(G.n, G.caps_flat())
         object.__setattr__(G, "_lam", lam)
@@ -427,7 +436,7 @@ def violating_dicut(D, k):
     n = D.n
     if n <= 1:
         return None
-    mask = _kernels.karc_deficient_cut(n, D._read_caps(), k)
+    mask = _kernels.karc_deficient_cut(n, D.caps_flat(), k)
     if mask == -1:
         return None
     return dicut(D, _mask_to_set(mask))
@@ -613,8 +622,7 @@ def frames(G, k):
     any such cut gives the unique frame partition; the cut comes from
     ``karc_deficient_cut``, as on a symmetric matrix d+(S) is the cut
     size of S."""
-    if not isinstance(G, Multigraph):
-        raise InvalidArgumentError("frames expects a Multigraph")
+    _check_multigraph(G, "frames")
     _check_k(k)
     blocks = []
 

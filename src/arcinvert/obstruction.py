@@ -23,8 +23,9 @@ from . import _kernels
 from .core import (
     _check_digraph,
     _check_k,
+    _check_multigraph,
     _check_vertex,
-    Multigraph,
+    _is_int,
     MultiDigraph,
     edge_connectivity,
 )
@@ -56,32 +57,37 @@ def verify_certificate(D, cert):
     """Check conditions (i)-(iii) of ``cert`` against D.
 
     Returns False on any failure, including a k that is not a positive
-    int (bool is not) and a malformed partition; the stored out_across
-    is not compared (it documents the issuing digraph, and the
-    partition stays valid after odd-size inversions even though d+(X)
-    changes)."""
+    int (bool is not) and a malformed partition (a part or y that is
+    not even iterable included); the stored out_across is not compared
+    (it documents the issuing digraph, and the partition stays valid
+    after odd-size inversions even though d+(X) changes)."""
     if not isinstance(D, MultiDigraph) or not isinstance(cert, ObstructionCertificate):
         raise InvalidArgumentError("verify_certificate expects (MultiDigraph, ObstructionCertificate)")
     k = cert.k
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or not cert.x_parts or not cert.y:
+    try:
+        x_parts = [tuple(part) for part in cert.x_parts]
+        y_part = tuple(cert.y)
+    except TypeError:
+        return False
+    if not _is_int(k) or k < 1 or not x_parts:
         return False
     seen = set()
-    for part in list(cert.x_parts) + [cert.y]:
+    for part in x_parts + [y_part]:
         if not part:
             return False
         for v in part:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < D.n or v in seen:
+            if not _is_int(v) or not 0 <= v < D.n or v in seen:
                 return False
             seen.add(v)
     if len(seen) != D.n:
         return False
     G = D.underlying()
     x_set = set()
-    for part in cert.x_parts:
+    for part in x_parts:
         if G.cut_size(part) != 2 * k:
             return False
         x_set.update(part)
-    y_set = set(cert.y)
+    y_set = set(y_part)
     for x in x_set:
         for y in y_set:
             if G.mult(x, y) != 1:
@@ -102,8 +108,7 @@ def k_regular_partition(G, k, X):
     containing x.  Intersecting sides are merged; by submodularity both
     the intersection and the union of two crossing k-cuts are k-cuts
     again, which is checked explicitly."""
-    if not isinstance(G, Multigraph):
-        raise InvalidArgumentError("k_regular_partition expects a Multigraph")
+    _check_multigraph(G, "k_regular_partition")
     _check_k(k)
     xs = sorted({_check_vertex(v, G.n) for v in X})
     if not xs:
@@ -304,7 +309,7 @@ def star_matching_obstruction(m):
     to every pair vertex by one arc, of which t = (m+1) mod 2 point
     toward the hub (so that condition (iii) holds for every m).
     Returns (digraph, certificate)."""
-    if not isinstance(m, int) or m < 3:
+    if not _is_int(m) or m < 3:
         raise InvalidArgumentError("need at least 3 pairs (n = 2m+1 >= 7)")
     hub = 2 * m
     t = (m + 1) % 2
@@ -335,7 +340,7 @@ def doubled_clique_obstruction(k, r):
     has one edge to each of the two hubs, and t = (rk+1) mod 2 of the
     hub edges point hubward.  Needs rk >= 4k (so n >= 4k+2).
     Returns (digraph, certificate)."""
-    if not isinstance(k, int) or k < 1 or not isinstance(r, int) or r < 1:
+    if not _is_int(k) or k < 1 or not _is_int(r) or r < 1:
         raise InvalidArgumentError("k and r must be positive ints")
     if r * k < 4 * k:
         raise InvalidArgumentError("need r >= 4 so that n >= 4k+2")

@@ -16,6 +16,8 @@ from . import _kernels
 from .core import (
     _check_digraph,
     _check_k,
+    _check_multigraph,
+    _is_int,
     _verified,
     InversionFamily,
     MultiDigraph,
@@ -58,7 +60,7 @@ def rotative_tournament(m):
     """Tournament of order m in which i beats the next floor(m/2)
     vertices cyclically; even orders are cut down from order m + 1.
     The result is floor((m-1)/2)-arc-strong."""
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise InvalidArgumentError(f"order must be a positive int, got {m!r}")
     if m % 2 == 1:
         # 1 <= d <= m // 2 < m: no loop, and no arc twice
@@ -129,8 +131,7 @@ def gen_p3p(G, k):
     inversions of sets of at most 3 vertices making D k-arc-strong is
     ceil((n - y) / 2).  The planted family realises that size from a
     maximum packing."""
-    if not isinstance(G, Multigraph):
-        raise InvalidArgumentError("gen_p3p expects a Multigraph")
+    _check_multigraph(G, "gen_p3p")
     _check_k(k)
     if G.n < 2:
         raise InvalidArgumentError("source graph needs at least 2 vertices")
@@ -294,10 +295,7 @@ def gen_do_m22inv(G, F):
     parallel low-to-high arcs.  The planted family (when the brute-force
     search finds a valid orientation) lists the pairs that the found
     orientation directs high-to-low."""
-    if not isinstance(G, Multigraph):
-        raise InvalidArgumentError("gen_do_m22inv expects a Multigraph")
-    if any(m > 1 for (_u, _v, m) in G.edges()):
-        raise InvalidArgumentError("parallel edges not allowed; a simple graph is required")
+    _check_multigraph(G, "gen_do_m22inv", simple=True)
     fset = set()
     for e in F:
         u, v = sorted(e)
@@ -360,11 +358,9 @@ def gen_push_n1(D):
     return ReductionInstance(D, "push-n1", {"k": 1, "p": n - 1}, meta, planted)
 
 
-def _validate_partitioned(G, parts, H):
-    if not isinstance(G, Multigraph) or not isinstance(H, Multigraph):
-        raise InvalidArgumentError("source graphs must be Multigraph instances")
-    if any(m > 1 for (_u, _v, m) in G.edges()) or any(m > 1 for (_u, _v, m) in H.edges()):
-        raise InvalidArgumentError("parallel edges not allowed; simple graphs are required")
+def _validate_partitioned(G, parts, H, what):
+    _check_multigraph(G, what, simple=True)
+    _check_multigraph(H, what, simple=True)
     r = len(parts)
     if H.n != r:
         raise InvalidArgumentError("pattern graph order must equal the number of parts")
@@ -425,9 +421,9 @@ def gen_psi_ksi(G, parts, H, k):
     one vertex per part realises every pattern edge in G.  Requires
     k >= 2 and a normalised source (validated, the violated condition
     is named)."""
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise InvalidArgumentError(f"k must be an int >= 2, got {k!r}")
-    part_of = _validate_partitioned(G, parts, H)
+    part_of = _validate_partitioned(G, parts, H, "gen_psi_ksi")
     r = len(parts)
     hedges = sorted((min(i, j), max(i, j)) for (i, j, _m) in H.edges())
     order = 3 * k
@@ -520,7 +516,7 @@ def gen_npsi_22(G, parts, H):
     pattern edge.  The planted family bundles, per chosen vertex, all
     adjacent pairs through its chain and, per realised pattern edge,
     the three pairs at the edge vertex."""
-    part_of = _validate_partitioned(G, parts, H)
+    part_of = _validate_partitioned(G, parts, H, "gen_npsi_22")
     r = len(parts)
     hedges = sorted((min(i, j), max(i, j)) for (i, j, _m) in H.edges())
     neighbors = {c: sorted(j for j in range(r) if H.mult(c, j) > 0) for c in range(r)}

@@ -30,7 +30,7 @@ Size recipes (n >= p+2 throughout):
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import InversionFamily, _check_digraph, _check_p, _check_vertex, apply_inversions
+from .core import InversionFamily, _check_digraph, _check_p, _check_vertex, _is_int, apply_inversions
 from .errors import (
     InvalidArgumentError,
     PreconditionViolatedError,
@@ -269,7 +269,7 @@ def simulate_pair(D, e, p):
     0, so I_yz + R_y + R_z = A + e_yz.  The anchor has e_ab = 0, so A
     lies in the span of the p-sets, and then so does e = (A + e) + A:
     the solve in _window_sets never fails."""
-    if not isinstance(p, int) or p % 2 == 1:
+    if not _is_int(p) or p % 2 == 1:
         raise InvalidArgumentError(f"p must be even, got {p!r}")
     if p < 4:
         raise InvalidArgumentError(f"p must be >= 4, got {p}")

@@ -374,6 +374,34 @@ def test_approx_kp_applies_the_pair_family_once(monkeypatch):
     assert seen[True] and seen[False]
 
 
+def test_approx_kp_builds_each_digraph_matrix_at_most_once(monkeypatch):
+    # caps_flat is the one matrix reader and keeps its first build: the
+    # strongness checks keep what they read, so the minimal core copies
+    # the pair-stage digraph's matrix instead of building it again
+    builds = []
+    caps_flat = MultiDigraph.caps_flat
+
+    def counted(D):
+        if D._caps is None:
+            builds.append(D)
+        return caps_flat(D)
+
+    asked = []
+    violating = core.violating_dicut
+    monkeypatch.setattr(MultiDigraph, "caps_flat", counted)
+    monkeypatch.setattr(core, "violating_dicut", lambda D, k: asked.append(D) or violating(D, k))
+    rng = random.Random(514)
+    for heuristic, p in product((False, True), (3, 4)):
+        for _ in range(6):
+            D = _cycles_digraph(rng, 1, rng.randint(6, 9), bundles=False)
+            builds.clear()
+            asked.clear()
+            approx_kp(D, 1, p, heuristic=heuristic)
+            # builds holds every built digraph, so no id is reused
+            assert len({id(E) for E in builds}) == len(builds) > 0
+            assert asked and all(E._caps is not None for E in asked)
+
+
 def test_entry_points_share_one_lambda_per_digraph(monkeypatch):
     # is_kp_invertible and approx_kp both need lambda(UG(D)) >= 2k; the
     # kernel computes it for the first and the second reads the memo

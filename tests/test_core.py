@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcinvert import _kernels, approx, core, oracles
-from arcinvert.approx import approx_kp, greedy_k2_inversion_set, min_k2_inversion_set
+from arcinvert.approx import (
+    approx_kp,
+    greedy_k2_inversion_set,
+    min_k2_inversion_set,
+    pack_independent_pairs,
+)
 from arcinvert.core import (
     INFINITY,
     InversionFamily,
@@ -29,10 +34,20 @@ from arcinvert.errors import InvalidArgumentError, ParseError
 from arcinvert.feasibility import is_kp_invertible
 from arcinvert.obstruction import (
     ObstructionCertificate,
+    doubled_clique_obstruction,
+    k_regular_partition,
     star_matching_obstruction,
     verify_certificate,
 )
-from arcinvert.reductions import gen_p3p
+from arcinvert.oracles import exists_k_arc_strong_orientation, max_p3_packing
+from arcinvert.reductions import (
+    gen_do_m22inv,
+    gen_npsi_22,
+    gen_p3p,
+    gen_psi_ksi,
+    minimal_pattern_source,
+    rotative_tournament,
+)
 
 from conftest import rand_digraph, rand_family, rand_multidigraph, rand_multigraph
 from test_kernels import _dense_global_min_cut
@@ -460,9 +475,12 @@ def test_capacity_matrix_and_degrees_are_fresh_copies_of_one_memo(monkeypatch):
         outs = [D.out_degree(v) for v in range(n)]
         ins = [D.in_degree(v) for v in range(n)]
         del counted[:]
-        # a strongness check reads the matrix without keeping it
-        is_k_arc_strong(D, 1)
+        # a strongness check keeps the matrix it builds, and later
+        # caps_flat() calls copy it
         assert D._caps is None
+        is_k_arc_strong(D, 1)
+        kept = D._caps
+        assert list(kept) == want
         caps = D.caps_flat()
         assert caps == want and caps is not D.caps_flat()
         caps[1] += 5
@@ -475,7 +493,7 @@ def test_capacity_matrix_and_degrees_are_fresh_copies_of_one_memo(monkeypatch):
         assert D._degree_lists() == (outs, ins)
         # one build each, whatever the callers did with their copies
         assert counted == [n]
-        assert list(D._caps) == want and D._deg == (tuple(outs), tuple(ins))
+        assert D._caps is kept and D._deg == (tuple(outs), tuple(ins))
 
 
 def test_a_matrix_with_large_counts_is_kept_whole():
@@ -634,8 +652,19 @@ def test_every_answer_goes_through_the_one_verification(monkeypatch):
         lambda one: Multigraph(2, [(0, 1, one)]),
         lambda one: oracles.Hypergraph(3, [(one, 2)]),
         _star_matching_verified,
+        rotative_tournament,
+        lambda one: doubled_clique_obstruction(one, 4),
     ],
-    ids=["digraph-n", "graph-n", "arc-mult", "edge-mult", "hyperedge-vertex", "certificate-vertex"],
+    ids=[
+        "digraph-n",
+        "graph-n",
+        "arc-mult",
+        "edge-mult",
+        "hyperedge-vertex",
+        "certificate-vertex",
+        "tournament-order",
+        "doubled-clique-k",
+    ],
 )
 def test_bool_is_rejected_where_an_int_is_expected(build):
     # True == 1, but a count, multiplicity or vertex id given as a bool
@@ -646,3 +675,50 @@ def test_bool_is_rejected_where_an_int_is_expected(build):
     except InvalidArgumentError:
         accepted = False
     assert accepted is False
+
+
+_G, _PARTS, _H = minimal_pattern_source()
+
+
+@pytest.mark.parametrize(
+    "name, call, simple",
+    [
+        ("edge_connectivity", edge_connectivity, False),
+        ("frames", lambda G: frames(G, 1), False),
+        ("pack_independent_pairs", lambda G: pack_independent_pairs([], G, 3), False),
+        ("k_regular_partition", lambda G: k_regular_partition(G, 1, [0]), False),
+        ("exists_k_arc_strong_orientation", lambda G: exists_k_arc_strong_orientation(G, 1), False),
+        ("max_p3_packing", max_p3_packing, True),
+        ("gen_p3p", lambda G: gen_p3p(G, 1), False),
+        ("gen_do_m22inv", lambda G: gen_do_m22inv(G, []), True),
+        ("gen_psi_ksi", lambda G: gen_psi_ksi(G, _PARTS, _H, 2), True),
+        ("gen_psi_ksi", lambda H: gen_psi_ksi(_G, _PARTS, H, 2), True),
+        ("gen_npsi_22", lambda G: gen_npsi_22(G, _PARTS, _H), True),
+        ("gen_npsi_22", lambda H: gen_npsi_22(_G, _PARTS, H), True),
+    ],
+    ids=[
+        "edge_connectivity",
+        "frames",
+        "pack_independent_pairs",
+        "k_regular_partition",
+        "exists_k_arc_strong_orientation",
+        "max_p3_packing",
+        "gen_p3p",
+        "gen_do_m22inv",
+        "gen_psi_ksi-source",
+        "gen_psi_ksi-pattern",
+        "gen_npsi_22-source",
+        "gen_npsi_22-pattern",
+    ],
+)
+def test_every_multigraph_argument_is_checked_by_core(name, call, simple):
+    # a digraph is no Multigraph; the simple-graph callers also refuse
+    # parallel edges, with the messages core._check_multigraph gives
+    cycle = [(v, (v + 1) % 4) for v in range(4)]
+    with pytest.raises(InvalidArgumentError) as exc:
+        call(MultiDigraph(4, cycle))
+    assert str(exc.value) == f"{name} expects a Multigraph"
+    if simple:
+        with pytest.raises(InvalidArgumentError) as exc:
+            call(Multigraph(4, cycle + [(0, 1)]))
+        assert str(exc.value) == "parallel edges not allowed; a simple graph is required"

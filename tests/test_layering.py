@@ -100,3 +100,24 @@ def test_the_exact_oracle_stays_off_the_parity_search():
         assert not named & from_parity, (name, sorted(named & from_parity))
         todo.extend(named & functions.keys() - seen)
     assert {"_validate_kp", "_stray"} <= seen, seen
+
+
+def _multigraph_checks(path):
+    """The top-level functions and classes of the module at path whose
+    code calls isinstance with Multigraph among its types."""
+    owners = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                types = node.args[1]
+                names = types.elts if isinstance(types, ast.Tuple) else [types]
+                if any(getattr(name, "id", None) == "Multigraph" for name in names):
+                    owners.add(top.name)
+    return owners
+
+
+def test_multigraph_arguments_are_checked_in_core_only():
+    # one checker holds the Multigraph contract and its messages, as
+    # core._check_digraph holds the digraph one
+    owners = {f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _multigraph_checks(path)}
+    assert owners == {"core._check_multigraph"}, owners

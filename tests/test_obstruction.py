@@ -140,6 +140,13 @@ def test_verify_rejects_malformed_partitions():
     assert not verify_certificate(D, overlapping)
 
 
+def test_verify_rejects_parts_that_are_not_iterable():
+    # a malformed partition is a False, not a TypeError
+    D, cert = star_matching_obstruction(3)
+    for x_parts, y in (((1, 2), cert.y), (cert.x_parts, 5), (7, cert.y)):
+        assert verify_certificate(D, ObstructionCertificate(k=cert.k, x_parts=x_parts, y=y)) is False
+
+
 def _corrupted(cert, x_parts, y):
     return ObstructionCertificate(k=cert.k, x_parts=tuple(x_parts), y=tuple(y))
 
