@@ -27,8 +27,11 @@ kernel dispatcher's ``karc_deficient_cut`` calls, of those that reach
 the backend, and of the backend's ``st_max_flow`` and ``_flow`` calls.
 ``k=1 reach calls`` counts the backend's ``_reach`` calls inside its
 k = 1 ``karc_deficient_cut`` calls, and ``k=1 reach vertices`` the
-vertices they expand (each expansion reads one row or column of the
-matrix as a slice, and those reads are counted).
+vertices they expand.  An expansion either builds the vertex's row (or
+column) mask from a slice of the matrix, counted as ``k=1 rows built``,
+or reads the mask that an earlier call of the same search kept in its
+Matrix (see _pyimpl.Matrix), counted as ``k=1 kept-row reads``; a
+package without kept rows builds a row at every expansion.
 ``answers_sha256`` hashes every call's output and pair families, so
 runs on two checkouts show whether they returned the same answers.
 
@@ -46,6 +49,7 @@ checkout.  The standard library is all it needs.
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -101,9 +105,9 @@ def counted(counts, name, fn):
     return call
 
 
-class RowReads(list):
-    """A capacity matrix that counts its slices: a reach reads one row
-    (backward: one column) per vertex it expands."""
+class RowBuilds(list):
+    """A copy of a capacity matrix that counts its slices: a reach
+    slices one row (backward: one column) per row mask it builds."""
 
     def __init__(self, caps, counts):
         super().__init__(caps)
@@ -111,18 +115,44 @@ class RowReads(list):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
+            self.counts["k=1 rows built"] += 1
             self.counts["k=1 reach vertices"] += 1
         return list.__getitem__(self, i)
 
 
+class KeptRows(list):
+    """A copy of a reach's kept row masks that counts the reads of rows
+    built before."""
+
+    def __init__(self, rows, counts):
+        super().__init__(rows)
+        self.counts = counts
+
+    def __getitem__(self, i):
+        row = list.__getitem__(self, i)
+        if row is not None:
+            self.counts["k=1 kept-row reads"] += 1
+            self.counts["k=1 reach vertices"] += 1
+        return row
+
+
 def counted_k1_reaches(counts, pyimpl, karc):
     """karc, counted as a backend call, whose k = 1 calls count their
-    reaches and the vertices those expand."""
+    reaches, the rows those build and the kept rows they read."""
     reach = pyimpl._reach
+    kept_rows = "rows" in inspect.signature(reach).parameters
+    counts["k=1 rows built"] = counts["k=1 kept-row reads"] = 0
 
     def k1_reach(n, caps, *args):
         counts["k=1 reach calls"] += 1
-        return reach(n, RowReads(caps, counts), *args)
+        rows = args[0] if kept_rows else None
+        if rows is None:
+            return reach(n, RowBuilds(caps, counts), *args)
+        counted = KeptRows(rows, counts)
+        mask = reach(n, RowBuilds(caps, counts), counted, *args[1:])
+        # the rows the reach built stay kept, as they do uncounted
+        rows[:] = counted
+        return mask
 
     def call(n, caps, k, *args):
         counts["backend karc_deficient_cut"] += 1

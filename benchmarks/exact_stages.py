@@ -121,10 +121,10 @@ def counted_stream(counts, stream):
 def counted_caps(counts, read):
     """read, counting its calls as builds or memo hits."""
 
-    def call(D):
+    def call(D, *args):
         kept = getattr(D, "_caps", None) is not None
         counts["digraph matrix memo hits" if kept else "digraph matrix builds"] += 1
-        return read(D)
+        return read(D, *args)
 
     return call
 

@@ -194,12 +194,12 @@ static PyObject *side_mask(Net *g, int complement)
 
 static PyObject *st_max_flow(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"n", "caps", "s", "t", "limit", NULL};
+    static char *names[] = {"n", "caps", "s", "t", "limit", "matrix", NULL};
     idx n, s, t;
     long long limit = -1, value;
-    PyObject *caps, *out;
+    PyObject *caps, *matrix = Py_None, *out;
     Net g;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOnn|L", names, &n, &caps, &s, &t, &limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOnn|LO", names, &n, &caps, &s, &t, &limit, &matrix))
         return NULL;
     if (s < 0 || s >= n || t < 0 || t >= n || s == t)
         return PyErr_Format(PyExc_ValueError, "need distinct s, t in 0..%zd, got %zd, %zd", n - 1, s, t);
@@ -216,17 +216,19 @@ static PyObject *st_max_flow(PyObject *self, PyObject *args, PyObject *kw)
 
 /* First side in scan order with fewer than k arcs leaving, or -1.  For
    k = 1 the two reaches from vertex 0 decide; otherwise the flows run
-   v ascending, 0->v before v->0.  The search hint after is accepted and
-   ignored: it never changes the answer. */
+   v ascending, 0->v before v->0.  The search hints after and matrix
+   are accepted and ignored: neither changes the answer, and each call
+   builds its own network from caps.  st_max_flow ignores its matrix
+   hint alike. */
 static PyObject *karc_deficient_cut(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"n", "caps", "k", "after", NULL};
+    static char *names[] = {"n", "caps", "k", "after", "matrix", NULL};
     idx n, v;
     long long k;
     int found = 0;
-    PyObject *caps, *after = Py_None, *out;
+    PyObject *caps, *after = Py_None, *matrix = Py_None, *out;
     Net g;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOL|O", names, &n, &caps, &k, &after) || load(&g, n, caps) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "nOL|OO", names, &n, &caps, &k, &after, &matrix) || load(&g, n, caps) < 0)
         return NULL;
     Py_BEGIN_ALLOW_THREADS
     if (n > 1 && k == 1)
@@ -264,8 +266,8 @@ static PyObject *min_cut_value(PyObject *self, PyObject *args, PyObject *kw)
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
 
 static PyMethodDef methods[] = {
-    KERNEL(st_max_flow, "st_max_flow(n, caps, s, t, limit=-1) -> (flow, side_mask), side_mask 0 at the limit"),
-    KERNEL(karc_deficient_cut, "karc_deficient_cut(n, caps, k, after=None) -> side with d+(S) < k, or -1"),
+    KERNEL(st_max_flow, "st_max_flow(n, caps, s, t, limit=-1, matrix=None) -> (flow, side_mask), side_mask 0 at the limit"),
+    KERNEL(karc_deficient_cut, "karc_deficient_cut(n, caps, k, after=None, matrix=None) -> side with d+(S) < k, or -1"),
     KERNEL(min_cut_value, "min_cut_value(n, caps) -> value of a minimum cut of a symmetric matrix"),
     {NULL, NULL, 0, NULL},
 };

@@ -12,11 +12,12 @@ instead of running the flows that the C kernel runs.
 The flows walk, for each vertex, the ascending list of the vertices it
 shares an arc with (in either direction) instead of scanning all n
 vertices.  A list is built when a search first reaches its vertex and
-is shared by all flows of one kernel call.  A residual arc u->v can
-only exist between such neighbours, and the lists keep the ascending
-order of a dense scan, so every breadth-first search visits the same
-vertices in the same order and finds the same augmenting paths as a
-scan of every vertex would.
+is shared by all flows of one kernel call (of one search, with a
+``matrix`` hint, below).  A residual arc u->v can only exist between
+such neighbours, and the lists keep the ascending order of a dense
+scan, so every breadth-first search visits the same vertices in the
+same order and finds the same augmenting paths as a scan of every
+vertex would.
 
 A flow limited to 1 runs no flow at all: it is 1 exactly when t is
 reachable from s, and below that limit the residual graph is the input,
@@ -36,13 +37,118 @@ which is mostly close, and it skips each flow that v's own arcs to or
 from P already fill.  With k = 1 and an ``after`` hint, which the C
 kernel ignores, it grows a child's reach from its parent's side and
 expands only the vertices the swap adds.
+
+A call derives from caps what it needs (row and column bit masks,
+neighbour lists, the transposed matrix) on first use, and drops it on
+return.  A search that changes its matrix between calls by swaps and
+unit adds can keep these parts in one Matrix instead: it writes caps
+only through the Matrix's ``swap`` and ``add`` and passes the Matrix
+as the ``matrix`` hint, and each call then reads and extends the
+Matrix's parts, which those writes keep up to date.  The answers are
+the same either way.  The C kernel ignores the hint.
 """
 
+from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import compress
 from operator import or_
 
 BACKEND = "py"
+
+
+class Matrix:
+    """A search's capacity matrix ``caps`` (row-major, n*n), with the
+    parts the kernels derive from it, each built on first use:
+
+    - ``outs[u]`` (``ins[u]``): the mask of the vertices that u has an
+      arc to (from), or None until a reach first expands u;
+    - ``nbrs[u]``: the ascending list of the vertices that share an arc
+      with u, or None until a flow first reaches u (_flow builds it);
+    - ``transposed()``: caps transposed, built on its first call.
+
+    While a search uses the Matrix, swap and add are the only writes to
+    caps, and each updates the parts already built, so every part
+    agrees with caps at every kernel call.  A neighbour list may keep a
+    vertex whose arcs add has removed: a flow steps to a neighbour only
+    along a positive residual entry, so the extra vertex is never
+    visited, and the lists keep their ascending order."""
+
+    __slots__ = ("n", "caps", "outs", "ins", "nbrs", "_capsT")
+
+    def __init__(self, n, caps):
+        self.n = n
+        self.caps = caps
+        self.outs = [None] * n
+        self.ins = [None] * n
+        self.nbrs = [None] * n
+        self._capsT = None
+
+    def transposed(self):
+        capsT = self._capsT
+        if capsT is None:
+            capsT = self._capsT = _transpose(self.n, self.caps)
+        return capsT
+
+    def swap(self, u, v):
+        """Swaps the u->v and v->u counts and returns them as they were.
+        u and v stay neighbours either way, so the neighbour lists stay
+        as they are."""
+        n, caps = self.n, self.caps
+        i, j = u * n + v, v * n + u
+        a, b = caps[i], caps[j]
+        caps[i], caps[j] = b, a
+        if (a > 0) != (b > 0):
+            # one of the arcs u->v, v->u was there and the other is now
+            bu, bv = 1 << u, 1 << v
+            outs, ins = self.outs, self.ins
+            if outs[u] is not None:
+                outs[u] ^= bv
+            if outs[v] is not None:
+                outs[v] ^= bu
+            if ins[u] is not None:
+                ins[u] ^= bv
+            if ins[v] is not None:
+                ins[v] ^= bu
+        capsT = self._capsT
+        if capsT is not None:
+            capsT[i], capsT[j] = a, b
+        return a, b
+
+    def add(self, t, h, d):
+        """Adds d to the t->h count, which must stay non-negative."""
+        n, caps = self.n, self.caps
+        c = caps[t * n + h]
+        caps[t * n + h] = c + d
+        if (c > 0) != (c + d > 0):
+            outs, ins = self.outs, self.ins
+            if outs[t] is not None:
+                outs[t] ^= 1 << h
+            if ins[h] is not None:
+                ins[h] ^= 1 << t
+            if not c:
+                # a new arc: its ends become neighbours, if they were not
+                for x, y in ((t, h), (h, t)):
+                    nb = self.nbrs[x]
+                    if nb is not None:
+                        i = bisect_left(nb, y)
+                        if i == len(nb) or nb[i] != y:
+                            nb.insert(i, y)
+        capsT = self._capsT
+        if capsT is not None:
+            capsT[h * n + t] = c + d
+
+
+def _transpose(n, caps):
+    capsT = []
+    for u in range(n):
+        capsT += caps[u::n]
+    return capsT
+
+
+def _check_hint(n, caps, matrix):
+    """Refuses a ``matrix`` hint that does not hold caps itself."""
+    if matrix.caps is not caps or matrix.n != n:
+        raise ValueError("a matrix hint must hold the caps list of its call")
 
 
 def _flow(n, caps, res, nbrs, s, target, limit):
@@ -54,7 +160,8 @@ def _flow(n, caps, res, nbrs, s, target, limit):
     flow from the flagged set into s, pass the transposed ``caps`` and
     ``res``.  ``nbrs[u]`` is the ascending list of the vertices that
     share an arc with u, in either direction (the same for a matrix and
-    its transpose), or None until a search first reaches u.
+    its transpose), or None until a search first reaches u; a kept list
+    may also hold vertices that no longer do (see Matrix).
 
     Returns (flow, mask of the residual reach from s).  A flow that
     stops at its limit returns mask 0, as no search runs then, and
@@ -114,7 +221,7 @@ def _flow(n, caps, res, nbrs, s, target, limit):
     return flow, 0
 
 
-def st_max_flow(n, caps, s, t, limit=-1):
+def st_max_flow(n, caps, s, t, limit=-1, matrix=None):
     """Max s->t flow by BFS augmentation.
 
     Stops early once ``limit`` augmenting units are found (limit < 0
@@ -128,15 +235,20 @@ def st_max_flow(n, caps, s, t, limit=-1):
     reaches t along positive entries, and otherwise the residual graph
     is caps itself, so the side is the reach of s.  _reach answers both
     with row masks and stops as soon as it reaches t.
+
+    ``matrix`` is a Matrix holding caps itself, whose row masks and
+    neighbour lists the call reads and extends (see Matrix).
     """
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need distinct s, t in 0..{n - 1}, got {s}, {t}")
+    if matrix is not None:
+        _check_hint(n, caps, matrix)
     if limit == 1:
-        mask = _reach(n, caps, 1 << s, False, 1 << t)
+        mask = _reach(n, caps, None if matrix is None else matrix.outs, 1 << s, False, 1 << t)
         return (1, 0) if mask >> t & 1 else (0, mask)
     target = [False] * n
     target[t] = True
-    return _flow(n, caps, list(caps), [None] * n, s, target, limit)
+    return _flow(n, caps, list(caps), [None] * n if matrix is None else matrix.nbrs, s, target, limit)
 
 
 # POW[i] == 1 << i.  _reach grows it past 64 when a larger n needs it,
@@ -145,16 +257,17 @@ def st_max_flow(n, caps, s, t, limit=-1):
 POW = [1 << i for i in range(64)]
 
 
-def _reach(n, caps, mask, backward, stop=0, todo=None):
+def _reach(n, caps, rows, mask, backward, stop=0, todo=None):
     """Mask of the vertices that the vertices of ``mask`` reach along
     the positive entries of ``caps`` (backward: that reach them).  Each
-    reached vertex is expanded once: its row (backward: its column)
-    becomes a mask in one C-level ``sum(compress(POW, row))``, and the
-    search stops once every vertex is reached, or as soon as it reaches
-    a vertex of ``stop``: the mask returned then holds that vertex but
-    not the whole reach.  ``todo`` names the vertices of mask to expand
-    (default: all of them); the caller vouches that the others reach
-    nothing outside mask."""
+    reached vertex is expanded once, by its row mask (backward: column
+    mask): ``rows[u]``, or when rows is None or holds None there, the
+    mask built in one C-level ``sum(compress(POW, row))``, which a rows
+    list then keeps.  The search stops once every vertex is reached, or
+    as soon as it reaches a vertex of ``stop``: the mask returned then
+    holds that vertex but not the whole reach.  ``todo`` names the
+    vertices of mask to expand (default: all of them); the caller
+    vouches that the others reach nothing outside mask."""
     global POW
     pow2 = POW
     if len(pow2) < n:
@@ -166,8 +279,11 @@ def _reach(n, caps, mask, backward, stop=0, todo=None):
         low = todo & -todo
         todo ^= low
         u = low.bit_length() - 1
-        row = caps[u::n] if backward else caps[u * n:u * n + n]
-        new = sum(compress(pow2, row)) & ~mask
+        if rows is None or (row := rows[u]) is None:
+            row = sum(compress(pow2, caps[u::n] if backward else caps[u * n:u * n + n]))
+            if rows is not None:
+                rows[u] = row
+        new = row & ~mask
         mask |= new
         if new & stop:
             break
@@ -175,7 +291,7 @@ def _reach(n, caps, mask, backward, stop=0, todo=None):
     return mask
 
 
-def _reach_after(n, caps, backward, after):
+def _reach_after(n, caps, rows, backward, after):
     """The reach of vertex 0 (backward: the set that reaches it), grown
     from the parent's closed set when ``after`` holds the one of this
     direction, else scanned in full.  See karc_deficient_cut."""
@@ -193,11 +309,11 @@ def _reach_after(n, caps, backward, after):
                     if caps[o * n + i] if backward else caps[i * n + o]:
                         closed |= 1 << o
                         todo = 1 << o
-                return _reach(n, caps, closed, backward, 0, todo)
-    return _reach(n, caps, 1, backward)
+                return _reach(n, caps, rows, closed, backward, 0, todo)
+    return _reach(n, caps, rows, 1, backward)
 
 
-def karc_deficient_cut(n, caps, k, after=None):
+def karc_deficient_cut(n, caps, k, after=None, matrix=None):
     """Side S (nonempty, proper) with d+(S) < k, or -1 if none.
 
     k = 1 takes the forward, then the backward reach of vertex 0;
@@ -240,33 +356,37 @@ def karc_deficient_cut(n, caps, k, after=None):
     reaches o) if such an arc is there now, and only those new vertices
     are expanded.  When both ends lie in it, arcs inside it change and
     the reach is scanned in full.  The other reach is scanned in full.
+
+    ``matrix`` is a Matrix holding caps itself: the reaches read its
+    row masks and the flows its neighbour lists and transposed matrix,
+    and what they build stays there for the next call.
     """
     if n <= 1:
         return -1
+    if matrix is not None:
+        _check_hint(n, caps, matrix)
     if k == 1:
         full = (1 << n) - 1
-        mask = _reach_after(n, caps, False, after)
+        mask = _reach_after(n, caps, None if matrix is None else matrix.outs, False, after)
         if mask != full:
             return mask
-        mask = _reach_after(n, caps, True, after)
+        mask = _reach_after(n, caps, None if matrix is None else matrix.ins, True, after)
         return full & ~mask if mask != full else -1
     # residual matrices, each built when its first flow runs
     res = capsT = resT = None
-    nbrs = [None] * n
+    nbrs = [None] * n if matrix is None else matrix.nbrs
     passed = [False] * n
     for v in range(1, n):
         passed[v - 1] = True
         # caps[v:v*n:n] is v's column over rows 0..v-1
         if sum(caps[v:v * n:n]) < k:
             if capsT is None:
-                capsT = []
-                for u in range(n):
-                    capsT += caps[u::n]
+                capsT = _transpose(n, caps) if matrix is None else matrix.transposed()
                 resT = list(capsT)
             if _flow(n, capsT, resT, nbrs, v, passed, k)[0] < k:
                 # resT is the transposed residual: its columns are the
                 # residual rows
-                return _reach(n, resT, (1 << v) - 1, True)
+                return _reach(n, resT, None, (1 << v) - 1, True)
         if sum(caps[v * n:v * n + v]) < k:
             if res is None:
                 res = list(caps)

@@ -145,9 +145,12 @@ def _pair_search(D, k, allowed, memo):
     date by the flips instead of recounted at each node.  A child is
     its parent's matrix with one more pair swapped, so its kernel call
     gets the parent's side, read from the memo, and that pair as its
-    ``after`` hint."""
+    ``after`` hint.  One _kernels.Matrix holds caps for the whole
+    search: every flip is its swap, and every kernel call gets it as
+    the ``matrix`` hint."""
     n = D.n
-    caps = D.caps_flat()
+    matrix = _kernels.Matrix(n, D.caps_flat())
+    caps = matrix.caps
     outdeg, indeg = D._degree_lists()
     # a single vertex has no proper cut, so its degrees bound nothing
     short = sum(1 for v in range(n) if outdeg[v] < k or indeg[v] < k) if n > 1 else 0
@@ -155,8 +158,7 @@ def _pair_search(D, k, allowed, memo):
     def flip(u, v):
         nonlocal short
         before = (outdeg[u] < k or indeg[u] < k) + (outdeg[v] < k or indeg[v] < k)
-        uv, vu = caps[u * n + v], caps[v * n + u]
-        caps[u * n + v], caps[v * n + u] = vu, uv
+        uv, vu = matrix.swap(u, v)
         outdeg[u] += vu - uv
         indeg[v] += vu - uv
         outdeg[v] += uv - vu
@@ -178,7 +180,7 @@ def _pair_search(D, k, allowed, memo):
                 # in the memo
                 last = chain[-1]
                 after = (memo[mask ^ allowed[last]][0], *last)
-            side = _kernels.karc_deficient_cut(n, caps, k, after)
+            side = _kernels.karc_deficient_cut(n, caps, k, after, matrix)
             if side == -1:
                 return InversionFamily(chain)
             # with no flip left, a state that is not k-arc-strong fails
@@ -228,15 +230,17 @@ def _greedy_pairs(D, k):
     fallback meets the same nodes in the same order and returns the
     same family without asking the kernel about those states again.
     Each step's kernel call gets the previous step's side and pair as
-    its ``after`` hint."""
+    its ``after`` hint, and the walk's one _kernels.Matrix as its
+    ``matrix`` hint."""
     n = D.n
-    caps = D.caps_flat()
+    matrix = _kernels.Matrix(n, D.caps_flat())
+    caps = matrix.caps
     allowed = _asymmetric_pairs(D)
     memo = {}
     mask = 0
     after = None
     while True:
-        side = _kernels.karc_deficient_cut(n, caps, k, after)
+        side = _kernels.karc_deficient_cut(n, caps, k, after, matrix)
         if side == -1:
             return InversionFamily(sorted(pr for pr, bit in allowed.items() if mask & bit))
         memo[mask] = (side, 0)
@@ -245,7 +249,7 @@ def _greedy_pairs(D, k):
         if best is None:
             break
         u, v = best
-        caps[u * n + v], caps[v * n + u] = caps[v * n + u], caps[u * n + v]
+        matrix.swap(u, v)
         mask |= allowed[best]
         after = (side, u, v)
     result = _pair_search(D, k, allowed, memo)
@@ -278,20 +282,23 @@ def minimally_k_arc_strong(D, k):
 
 
 def _minimal_core(D, k):
-    """minimally_k_arc_strong on a D already known to be k-arc-strong."""
+    """minimally_k_arc_strong on a D already known to be k-arc-strong.
+    Its flows share one _kernels.Matrix, through which each unit is
+    removed and put back."""
     n = D.n
-    caps = D.caps_flat()
+    matrix = _kernels.Matrix(n, D.caps_flat())
+    caps = matrix.caps
     out, into = D._degree_lists()
     for (t, h, m) in D.arcs():
         for _unit in range(m):
             if out[t] <= k or into[h] <= k:
                 break
-            caps[t * n + h] -= 1
-            if _kernels.st_max_flow(n, caps, t, h, k)[0] == k:
+            matrix.add(t, h, -1)
+            if _kernels.st_max_flow(n, caps, t, h, k, matrix)[0] == k:
                 out[t] -= 1
                 into[h] -= 1
                 continue
-            caps[t * n + h] += 1
+            matrix.add(t, h, 1)
             break
     # units are only removed, so every arc left is an arc of D
     return MultiDigraph._trusted(n, {(t, h): caps[t * n + h] for (t, h) in D._m if caps[t * n + h]})
@@ -411,8 +418,9 @@ def approx_kp(D, k, p, heuristic=False):
     base = _greedy_pairs(D, k) if heuristic else _min_pairs(D, k)
     if base is None:
         raise PreconditionViolatedError("no pair inversion family exists for this input")
-    # the check of base hands back the k-arc-strong digraph it applied
-    core = _minimal_core(_strong_after(D, base, k, "pair stage family"), k)
+    # the check of base hands back the k-arc-strong digraph it applied,
+    # which keeps the matrix the check built for the minimal core
+    core = _minimal_core(_strong_after(D, base, k, "pair stage family", keep=True), k)
     packed, leftover = pack_independent_pairs(base, core.underlying(), p)
     family = InversionFamily(list(packed) + list(leftover))
     # an output with the pair family's sets applies to the digraph that

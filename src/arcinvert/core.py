@@ -220,23 +220,26 @@ class MultiDigraph(_Graph):
     def reverse(self):
         return MultiDigraph._trusted(self.n, {(h, t): m for (t, h), m in self._m.items()})
 
-    def caps_flat(self):
+    def caps_flat(self, keep=True):
         """The n x n capacity matrix, row-major, as a fresh list that the
-        caller may change.  The first call, whoever makes it, keeps a
-        copy on the digraph, and later calls copy that.  The copy holds
-        a byte a count (a tuple once some pair has 256 or more arcs), so
-        a kept matrix costs n * n bytes."""
+        caller may change.  The first call with keep set keeps a copy on
+        the digraph, and later calls copy that.  The copy holds a byte a
+        count (a tuple once some pair has 256 or more arcs), so a kept
+        matrix costs n * n bytes.  keep=False builds the list without
+        keeping it, for a caller that drops the digraph after one
+        question."""
         if self._caps is not None:
             return list(self._caps)
         n = self.n
         caps = [0] * (n * n)
         for (t, h), m in self._m.items():
             caps[t * n + h] = m
-        try:
-            kept = bytes(caps)
-        except ValueError:
-            kept = tuple(caps)
-        object.__setattr__(self, "_caps", kept)
+        if keep:
+            try:
+                kept = bytes(caps)
+            except ValueError:
+                kept = tuple(caps)
+            object.__setattr__(self, "_caps", kept)
         return caps
 
     def _degree_lists(self):
@@ -433,13 +436,17 @@ def violating_dicut(D, k):
     """A dicut of D with out-size < k, or None if D is k-arc-strong."""
     _check_digraph(D, "violating_dicut")
     _check_k(k)
-    n = D.n
-    if n <= 1:
-        return None
-    mask = _kernels.karc_deficient_cut(n, D.caps_flat(), k)
+    mask = _deficient_side(D, k)
     if mask == -1:
         return None
     return dicut(D, _mask_to_set(mask))
+
+
+def _deficient_side(D, k, keep=True):
+    """The kernel's deficient side of D at k as a mask, or -1 if D is
+    k-arc-strong, asked about D.caps_flat(keep)."""
+    n = D.n
+    return -1 if n <= 1 else _kernels.karc_deficient_cut(n, D.caps_flat(keep), k)
 
 
 def is_k_arc_strong(D, k):
@@ -577,11 +584,14 @@ def push(D, X):
     return MultiDigraph._trusted(D.n, m)
 
 
-def _strong_after(D, family, k, what):
+def _strong_after(D, family, k, what, keep=False):
     """apply_inversions(D, family), once it is seen to be k-arc-strong:
-    the one check every returned family and planted witness passes."""
+    the one check every returned family and planted witness passes.
+    The applied digraph keeps the matrix the check builds only with
+    keep set, for a caller that reads that matrix again; _verified
+    drops the digraph, and with it any matrix kept on it."""
     applied = apply_inversions(D, family)
-    if not is_k_arc_strong(applied, k):
+    if _deficient_side(applied, k, keep) != -1:
         raise RuntimeError(f"internal error: {what} failed verification")
     return applied
 

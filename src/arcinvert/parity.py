@@ -131,13 +131,14 @@ def _gf2_search(D, k, p, mode, refute=False):
     At that backtrack the refutation over forced-parity cuts (every cut
     of underlying size 2k must end up with exactly k arcs out), which
     proves most "no" instances, k-obstructions included, runs when
-    refute is set and n <= 16, and for k = 1 the _MixedReach prune switches on.  It is
-    built from the placed arcs, cuts the path back to its longest
-    prefix that some orientation completes to a strong one, and from
-    then on keeps a placement only while the mixed graph stays strongly
-    connected.  Both rules cut only subtrees without a k-arc-strong
-    leaf and neither changes the DFS order, so the family stays the
-    same.
+    refute is set and n <= 16.  For k = 1 the _MixedReach prune switches
+    on at the second backtrack, so that a search that backtracks only
+    once does not pay for it.  It is built from the placed arcs, cuts
+    the path back to its longest prefix that some orientation completes
+    to a strong one, and from then on keeps a placement only while the
+    mixed graph stays strongly connected.  Both rules cut only subtrees
+    without a k-arc-strong leaf and neither changes the DFS order, so
+    the family stays the same, whenever they switch on.
 
     A D past the first line has a simple arc.  A digraph (no parallel
     arcs) with digons alone has d+(S) = d-(S) = d_UG(S) / 2 at every
@@ -179,7 +180,7 @@ def _gf2_search(D, k, p, mode, refute=False):
     for t, h in simple:
         remaining[t] += 1
         remaining[h] += 1
-    prune = None  # the k = 1 _MixedReach, from the first backtrack on
+    prune = None  # the k = 1 _MixedReach, from the second backtrack on
 
     def unplace(i, flipped, saved):
         t, h = simple[i]
@@ -200,7 +201,7 @@ def _gf2_search(D, k, p, mode, refute=False):
     path = []
     pending = [[1, 0] if m - 1 in pivot else [0]]
     x = combo = 0
-    backtracked = False
+    backtracks = 0  # counted up to 2, the last one that switches a rule on
     while pending:
         i = len(path)
         if pending[-1]:
@@ -241,11 +242,12 @@ def _gf2_search(D, k, p, mode, refute=False):
             depth = i  # keep the path, try the leaf's other bit
         else:
             depth = i - 1  # every bit of arc i is tried: back to arc i - 1
-        if not backtracked and depth >= 0:
-            backtracked = True
-            if refute and n <= 16 and _forced_parity_refuted(D, k, simple, span):
-                return None
-            if k == 1:
+        if backtracks < 2 and depth >= 0:
+            backtracks += 1
+            if backtracks == 1:
+                if refute and n <= 16 and _forced_parity_refuted(D, k, simple, span):
+                    return None
+            elif k == 1:
                 prune = _MixedReach(D, simple)
                 for j, (b, _saved, _before) in enumerate(path):
                     t0, h0 = simple[j]

@@ -324,11 +324,12 @@ def test_approx_kp_tests_strongness_twice(monkeypatch):
     # digraph that proof is about
     calls = []
 
-    def counted(D, k, _fn=is_k_arc_strong):
+    def counted(D, k, keep=True, _fn=core._deficient_side):
         calls.append(D.n)
-        return _fn(D, k)
+        return _fn(D, k, keep)
 
-    monkeypatch.setattr(core, "is_k_arc_strong", counted)
+    # every strongness question of core goes through _deficient_side
+    monkeypatch.setattr(core, "_deficient_side", counted)
     rng = random.Random(511)
     seen = Counter()
     for heuristic in (False, True):
@@ -375,21 +376,22 @@ def test_approx_kp_applies_the_pair_family_once(monkeypatch):
 
 
 def test_approx_kp_builds_each_digraph_matrix_at_most_once(monkeypatch):
-    # caps_flat is the one matrix reader and keeps its first build: the
-    # strongness checks keep what they read, so the minimal core copies
-    # the pair-stage digraph's matrix instead of building it again
+    # caps_flat is the one matrix reader: the pair stage's check keeps
+    # what it reads, so the minimal core copies the pair-stage digraph's
+    # matrix instead of building it again, and the output's check, whose
+    # digraph is dropped, keeps nothing
     builds = []
     caps_flat = MultiDigraph.caps_flat
 
-    def counted(D):
+    def counted(D, keep=True):
         if D._caps is None:
             builds.append(D)
-        return caps_flat(D)
+        return caps_flat(D, keep)
 
     asked = []
-    violating = core.violating_dicut
+    side = core._deficient_side
     monkeypatch.setattr(MultiDigraph, "caps_flat", counted)
-    monkeypatch.setattr(core, "violating_dicut", lambda D, k: asked.append(D) or violating(D, k))
+    monkeypatch.setattr(core, "_deficient_side", lambda D, k, keep=True: asked.append(D) or side(D, k, keep))
     rng = random.Random(514)
     for heuristic, p in product((False, True), (3, 4)):
         for _ in range(6):
@@ -399,7 +401,7 @@ def test_approx_kp_builds_each_digraph_matrix_at_most_once(monkeypatch):
             approx_kp(D, 1, p, heuristic=heuristic)
             # builds holds every built digraph, so no id is reused
             assert len({id(E) for E in builds}) == len(builds) > 0
-            assert asked and all(E._caps is not None for E in asked)
+            assert asked[0]._caps is not None and all(E._caps is None for E in asked[1:])
 
 
 def test_entry_points_share_one_lambda_per_digraph(monkeypatch):
@@ -619,9 +621,9 @@ def test_running_deficiency_count_searches_as_the_recount_did(monkeypatch):
     # the same order, so the count cut exactly the nodes the recount cut
     asked = []
 
-    def karc(n, caps, k, after=None, _fn=_kernels.karc_deficient_cut):
+    def karc(n, caps, k, after=None, matrix=None, _fn=_kernels.karc_deficient_cut):
         asked.append(tuple(caps))
-        return _fn(n, caps, k, after)
+        return _fn(n, caps, k, after, matrix)
 
     monkeypatch.setattr(_kernels, "karc_deficient_cut", karc)
     rng = random.Random(522)
@@ -664,9 +666,9 @@ def test_greedy_fallback_asks_nothing_the_walk_asked(monkeypatch):
     matrix reaches the backend twice in one greedy repair."""
     seen = []
 
-    def karc(n, caps, k, after=None):
+    def karc(n, caps, k, after=None, matrix=None):
         seen.append((n, tuple(caps), k))
-        return _pyimpl.karc_deficient_cut(n, caps, k, after)
+        return _pyimpl.karc_deficient_cut(n, caps, k, after, matrix)
 
     monkeypatch.setattr(_kernels, "_impl", SimpleNamespace(
         karc_deficient_cut=karc, st_max_flow=_pyimpl.st_max_flow,
@@ -750,7 +752,7 @@ def test_k1_pair_searches_grow_reaches_from_the_parent(monkeypatch):
     for hinted in (True, False):
         if not hinted:
             monkeypatch.setattr(_kernels, "karc_deficient_cut",
-                                lambda n, caps, k, after=None: dispatch(n, caps, k))
+                                lambda n, caps, k, after=None, matrix=None: dispatch(n, caps, k))
         for search in (min_k2_inversion_set, greedy_k2_inversion_set):
             monkeypatch.setattr(_kernels, "_strong", None)
             reads.clear()

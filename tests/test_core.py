@@ -496,6 +496,25 @@ def test_capacity_matrix_and_degrees_are_fresh_copies_of_one_memo(monkeypatch):
         assert D._caps is kept and D._deg == (tuple(outs), tuple(ins))
 
 
+def test_only_a_verification_that_hands_its_digraph_on_keeps_the_matrix():
+    # caps_flat(keep=False) builds without keeping; _strong_after keeps
+    # the applied digraph's matrix only for a caller that reads it again
+    rng = random.Random(59)
+    strong = 0
+    for _ in range(60):
+        D = rand_multidigraph(rng, n_max=7)
+        want = _matrix_of(D)
+        assert D.caps_flat(keep=False) == want and D._caps is None
+        if not is_k_arc_strong(D, 1):
+            continue
+        assert D.caps_flat(keep=False) == want and list(D._caps) == want
+        for keep in (False, True):
+            applied = core._strong_after(D, [], 1, "test", keep=keep)
+            assert applied == D and (applied._caps is not None) == keep
+        strong += 1
+    assert strong >= 10
+
+
 def test_a_matrix_with_large_counts_is_kept_whole():
     # a byte holds a count up to 255; a pair with more arcs keeps the
     # matrix in a tuple

@@ -4,7 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -576,9 +576,9 @@ def _recording(backend):
     asked about and answers through ``backend``."""
     seen = []
 
-    def karc(n, caps, k, after=None):
+    def karc(n, caps, k, after=None, matrix=None):
         seen.append((n, tuple(caps), k))
-        return backend.karc_deficient_cut(n, caps, k, after)
+        return backend.karc_deficient_cut(n, caps, k, after, matrix)
 
     rec = SimpleNamespace(
         karc_deficient_cut=karc,
@@ -870,3 +870,122 @@ def test_memo_answers_a_hinted_strong_matrix(backend, monkeypatch):
     assert _kernels.karc_deficient_cut(n, list(caps), 1) == -1
     assert _kernels.karc_deficient_cut(n, list(caps), 1, (side, 3, 2)) == -1
     assert len(seen) == 2
+
+
+# -- the matrix hint: a search's kept kernel state -----------------------
+
+
+def _fresh_parts(n, caps):
+    """Each vertex's row and column mask, its neighbour list and the
+    transposed matrix, built from caps anew."""
+    outs = [sum(1 << v for v in range(n) if caps[u * n + v]) for u in range(n)]
+    ins = [sum(1 << v for v in range(n) if caps[v * n + u]) for u in range(n)]
+    nbrs = [[v for v in range(n) if caps[u * n + v] or caps[v * n + u]] for u in range(n)]
+    capsT = [caps[v * n + u] for u in range(n) for v in range(n)]
+    return outs, ins, nbrs, capsT
+
+
+def _random_write(rng, matrix):
+    """One random swap, unit removal or unit add through the Matrix;
+    its kind and pair."""
+    n, caps = matrix.n, matrix.caps
+    u, v = rng.sample(range(n), 2)
+    roll = rng.random()
+    if roll < 0.5:
+        before = caps[u * n + v], caps[v * n + u]
+        assert matrix.swap(u, v) == before
+        assert (caps[u * n + v], caps[v * n + u]) == before[::-1]
+        return "swap", u, v
+    if caps[u * n + v] and roll < 0.8:
+        matrix.add(u, v, -1)
+        return "remove", u, v
+    matrix.add(u, v, 1)
+    return "add", u, v
+
+
+def _kernel_questions(rng, matrix, k):
+    """A few hinted kernel calls, which build parts of matrix."""
+    n, caps = matrix.n, matrix.caps
+    _pyimpl.karc_deficient_cut(n, caps, k, None, matrix)
+    s, t = rng.sample(range(n), 2)
+    _pyimpl.st_max_flow(n, caps, s, t, rng.choice((1, 2, k, -1)), matrix)
+
+
+def test_kept_parts_match_a_fresh_build():
+    """After every swap and unit add or removal, each part the hinted
+    kernels have built in a Matrix equals a fresh build from caps; a
+    neighbour list may also keep, in ascending order, a vertex whose
+    last arc with it a removal dropped."""
+    rng = random.Random(0x3A7)
+    seen = Counter()
+    for _ in range(250):
+        D = rand_multidigraph(rng, n_max=9, n_min=3, mult_max=3, density=rng.uniform(0.3, 0.8))
+        n = D.n
+        seen["digon"] += any(D.mult(h, t) for (t, h, _m) in D.arcs())
+        seen["parallel"] += any(m > 1 for (_t, _h, m) in D.arcs())
+        matrix = _pyimpl.Matrix(n, D.caps_flat())
+        k = rng.choice((1, 2, 3))
+        for _step in range(12):
+            _kernel_questions(rng, matrix, k)
+            seen[_random_write(rng, matrix)[0]] += 1
+            outs, ins, nbrs, capsT = _fresh_parts(n, matrix.caps)
+            for u in range(n):
+                for kept, fresh, part in ((matrix.outs[u], outs[u], "outs"), (matrix.ins[u], ins[u], "ins")):
+                    if kept is not None:
+                        assert kept == fresh
+                        seen[part] += 1
+                kept = matrix.nbrs[u]
+                if kept is not None:
+                    assert kept == sorted(set(kept)) and set(nbrs[u]) <= set(kept)
+                    seen["nbrs"] += 1
+                    seen["nbrs superset"] += kept != nbrs[u]
+            if matrix._capsT is not None:
+                assert matrix._capsT == capsT
+                seen["transposed"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_hinted_kernels_answer_as_unhinted_ones(cimpl):
+    """Along random swaps and unit adds and removals, every kernel call
+    with the search's Matrix (and, after a swap at k = 1, the parent's
+    side) answers as a fresh unhinted call, under both backends."""
+    rng = random.Random(0x3A8)
+    asked = Counter()
+    for _ in range(200):
+        D = rand_multidigraph(rng, n_max=10, n_min=3, mult_max=3, density=rng.uniform(0.3, 0.8))
+        n = D.n
+        matrix = _pyimpl.Matrix(n, D.caps_flat())
+        caps = matrix.caps
+        k = rng.choice((1, 1, 2, 3))
+        side = _pyimpl.karc_deficient_cut(n, caps, k, None, matrix)
+        for _step in range(12):
+            kind, u, v = _random_write(rng, matrix)
+            after = (side, u, v) if kind == "swap" and side != -1 else None
+            side = _pyimpl.karc_deficient_cut(n, list(caps), k)
+            assert _pyimpl.karc_deficient_cut(n, caps, k, after, matrix) == side
+            assert cimpl.karc_deficient_cut(n, caps, k, after, matrix) == side
+            asked[k, after is not None, side == -1] += 1
+            s, t = rng.sample(range(n), 2)
+            limit = rng.choice((1, 2, 3, -1))
+            want = _pyimpl.st_max_flow(n, list(caps), s, t, limit)
+            assert _pyimpl.st_max_flow(n, caps, s, t, limit, matrix) == want
+            assert cimpl.st_max_flow(n, caps, s, t, limit, matrix) == want
+            asked["flow", limit] += 1
+    # every k, hinted or not, strong or not, and every limit, is asked;
+    # the after hint, which only k = 1 reads, at least 20 times each way
+    assert len(asked) == 16 and min(asked[1, True, strong] for strong in (False, True)) >= 20, asked
+
+
+def test_a_matrix_hint_must_hold_the_caps_of_its_call():
+    n = 5
+    caps = _two_way_ring(n)
+    matrix = _pyimpl.Matrix(n, caps)
+    for call in (
+        lambda: _pyimpl.karc_deficient_cut(n, list(caps), 1, None, matrix),
+        lambda: _pyimpl.karc_deficient_cut(n, list(caps), 2, None, matrix),
+        lambda: _pyimpl.st_max_flow(n, list(caps), 0, 2, 1, matrix),
+        lambda: _pyimpl.st_max_flow(n, list(caps), 0, 2, -1, matrix),
+    ):
+        with pytest.raises(ValueError, match="matrix hint"):
+            call()
+    assert _pyimpl.karc_deficient_cut(n, caps, 2, None, matrix) == -1

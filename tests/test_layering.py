@@ -121,3 +121,65 @@ def test_multigraph_arguments_are_checked_in_core_only():
     # core._check_digraph holds the digraph one
     owners = {f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _multigraph_checks(path)}
     assert owners == {"core._check_multigraph"}, owners
+
+
+_MATRIX_HINT_AT = {"karc_deficient_cut": 4, "st_max_flow": 5}
+
+
+def _matrix_users(path):
+    """The top-level functions of the module at path that build a kernel
+    Matrix or pass a kernel call its matrix hint (karc_deficient_cut's
+    fifth or st_max_flow's sixth argument, or the keyword)."""
+    users = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "Matrix" or (
+                name in _MATRIX_HINT_AT
+                and (len(node.args) > _MATRIX_HINT_AT[name] or any(kw.arg == "matrix" for kw in node.keywords))
+            ):
+                users.add(top.name)
+    return users
+
+
+def test_only_the_pair_searches_and_the_minimal_core_keep_a_kernel_matrix():
+    # a Matrix keeps what the pure kernels derive from one search's
+    # matrix across its calls; every other caller, the oracles and the
+    # parity search among them, asks about a matrix of its own each time
+    users = {f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _matrix_users(path)}
+    assert users == {"approx._pair_search", "approx._greedy_pairs", "approx._minimal_core"}, users
+
+
+def test_the_kept_matrices_change_only_through_their_methods():
+    # the kept parts stay equal to caps only if swap and add are its
+    # only writes: no store, delete or method call through caps, and the
+    # Matrix itself used only by its swap, add and caps
+    tree = ast.parse((SRC / "approx.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_pair_search", "_greedy_pairs", "_minimal_core"):
+        fn = functions[name]
+        states, aliases = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                value, target = node.value, node.targets[0].id
+                if isinstance(value, ast.Call) and getattr(value.func, "attr", None) == "Matrix":
+                    states.add(target)
+                elif isinstance(value, ast.Attribute) and value.attr == "caps" and getattr(value.value, "id", None) in states:
+                    aliases.add(target)
+        assert len(states) == 1 and len(aliases) == 1, (name, states, aliases)
+        bindings = 0
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in states | aliases and not isinstance(node.ctx, ast.Load):
+                bindings += 1
+            elif isinstance(node, ast.Nonlocal | ast.Global):
+                assert not set(node.names) & (states | aliases), (name, node.names)
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in states | aliases:
+                assert isinstance(node.ctx, ast.Load), (name, ast.unparse(node))
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                raise AssertionError((name, ast.unparse(node)))
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in states:
+                assert node.attr in {"swap", "add", "caps"}, (name, ast.unparse(node))
+        assert bindings == 2, (name, bindings)

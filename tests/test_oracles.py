@@ -1200,18 +1200,19 @@ def _checking_kernels(seen, per_set=0):
     than k arcs out or in): none for the orientation sampler, at most
     per_set times the remaining budget for a branch-and-bound node."""
 
-    def karc_deficient_cut(n, caps, k, after=None):
+    def karc_deficient_cut(n, caps, k, after=None, matrix=None):
         deficient = sum(1 for v in range(n) if sum(caps[v * n:v * n + n]) < k or sum(caps[v::n]) < k)
         # the sets a branch-and-bound node may still add, 0 elsewhere
         budget = sys._getframe(1).f_locals.get("budget", 0)
         assert deficient <= per_set * budget, "flow on a digraph the degree bound rejects"
         seen.append(deficient)
-        return _kernels.karc_deficient_cut(n, caps, k, after)
+        return _kernels.karc_deficient_cut(n, caps, k, after, matrix)
 
     return types.SimpleNamespace(
         karc_deficient_cut=karc_deficient_cut,
         st_max_flow=_kernels.st_max_flow,
         min_cut_value=_kernels.min_cut_value,
+        Matrix=_kernels.Matrix,
     )
 
 
