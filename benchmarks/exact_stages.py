@@ -71,9 +71,9 @@ def answer(out):
     return (out.feasible, out.reason, answer(out.witness))
 
 
-def run_pass(A, calls):
+def run_pass(A, calls, answer=answer):
     """Issues the call list once; returns its wall time and a hash of
-    its answers."""
+    its answers, each made comparable by answer."""
     answers = []
     start = time.perf_counter()
     for call in calls:

@@ -66,7 +66,7 @@ def _check_multigraph(G, what, simple=False):
     when it has parallel edges."""
     if not isinstance(G, Multigraph):
         raise InvalidArgumentError(f"{what} expects a Multigraph")
-    if simple and any(m > 1 for m in G._m.values()):
+    if simple and max(G._m.values(), default=1) > 1:
         raise InvalidArgumentError("parallel edges not allowed; a simple graph is required")
 
 
@@ -149,7 +149,9 @@ class _Graph:
 class MultiDigraph(_Graph):
     """Directed graph with parallel arcs allowed, no loops."""
 
-    __slots__ = ("_ug", "_caps", "_deg")
+    # _obs maps k to the k-obstruction certificate of the digraph, or to
+    # None when it is none; obstruction._obstruction_scan fills it
+    __slots__ = ("_ug", "_caps", "_deg", "_obs")
     _pair = "arc must be (tail, head[, mult])"
     _ends = ("tail", "head")
     _directed = True
@@ -182,7 +184,7 @@ class MultiDigraph(_Graph):
 
     def is_digraph(self):
         """No parallel arcs (digons still allowed)."""
-        return all(m == 1 for m in self._m.values())
+        return max(self._m.values(), default=1) == 1
 
     def is_oriented(self):
         """Digraph without digons."""

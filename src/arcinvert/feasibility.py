@@ -73,7 +73,9 @@ def is_kp_invertible(D, k, p, witness=False):
     """Can some family of exact-size-p inversions make D k-arc-strong?
 
     Returns a FeasibilityVerdict.  With witness=True a verified family
-    is attached to feasible verdicts."""
+    is attached to feasible verdicts.  For odd p above the threshold the
+    k-obstruction scan runs once per (D, k): D keeps its answer, so
+    other p, witness requests and is_k_obstruction share it."""
     _check_digraph(D, "is_kp_invertible", simple=True)
     _check_k(k)
     _check_p(p)

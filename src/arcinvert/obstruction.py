@@ -215,7 +215,8 @@ def is_k_obstruction(D, k):
     |Y| = 1, or Y is exactly the high-degree set.  A singleton {y} is
     tried only when y has degree n - 1 in the underlying multigraph:
     condition (ii) joins y to each of the other n - 1 vertices by
-    exactly one edge, so no other singleton can complete."""
+    exactly one edge, so no other singleton can complete.  The scan runs
+    once per (D, k): D keeps its answer, which is_kp_invertible shares."""
     _check_obstruction_input(D, k, "is_k_obstruction")
     if edge_connectivity(D.underlying()) < 2 * k:
         return None
@@ -230,7 +231,17 @@ def _obstruction_scan(D, k):
     other vertex by exactly one edge, so only if its degree is n - 1.
     Only those singletons are tried, still in vertex order and before
     the high-degree set; every other one would fail in _extend, so the
-    first certificate found is the same."""
+    first certificate found is the same.
+
+    The answer depends on D and k alone, and D never changes, so it is
+    kept on D: the scan runs once per (D, k), and every later call for
+    that k, whatever p or witness request it serves, returns the same
+    certificate object (or None).  A write replaces D's dict whole, so a
+    concurrent reader sees the old dict or the new one, never a
+    half-written entry; two threads that both miss scan twice and agree."""
+    memo = D._obs or {}
+    if k in memo:
+        return memo[k]
     n = D.n
     degree = [0] * n
     for u, v, mm in D.underlying().edges():
@@ -240,11 +251,13 @@ def _obstruction_scan(D, k):
     high = {v for v in range(n) if degree[v] >= 2 * k + 1}
     if 2 <= len(high) < n:
         candidates.append(high)
+    cert = None
     for y in candidates:
         cert = _extend(D, k, y)
         if cert is not None:
-            return cert
-    return None
+            break
+    object.__setattr__(D, "_obs", {**memo, k: cert})
+    return cert
 
 
 # -- exhaustive back-up checker (small n) -------------------------------

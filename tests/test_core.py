@@ -741,3 +741,36 @@ def test_every_multigraph_argument_is_checked_by_core(name, call, simple):
         with pytest.raises(InvalidArgumentError) as exc:
             call(Multigraph(4, cycle + [(0, 1)]))
         assert str(exc.value) == "parallel edges not allowed; a simple graph is required"
+
+
+
+@pytest.mark.parametrize(
+    "n, arcs, digraph, simple_ug",
+    [
+        (0, [], True, True),
+        (3, [], True, True),
+        (2, [(0, 1), (1, 0)], True, False),
+        (3, [(0, 1), (1, 2), (2, 0, 2)], False, False),
+        (3, [(0, 1, 256), (1, 2)], False, False),
+        (3, [(0, 1), (1, 0, 10**6)], False, False),
+    ],
+    ids=["no-vertices", "no-arcs", "digon", "mult-2", "mult-256", "digon-mult-10**6"],
+)
+def test_simple_graph_checks_at_their_edge_cases(n, arcs, digraph, simple_ug):
+    # a digon is two arcs, so a digraph, but its underlying multigraph
+    # has a double edge; a pair with two or more arcs is no digraph,
+    # however many arcs it has
+    D = MultiDigraph(n, arcs)
+    assert D.is_digraph() is digraph
+    if digraph:
+        core._check_digraph(D, "test", simple=True)
+    else:
+        with pytest.raises(InvalidArgumentError, match="parallel arcs"):
+            core._check_digraph(D, "test", simple=True)
+    for G in (D.underlying(), Multigraph(n, arcs)):
+        core._check_multigraph(G, "test")
+        if simple_ug:
+            core._check_multigraph(G, "test", simple=True)
+        else:
+            with pytest.raises(InvalidArgumentError, match="parallel edges"):
+                core._check_multigraph(G, "test", simple=True)

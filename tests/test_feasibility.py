@@ -357,3 +357,49 @@ def test_a_witness_applies_one_family_and_calls_no_public_simulation(monkeypatch
         applied.clear()
         verdict = is_kp_invertible(D, k, p, witness=True)
         assert applied == [verdict.witness]
+
+
+_SCAN_CALLS = {
+    "p=3": lambda D: is_kp_invertible(D, 1, 3),
+    "p=3 witness": lambda D: is_kp_invertible(D, 1, 3, witness=True),
+    "p=5": lambda D: is_kp_invertible(D, 1, 5),
+    "p=5 witness": lambda D: is_kp_invertible(D, 1, 5, witness=True),
+    "is_k_obstruction": lambda D: obstruction.is_k_obstruction(D, 1),
+}
+
+
+def _certificate(answer):
+    return answer.certificate if isinstance(answer, feasibility.FeasibilityVerdict) else answer
+
+
+@pytest.mark.parametrize("first", sorted(_SCAN_CALLS))
+def test_the_obstruction_scan_runs_once_per_digraph_and_k(first, monkeypatch):
+    # the scan's answer depends on D and k alone: after the first call,
+    # no decision, witness request or is_k_obstruction of the same D and
+    # k runs an _extend, and each returns the first call's certificate
+    rng = random.Random(607)
+    extends = []
+    original = obstruction._extend
+    monkeypatch.setattr(obstruction, "_extend", lambda *a: extends.append(a[2]) or original(*a))
+    # built fresh: a shared digraph may hold a memo already; the hub,
+    # joined to every other vertex by one arc, is a Y the scan tries
+    obstructed = apply_inversions(star_matching_obstruction(4)[0], [[0, 3, 8]])
+    while True:
+        D = rand_2kec_digraph(rng, 1, rng.randint(7, 9))
+        hub = D.n
+        arcs = [a[:2] for a in D.arcs()] + [(hub, x) if rng.random() < 0.5 else (x, hub) for x in range(hub)]
+        plain = MultiDigraph(hub + 1, arcs)
+        if obstruction.is_k_obstruction(MultiDigraph(hub + 1, arcs), 1) is None:
+            break
+    for D, reason in ((obstructed, "k-obstruction"), (plain, "theorem-odd")):
+        extends.clear()
+        cert = _certificate(_SCAN_CALLS[first](D))
+        assert extends and (cert is None) == (reason == "theorem-odd")
+        extends.clear()
+        for name, call in _SCAN_CALLS.items():
+            answer = call(D)
+            assert _certificate(answer) is cert
+            if name != "is_k_obstruction":
+                wanted = reason == "theorem-odd" and name.endswith("witness")
+                assert answer.reason == reason and (answer.witness is not None) == wanted
+        assert extends == [] and D._obs == {1: cert}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from arcinvert.core import (
     edge_connectivity,
     is_k_arc_strong,
     min_cut,
+    push,
 )
 from arcinvert.errors import InvalidArgumentError, PreconditionViolatedError
 from arcinvert.obstruction import (
@@ -400,3 +403,130 @@ def test_verify_certificate_rejects_a_k_that_is_not_a_positive_int():
         assert verify_certificate(D, ObstructionCertificate(k=bad, x_parts=cert.x_parts, y=cert.y)) is False
     for bad in (2.0, "2"):
         assert verify_certificate(E, ObstructionCertificate(k=bad, x_parts=cert2.x_parts, y=cert2.y)) is False
+
+
+# -- the scan runs once per (digraph, k) ----------------------------------
+
+
+def _fresh(D):
+    """A new digraph equal to D, with empty memos."""
+    return MultiDigraph(D.n, list(D.arcs()))
+
+
+def _counted_extend(monkeypatch):
+    """The k of every _extend call from now on."""
+    calls = []
+    original = obstruction._extend
+
+    def counted(D, k, y_set):
+        calls.append(k)
+        return original(D, k, y_set)
+
+    monkeypatch.setattr(obstruction, "_extend", counted)
+    return calls
+
+
+def _with_a_universal_vertex(rng, k, n_min, n_max):
+    """A 2k-edge-connected digraph on n_min..n_max vertices with a
+    vertex joined to every other by one arc: the scan tries it as Y, so
+    every scan runs _extend at least once."""
+    while True:
+        n = rng.randint(n_min, n_max)
+        D = _with_universal_vertices(rng, rand_2kec_digraph(rng, k, n), 1)
+        if edge_connectivity(D.underlying()) >= 2 * k:
+            return D
+
+
+def test_another_k_scans_again_and_both_answers_are_kept(monkeypatch):
+    rng = random.Random(411)
+    calls = _counted_extend(monkeypatch)
+    for _ in range(4):
+        D = _with_a_universal_vertex(rng, 2, 10, 13)
+        assert D._obs is None
+        found = {}
+        for k in (1, 2):
+            calls.clear()
+            found[k] = is_k_obstruction(D, k)
+            assert calls and set(calls) == {k}
+            assert D._obs == found
+        calls.clear()
+        for k in (2, 1, 2):
+            assert is_k_obstruction(D, k) is found[k]
+            assert obstruction._obstruction_scan(D, k) is found[k]
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda D: MultiDigraph._trusted(D.n, dict(D._m)),
+        lambda D: D.induced(range(D.n))[0],
+        lambda D: D.reverse().reverse(),
+        lambda D: apply_inversions(D, []),
+        lambda D: push(D, []),
+        copy.copy,
+        copy.deepcopy,
+        lambda D: pickle.loads(pickle.dumps(D)),
+    ],
+    ids=["trusted", "induced", "reverse", "apply_inversions", "push", "copy", "deepcopy", "pickle"],
+)
+def test_new_digraphs_start_without_a_scan(route, monkeypatch):
+    rng = random.Random(412)
+    calls = _counted_extend(monkeypatch)
+    for m in (3, 4, 6):
+        D = apply_inversions(star_matching_obstruction(m)[0], [rng.sample(range(2 * m + 1), 3)])
+        cert = is_k_obstruction(D, 1)
+        assert cert is not None and D._obs == {1: cert}
+        twin = route(D)
+        assert twin == D and hash(twin) == hash(D) and twin._obs is None
+        # the twin scans for itself, and finds the same certificate
+        calls.clear()
+        again = is_k_obstruction(twin, 1)
+        assert calls and again == cert and twin._obs == {1: again}
+    # an odd-size inversion keeps the certificate but not the memo
+    inverted = apply_inversions(D, [[0, 1, 2]])
+    assert inverted._obs is None and verify_certificate(inverted, cert)
+
+
+def test_equality_and_hashing_ignore_the_scan_memo():
+    D, cert = star_matching_obstruction(4)
+    twin = _fresh(D)
+    assert is_k_obstruction(D, 1) is not None
+    assert D == twin and hash(D) == hash(twin)
+    # even a memo that disagrees with the arcs is not part of the value
+    object.__setattr__(twin, "_obs", {1: None, 2: cert})
+    assert D == twin and hash(D) == hash(twin)
+    assert {D: 1}[twin] == 1
+
+
+def test_the_kept_answer_equals_a_fresh_first_scan():
+    # perturbed obstructions, obstructions with a digon arc added (which
+    # may break them) and random digraphs with universal vertices: the
+    # memo's answer is the one a fresh digraph's first scan gives
+    rng = random.Random(413)
+    inputs = []
+    for _ in range(30):
+        D = star_matching_obstruction(rng.randint(3, 8))[0]
+        inputs.append((1, D))
+        k = rng.choice((1, 2))
+        inputs.append((k, doubled_clique_obstruction(k, rng.randint(4, 6))[0]))
+    perturbed = []
+    for k, D in inputs:
+        D = apply_inversions(D, [rng.sample(range(D.n), rng.choice((3, 5))) for _ in range(2)])
+        if rng.random() < 0.5:
+            t, h, _m = rng.choice(list(D.arcs()))
+            if not D.has_arc(h, t):
+                D = MultiDigraph(D.n, [a[:2] for a in D.arcs()] + [(h, t)])
+        perturbed.append((k, _relabelled(rng, D)))
+    for _ in range(50):
+        k = rng.choice((1, 2))
+        perturbed.append((k, _with_a_universal_vertex(rng, k, 4 * k + 2, 16)))
+    found = 0
+    for k, D in perturbed:
+        first = is_k_obstruction(D, k)
+        kept = is_k_obstruction(D, k)
+        assert kept is first
+        assert kept == is_k_obstruction(_fresh(D), k)
+        assert kept is None or verify_certificate(D, kept)
+        found += kept is not None
+    assert len(perturbed) >= 100 and 30 <= found < len(perturbed) - 30
